@@ -79,7 +79,6 @@ class FreeBlock:
     sign: int  # +1 convex block, -1 concave block
     lower_support: SupportLine  # incoming tangent, slope s_{a-1}
     upper_support: SupportLine  # outgoing tangent, slope s_b
-    chord_envelope: PiecewiseLinear  # connect-the-dots restricted to the block
 
     def to_dict(self) -> dict:
         return {
@@ -146,7 +145,10 @@ class MembershipReport:
 
 def connect_the_dots(d: Dataset) -> PiecewiseLinear:
     """Chord interpolant, extended by the first and last chord slopes."""
-    prof = slope_profile(d)
+    return _chord_interpolant(d, slope_profile(d))
+
+
+def _chord_interpolant(d: Dataset, prof: SlopeProfile) -> PiecewiseLinear:
     return from_knots(d.points, prof.slopes[0], prof.slopes[-1])
 
 
@@ -157,9 +159,12 @@ def tv_formula_pair(d: Dataset, curvature_tol: float = CURVATURE_RTOL) -> tuple[
     slope values, so equal results compare equal with no rounding slack.
     """
     prof = slope_profile(d, curvature_tol)
-    s = [Fraction(v) for v in prof.slopes]
+    return _tv_sums(prof.slopes, _inflection_indices(d.m, prof.curvatures))
+
+
+def _tv_sums(slopes: tuple[float, ...], idx: list[int]) -> tuple[Fraction, Fraction]:
+    s = [Fraction(v) for v in slopes]
     adjacent = sum((abs(s[i] - s[i - 1]) for i in range(1, len(s))), Fraction(0))
-    idx = _inflection_indices(d.m, prof.curvatures)
     inflect = sum((abs(s[b - 1] - s[a - 1]) for a, b in zip(idx, idx[1:])), Fraction(0))
     return adjacent, inflect
 
@@ -202,7 +207,6 @@ def characterize(d: Dataset, curvature_tol: float = CURVATURE_RTOL) -> Character
             j += 1
         a, b = j0, j  # knots a..b, spanning intervals j0..j-1
         sigma = eps(a)
-        chord = from_knots(list(d.points[a - 1 : b]), s[a - 1], s[b - 2])
         blocks.append(
             FreeBlock(
                 block_id=len(blocks),
@@ -210,7 +214,6 @@ def characterize(d: Dataset, curvature_tol: float = CURVATURE_RTOL) -> Character
                 sign=sigma,
                 lower_support=SupportLine((float(xs[a - 1]), float(ys[a - 1])), s[a - 2]),
                 upper_support=SupportLine((float(xs[b - 1]), float(ys[b - 1])), s[b - 1]),
-                chord_envelope=chord,
             )
         )
 
@@ -219,7 +222,8 @@ def characterize(d: Dataset, curvature_tol: float = CURVATURE_RTOL) -> Character
         for j, (kind, reason) in enumerate(kinds, start=1)
     )
 
-    adjacent, inflect = tv_formula_pair(d, curvature_tol)
+    inflection_set = _inflection_indices(m, prof.curvatures)
+    adjacent, inflect = _tv_sums(s, inflection_set)
     # Sub-tolerance slope wiggles (dithered collinear data) make the two sums
     # differ by a few ulps, which is expected; anything larger is a real
     # inconsistency.  The adjacent-gap sum is the true TV of the chord
@@ -235,9 +239,9 @@ def characterize(d: Dataset, curvature_tol: float = CURVATURE_RTOL) -> Character
         profile=prof,
         verdicts=verdicts,
         blocks=tuple(blocks),
-        inflection_set=tuple(_inflection_indices(m, prof.curvatures)),
+        inflection_set=tuple(inflection_set),
         minimal_tv=float(adjacent),
-        f_D=connect_the_dots(d),
+        f_D=_chord_interpolant(d, prof),
     )
 
 

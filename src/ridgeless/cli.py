@@ -51,18 +51,33 @@ def _error(code: int, kind: str, message: str) -> int:
     return code
 
 
-def _load_pl(path: str) -> plfun.PiecewiseLinear:
-    try:
-        return plfun.from_json(Path(path).read_text())
-    except (json.JSONDecodeError, KeyError, TypeError, IndexError, ValueError) as e:
-        raise DatasetError(f"bad piecewise-linear file {path}: {e}") from None
+def _at_least(convert, least):
+    """argparse type: ``convert`` the text, then reject values below ``least``."""
+
+    def parse(text: str):
+        value = convert(text)
+        if not value >= least:  # also rejects nan
+            raise argparse.ArgumentTypeError(f"must be >= {least}, got {text!r}")
+        return value
+
+    parse.__name__ = convert.__name__  # argparse names the type in conversion errors
+    return parse
 
 
-def _load_net(path: str) -> net_mod.ReluNetwork:
+def _load(path: str, parse=plfun.from_json, noun: str = "piecewise-linear"):
+    """Parse a JSON file; any structural fault becomes a format error."""
     try:
-        return net_mod.from_json(Path(path).read_text())
+        return parse(Path(path).read_text())
     except (json.JSONDecodeError, KeyError, TypeError, IndexError, ValueError) as e:
-        raise DatasetError(f"bad network file {path}: {e}") from None
+        raise DatasetError(f"bad {noun} file {path}: {e}") from None
+
+
+def _write_or_print(text: str, out: str | None) -> None:
+    if out:
+        Path(out).write_text(text)
+        print(f"wrote {out}")
+    else:
+        print(text)
 
 
 def cmd_characterize(args) -> int:
@@ -92,18 +107,13 @@ def cmd_characterize(args) -> int:
 def cmd_fd(args) -> int:
     d = load_dataset(args.data)
     f = connect_the_dots(d)
-    text = plfun.to_json(f)
-    if args.out:
-        Path(args.out).write_text(text)
-        print(f"wrote {args.out}")
-    else:
-        print(text)
+    _write_or_print(plfun.to_json(f), args.out)
     return 0
 
 
 def cmd_check(args) -> int:
     d = load_dataset(args.data)
-    f = _load_pl(args.pl)
+    f = _load(args.pl)
     report = check_membership_against(characterize(d), f, tol=args.tol)
     print(json.dumps(report.to_dict()))
     return 0 if report.is_member else 3
@@ -123,33 +133,23 @@ def cmd_sample(args) -> int:
 
 
 def cmd_tv(args) -> int:
-    f = _load_pl(args.pl)
+    f = _load(args.pl)
     print(fmt(tv_of_derivative(f)))
     return 0
 
 
 def cmd_to_network(args) -> int:
-    f = _load_pl(args.pl)
+    f = _load(args.pl)
     net = net_mod.pl_to_network(f)
     print("cost:", fmt(net_mod.cost(net)))
-    text = net_mod.to_json(net)
-    if args.out:
-        Path(args.out).write_text(text)
-        print(f"wrote {args.out}")
-    else:
-        print(text)
+    _write_or_print(net_mod.to_json(net), args.out)
     return 0
 
 
 def cmd_from_network(args) -> int:
-    net = _load_net(args.net)
+    net = _load(args.net, net_mod.from_json, "network")
     f = net_mod.network_to_pl(net)
-    text = plfun.to_json(f)
-    if args.out:
-        Path(args.out).write_text(text)
-        print(f"wrote {args.out}")
-    else:
-        print(text)
+    _write_or_print(plfun.to_json(f), args.out)
     return 0
 
 
@@ -164,7 +164,7 @@ def cmd_certify(args) -> int:
 
 
 def cmd_bound(args) -> int:
-    gt = GroundTruth.of(_load_pl(args.fstar))
+    gt = GroundTruth.of(_load(args.fstar))
     if args.m is not None:
         d = make_dataset_from(gt, args.m)
     else:
@@ -289,7 +289,7 @@ def build_parser() -> _Parser:
     sp = sub.add_parser("check", help="membership test for a PL function")
     sp.add_argument("data")
     sp.add_argument("pl")
-    sp.add_argument("--tol", type=float, default=1e-9)
+    sp.add_argument("--tol", type=_at_least(float, 0), default=1e-9)
     sp.set_defaults(func=cmd_check)
 
     sp = sub.add_parser("sample", help="emit random family members")
@@ -315,17 +315,17 @@ def build_parser() -> _Parser:
 
     sp = sub.add_parser("certify", help="independent grid minimization of the TV")
     sp.add_argument("data")
-    sp.add_argument("--grid", type=int, default=64)
-    sp.add_argument("--tol", type=float, default=1e-3)
+    sp.add_argument("--grid", type=_at_least(int, 1), default=64)
+    sp.add_argument("--tol", type=_at_least(float, 0), default=1e-3)
     sp.set_defaults(func=cmd_certify)
 
     sp = sub.add_parser("bound", help="generalization bound reports")
     sp.add_argument("data")
     sp.add_argument("--fstar", required=True)
-    sp.add_argument("--m", type=int)
+    sp.add_argument("--m", type=_at_least(int, 2))
     sp.add_argument("--members", type=int, default=100)
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--grid", type=int, default=100)
+    sp.add_argument("--grid", type=_at_least(int, 1), default=100)
     sp.set_defaults(func=cmd_bound)
 
     sp = sub.add_parser("plot", help="static SVG of data, chords, envelopes, members")

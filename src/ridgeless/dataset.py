@@ -152,13 +152,22 @@ def _parse_json(text: str) -> Dataset:
         obj = json.loads(text)
     except json.JSONDecodeError as e:
         raise MalformedRecordError(f"invalid json: {e.msg}", line=e.lineno) from None
+    except ValueError as e:  # an integer literal past Python's digit limit
+        raise MalformedRecordError(f"invalid json: {e}") from None
     if not isinstance(obj, dict) or "points" not in obj:
         raise MalformedRecordError('expected an object with a "points" array')
+    if not isinstance(obj["points"], list):
+        raise MalformedRecordError('"points" must be an array')
     pairs = []
     for rec in obj["points"]:
         if not isinstance(rec, (list, tuple)) or len(rec) != 2:
             raise MalformedRecordError(f"expected [x, y], got {rec!r}")
-        x, y = float(rec[0]), float(rec[1])
+        try:
+            x, y = float(rec[0]), float(rec[1])
+        except (TypeError, ValueError):
+            raise MalformedRecordError(f"non-numeric coordinate in record {rec!r}") from None
+        except OverflowError:  # an integer literal beyond the float range
+            raise NonFiniteValueError(f"non-finite value in record {rec!r}") from None
         if not (math.isfinite(x) and math.isfinite(y)):
             raise NonFiniteValueError(f"non-finite value in record {rec!r}")
         pairs.append((x, y))

@@ -154,9 +154,9 @@ def certify(
     # solver resolution, but may sit exactly on an envelope boundary.  The
     # import stays local so the solve above cannot lean on the
     # characterization even by accident.
-    from .characterize import check_membership
+    from .characterize import check_membership_against
 
-    member_report = check_membership(d, minimizer, tol=max(solver_tol, 1e-6))
+    member_report = check_membership_against(ch, minimizer, tol=max(solver_tol, 1e-6))
     return CertificateReport(
         achieved=achieved,
         target=target,

@@ -110,39 +110,6 @@ def evaluate(f: PiecewiseLinear, x):
     return float(out) if np.isscalar(x) or xs.ndim == 0 else out
 
 
-def evaluate_by_slope_integration(f: PiecewiseLinear, x: float) -> float:
-    """Reference evaluation that integrates the slope from the anchor.
-
-    Deliberately shares no code with :func:`evaluate`; used to cross-check it.
-    """
-    x0, v0 = f.anchor
-    lo, hi = (x0, x) if x0 <= x else (x, x0)
-    sign = 1.0 if x0 <= x else -1.0
-    total = 0.0
-    pos = lo
-    # walk every piece overlapping [lo, hi]
-    for xi, _ in f.breakpoints:
-        if xi <= lo:
-            continue
-        if xi >= hi:
-            break
-        total += _slope_at_midpoint(f, pos, xi) * (xi - pos)
-        pos = xi
-    total += _slope_at_midpoint(f, pos, hi) * (hi - pos)
-    return v0 + sign * total
-
-
-def _slope_at_midpoint(f: PiecewiseLinear, a: float, b: float) -> float:
-    mid = 0.5 * (a + b)
-    slope = f.left_slope
-    for xi, c in f.breakpoints:
-        if xi < mid:
-            slope += c
-        else:
-            break
-    return slope
-
-
 def one_sided_slopes(f: PiecewiseLinear, x: float) -> tuple[float, float]:
     """Incoming and outgoing derivative at ``x``; equal off the breakpoints."""
     loc = f._locations

@@ -51,6 +51,53 @@ def random_unit_lipschitz_pl(rng: np.random.Generator, max_kinks: int = 6) -> r.
             return f
 
 
+def evaluate_by_slope_integration(f: r.PiecewiseLinear, x: float) -> float:
+    """Reference evaluation that integrates the slope from the anchor.
+
+    Deliberately shares no code with :func:`ridgeless.plfun.evaluate`;
+    used to cross-check it.
+    """
+    x0, v0 = f.anchor
+    lo, hi = (x0, x) if x0 <= x else (x, x0)
+    sign = 1.0 if x0 <= x else -1.0
+    total = 0.0
+    pos = lo
+    # walk every piece overlapping [lo, hi]
+    for xi, _ in f.breakpoints:
+        if xi <= lo:
+            continue
+        if xi >= hi:
+            break
+        total += _slope_at_midpoint(f, pos, xi) * (xi - pos)
+        pos = xi
+    total += _slope_at_midpoint(f, pos, hi) * (hi - pos)
+    return v0 + sign * total
+
+
+def _slope_at_midpoint(f: r.PiecewiseLinear, a: float, b: float) -> float:
+    mid = 0.5 * (a + b)
+    slope = f.left_slope
+    for xi, c in f.breakpoints:
+        if xi < mid:
+            slope += c
+        else:
+            break
+    return slope
+
+
+def count_calls(monkeypatch, module, name: str) -> list:
+    """Wrap ``module.name`` for the test; the returned list grows by one per call."""
+    calls: list = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
 def is_monotone(seq, tol: float) -> bool:
     diffs = np.diff(np.asarray(seq, dtype=float))
     if diffs.size == 0:

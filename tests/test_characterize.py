@@ -1,8 +1,10 @@
+import importlib
+
 import numpy as np
 import pytest
 
 import ridgeless as r
-from helpers import random_dataset
+from helpers import count_calls, random_dataset
 from ridgeless.characterize import tv_formula_pair
 from ridgeless.plfun import evaluate, from_knots
 
@@ -37,7 +39,7 @@ class TestCharacterizeFixtures:
         assert blk.lower_support.through == (1.0, 0.0) and blk.lower_support.slope == 0.0
         assert blk.upper_support.through == (2.0, 1.0) and blk.upper_support.slope == 2.0
         # chord over the block is the segment y = x - 1 on (1, 2)
-        assert evaluate(blk.chord_envelope, 1.5) == 0.5
+        assert evaluate(ch.f_D, 1.5) == 0.5
 
     def test_zigzag_all_forced(self, dataset_zigzag):
         ch = r.characterize(dataset_zigzag)
@@ -216,3 +218,17 @@ class TestSerialization:
         assert blob["inflection_set"] == [1, 3]
         assert blob["verdicts"][1]["kind"] == "free"
         assert blob["blocks"][0]["knot_range"] == [2, 3]
+
+
+class TestComputedOnce:
+    # ridgeless.characterize is the function; the module is looked up by name.
+    module = importlib.import_module("ridgeless.characterize")
+
+    def test_one_profile_and_one_chord_interpolant(self, monkeypatch):
+        # slopes 0,1,2,3,2,1,0: a convex block, a curvature flip, a concave block
+        d = r.make_dataset([(0, 0), (1, 0), (2, 1), (3, 3), (4, 6), (5, 8), (6, 9), (7, 9)])
+        profiles = count_calls(monkeypatch, self.module, "slope_profile")
+        chords = count_calls(monkeypatch, self.module, "from_knots")
+        ch = r.characterize(d)
+        assert len(ch.blocks) == 2
+        assert len(profiles) == 1 and len(chords) == 1

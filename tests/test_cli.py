@@ -1,7 +1,9 @@
 import json
+import os
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
@@ -142,19 +144,25 @@ class TestPlotCommand:
 
 class TestErrorsAndDeterminism:
     def test_usage_error_exit_1(self, capsys):
-        code, _, err = run(capsys, ["no-such-command"])
-        assert code == 1 and err.startswith("error code=1 kind=usage")
+        for argv in (["no-such-command"],
+                     ["check", "data.csv", "f.json", "--tol", "-1"],
+                     ["certify", "data.csv", "--grid", "0"],
+                     ["bound", "data.csv", "--fstar", "f.json", "--m", "1"]):
+            code, _, err = run(capsys, argv)
+            assert code == 1 and err.startswith("error code=1 kind=usage"), argv
 
     def test_missing_file_exit_2(self, capsys):
         code, _, err = run(capsys, ["tv", "nope.json"])
         assert code == 2 and err.startswith("error code=2 kind=io")
 
     def test_bad_dataset_exit_2(self, capsys, tmp_path):
-        path = tmp_path / "dup.csv"
-        path.write_text("0,0\n0,1\n")
-        code, _, err = run(capsys, ["characterize", str(path)])
-        assert code == 2 and "kind=format" in err
-        assert "duplicate" in err
+        for name, text, detail in (("dup.csv", "0,0\n0,1\n", "duplicate"),
+                                   ("bad.json", '{"points": [["a", 1], [2, 3]]}', "non-numeric")):
+            path = tmp_path / name
+            path.write_text(text)
+            code, _, err = run(capsys, ["characterize", str(path)])
+            assert code == 2 and "kind=format" in err
+            assert detail in err
 
     def test_stdout_byte_identical_across_runs(self, capsys, data_a, tmp_path):
         out_dir = tmp_path / "m"
@@ -166,9 +174,13 @@ class TestErrorsAndDeterminism:
         assert contents == [(p.name, p.read_text()) for p in sorted(out_dir.iterdir())]
 
     def test_console_entry_point(self, data_a):
+        # the child imports the same package as this process, installed or not
+        src = str(Path(r.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
         proc = subprocess.run(
             [sys.executable, "-m", "ridgeless", "characterize", data_a],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=env,
         )
         assert proc.returncode == 0
         assert "minimal TV: 2" in proc.stdout

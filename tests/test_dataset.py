@@ -64,14 +64,23 @@ class TestJsonLoading:
             loads_dataset('{"rows": []}', format="json")
         with pytest.raises(MalformedRecordError):
             loads_dataset('{"points": [[1, 2, 3]]}', format="json")
+        for text in ('{"points": 5}', '{"points": [["a", 1], [2, 3]]}',
+                     '{"points": [[null, 1], [2, 3]]}'):
+            with pytest.raises(MalformedRecordError):
+                loads_dataset(text, format="json")
 
     def test_invalid_json(self):
         with pytest.raises(MalformedRecordError):
             loads_dataset("{not json", format="json")
+        # past the interpreter's int digit limit, where it has one; else a float overflow
+        with pytest.raises((MalformedRecordError, NonFiniteValueError)):
+            loads_dataset('{"points": [[0, 1%s], [1, 1]]}' % ("0" * 5000), format="json")
 
     def test_non_finite(self):
         with pytest.raises(NonFiniteValueError):
             loads_dataset('{"points": [[0, NaN], [1, 1]]}', format="json")
+        with pytest.raises(NonFiniteValueError):  # an integer beyond the float range
+            loads_dataset('{"points": [[0, 1%s], [1, 1]]}' % ("0" * 400), format="json")
 
 
 class TestRoundTrip:

@@ -1,4 +1,5 @@
 import ast
+import importlib
 import inspect
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 
 import ridgeless as r
 import ridgeless.oracle
-from helpers import random_dataset
+from helpers import count_calls, random_dataset
 from ridgeless.oracle import OracleError, certify, grid_tv_minimize
 from ridgeless.plfun import evaluate, tv_of_derivative
 
@@ -90,6 +91,13 @@ class TestCertify:
         blob = certify(dataset_a, ch, tol=1e-3).to_dict()
         assert blob["passed"] is True
         assert set(blob) >= {"achieved", "target", "residual", "iterations", "passed"}
+
+    def test_does_not_characterize_again(self, dataset_a, monkeypatch):
+        ch = r.characterize(dataset_a)
+        calls = count_calls(monkeypatch, importlib.import_module("ridgeless.characterize"),
+                            "characterize")
+        rep = certify(dataset_a, ch, tol=1e-3, grid_points_per_gap=8)
+        assert rep.minimizer_is_member and calls == []
 
     def test_nonconvergence_raises(self, dataset_a):
         ch = r.characterize(dataset_a)

@@ -5,13 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_pl
+from helpers import evaluate_by_slope_integration, random_pl
 from ridgeless.plfun import (
     PiecewiseLinear,
     canonical,
     canonicalize,
     evaluate,
-    evaluate_by_slope_integration,
     from_json,
     from_knots,
     lipschitz_norm,
