@@ -119,9 +119,6 @@ class Violation:
     location: float | int | None
     magnitude: float
 
-    def to_dict(self) -> dict:
-        return {"tag": self.tag, "location": self.location, "magnitude": self.magnitude}
-
 
 @dataclass(frozen=True)
 class MembershipReport:
@@ -131,16 +128,6 @@ class MembershipReport:
     tv_value: float
     minimal_tv: float
     violations: tuple[Violation, ...]
-
-    def to_dict(self) -> dict:
-        return {
-            "is_member": self.is_member,
-            "direct_pass": self.direct_pass,
-            "tv_pass": self.tv_pass,
-            "tv_value": self.tv_value,
-            "minimal_tv": self.minimal_tv,
-            "violations": [v.to_dict() for v in self.violations],
-        }
 
 
 def connect_the_dots(d: Dataset) -> PiecewiseLinear:
@@ -348,20 +335,12 @@ def _block_violations(
     return out
 
 
-def localized_slope_bounds(d: Dataset) -> np.ndarray:
+def localized_slope_bounds(ch: Characterization) -> np.ndarray:
     """Per-gap bound on how far a member's slopes may drift from the chord.
 
     Gap i gets |s_{i+1}-s_i| + |s_i-s_{i-1}| + |s_{i-1}-s_{i-2}| with the
-    slope index clamped to the valid range at both ends.
+    slope index clamped to the valid range at both ends, so a difference
+    that reaches past either end counts as zero.
     """
-    prof = slope_profile(d)
-    s = prof.slopes
-    n = len(s)  # = m - 1
-
-    def sp(i: int) -> float:
-        return s[min(max(i, 1), n) - 1]
-
-    return np.array(
-        [abs(sp(i + 1) - sp(i)) + abs(sp(i) - sp(i - 1)) + abs(sp(i - 1) - sp(i - 2))
-         for i in range(1, n + 1)]
-    )
+    pad = np.concatenate([[0.0, 0.0], np.abs(np.diff(ch.profile.slopes)), [0.0]])
+    return pad[2:] + pad[1:-1] + pad[:-2]

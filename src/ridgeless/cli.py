@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -65,10 +66,10 @@ def _at_least(convert, least):
 
 
 def _load(path: str, parse=plfun.from_json, noun: str = "piecewise-linear"):
-    """Parse a JSON file; any structural fault becomes a format error."""
+    """Parse a JSON file; any structural or numeric fault becomes a format error."""
     try:
         return parse(Path(path).read_text())
-    except (json.JSONDecodeError, KeyError, TypeError, IndexError, ValueError) as e:
+    except (KeyError, TypeError, IndexError, ValueError, OverflowError, RecursionError) as e:
         raise DatasetError(f"bad {noun} file {path}: {e}") from None
 
 
@@ -115,7 +116,7 @@ def cmd_check(args) -> int:
     d = load_dataset(args.data)
     f = _load(args.pl)
     report = check_membership_against(characterize(d), f, tol=args.tol)
-    print(json.dumps(report.to_dict()))
+    print(json.dumps(asdict(report)))
     return 0 if report.is_member else 3
 
 
@@ -147,8 +148,7 @@ def cmd_to_network(args) -> int:
 
 
 def cmd_from_network(args) -> int:
-    net = _load(args.net, net_mod.from_json, "network")
-    f = net_mod.network_to_pl(net)
+    f = _load(args.net, lambda text: net_mod.network_to_pl(net_mod.from_json(text)), "network")
     _write_or_print(plfun.to_json(f), args.out)
     return 0
 
@@ -157,7 +157,7 @@ def cmd_certify(args) -> int:
     d = load_dataset(args.data)
     ch = characterize(d)
     report = certify(d, ch, tol=args.tol, grid_points_per_gap=args.grid)
-    print(json.dumps(report.to_dict()))
+    print(json.dumps(asdict(report)))
     print(f"target: {fmt(report.target)} achieved: {fmt(report.achieved)} "
           f"residual: {fmt(report.residual)}")
     return 0 if report.passed else 4
@@ -172,13 +172,13 @@ def cmd_bound(args) -> int:
         d = make_dataset_from(gt, base.xs)  # data file supplies the design
     ch = characterize(d)
     members = [sample_member(ch, seed=args.seed + k) for k in range(args.members)]
-    lip = verify_lip_domination(d, members, gt.L)
-    localized = verify_localized_bounds(d, members)
-    out = {"lip_domination": lip.to_dict(), "localized": localized.to_dict()}
+    lip = verify_lip_domination(ch, members, gt.L)
+    localized = verify_localized_bounds(ch, members)
+    out = {"lip_domination": asdict(lip), "localized": asdict(localized)}
     passed = lip.passed and localized.passed
     if is_uniform_design(d):
         sup = verify_sup_error(gt, d, members, grid=args.grid)
-        out["sup_error"] = sup.to_dict()
+        out["sup_error"] = asdict(sup)
         passed = passed and sup.passed
     else:
         out["sup_error"] = {"skipped": "non-uniform design"}
@@ -197,8 +197,8 @@ def cmd_plot(args) -> int:
 
 
 def _curve_points(f, lo: float, hi: float) -> list[tuple[float, float]]:
-    xs = sorted({lo, hi} | {xi for xi, _ in f.breakpoints if lo < xi < hi})
-    return [(x, evaluate(f, x)) for x in xs]
+    xs = np.unique([lo, hi, *(xi for xi, _ in plfun.breakpoints_in(f, lo, hi))])
+    return list(zip(xs.tolist(), evaluate(f, xs).tolist()))
 
 
 def render_svg(ch, members, width: int = 800, height: int = 500) -> str:
@@ -294,7 +294,7 @@ def build_parser() -> _Parser:
 
     sp = sub.add_parser("sample", help="emit random family members")
     sp.add_argument("data")
-    sp.add_argument("--n", type=int, required=True)
+    sp.add_argument("--n", type=_at_least(int, 0), required=True)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--out-dir", default="members")
     sp.set_defaults(func=cmd_sample)
@@ -323,14 +323,14 @@ def build_parser() -> _Parser:
     sp.add_argument("data")
     sp.add_argument("--fstar", required=True)
     sp.add_argument("--m", type=_at_least(int, 2))
-    sp.add_argument("--members", type=int, default=100)
+    sp.add_argument("--members", type=_at_least(int, 0), default=100)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--grid", type=_at_least(int, 1), default=100)
     sp.set_defaults(func=cmd_bound)
 
     sp = sub.add_parser("plot", help="static SVG of data, chords, envelopes, members")
     sp.add_argument("data")
-    sp.add_argument("--members", type=int, default=8)
+    sp.add_argument("--members", type=_at_least(int, 0), default=8)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--out", default="plot.svg")
     sp.set_defaults(func=cmd_plot)

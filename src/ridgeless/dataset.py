@@ -152,7 +152,7 @@ def _parse_json(text: str) -> Dataset:
         obj = json.loads(text)
     except json.JSONDecodeError as e:
         raise MalformedRecordError(f"invalid json: {e.msg}", line=e.lineno) from None
-    except ValueError as e:  # an integer literal past Python's digit limit
+    except (ValueError, RecursionError) as e:  # an integer past the digit limit, deep nesting
         raise MalformedRecordError(f"invalid json: {e}") from None
     if not isinstance(obj, dict) or "points" not in obj:
         raise MalformedRecordError('expected an object with a "points" array')

@@ -19,9 +19,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .characterize import connect_the_dots, localized_slope_bounds
+from .characterize import Characterization, localized_slope_bounds
 from .dataset import Dataset
-from .plfun import PiecewiseLinear, evaluate, lipschitz_norm, piece_slopes_on
+from .plfun import PiecewiseLinear, breakpoints_in, evaluate, lipschitz_norm, piece_slopes_on
 
 
 class NonUniformDesignError(ValueError):
@@ -76,22 +76,12 @@ class LipDominationReport:
     worst_member: int
     passed: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "fd_norm": self.fd_norm,
-            "members_max_norm": self.members_max_norm,
-            "L": self.L,
-            "max_ratio": self.max_ratio,
-            "worst_member": self.worst_member,
-            "passed": self.passed,
-        }
-
 
 def verify_lip_domination(
-    d: Dataset, members: Sequence[PiecewiseLinear], L: float, tol: float = 1e-9
+    ch: Characterization, members: Sequence[PiecewiseLinear], L: float, tol: float = 1e-9
 ) -> LipDominationReport:
     """Check lip(member) <= lip(chord interpolant) <= L for every member."""
-    fd_norm = lipschitz_norm(connect_the_dots(d))
+    fd_norm = lipschitz_norm(ch.f_D)
     norms = [lipschitz_norm(f) for f in members]
     worst = int(np.argmax(norms)) if norms else -1
     members_max = max(norms) if norms else 0.0
@@ -114,16 +104,6 @@ class SupErrorReport:
     slack: float
     worst_member: int
     passed: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "bound": self.bound,
-            "exact_max": self.exact_max,
-            "grid_max": self.grid_max,
-            "slack": self.slack,
-            "worst_member": self.worst_member,
-            "passed": self.passed,
-        }
 
 
 def verify_sup_error(
@@ -168,10 +148,7 @@ def verify_sup_error(
 
 def sup_error(f: PiecewiseLinear, g: PiecewiseLinear, lo: float, hi: float) -> float:
     """Exact max of |f - g| on [lo, hi], taken at the union of kinks and the ends."""
-    pts = {lo, hi}
-    for fn in (f, g):
-        pts.update(xi for xi, _ in fn.breakpoints if lo < xi < hi)
-    pts = np.array(sorted(pts))
+    pts = np.unique([lo, hi, *(xi for fn in (f, g) for xi, _ in breakpoints_in(fn, lo, hi))])
     return float(np.max(np.abs(evaluate(f, pts) - evaluate(g, pts))))
 
 
@@ -184,25 +161,16 @@ class LocalizedBoundReport:
     worst_gap: int
     passed: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "gap_bounds": list(self.gap_bounds),
-            "max_excess": self.max_excess,
-            "lip_ratio": self.lip_ratio,
-            "worst_member": self.worst_member,
-            "worst_gap": self.worst_gap,
-            "passed": self.passed,
-        }
-
 
 def verify_localized_bounds(
-    d: Dataset, members: Sequence[PiecewiseLinear], tol: float = 1e-9
+    ch: Characterization, members: Sequence[PiecewiseLinear], tol: float = 1e-9
 ) -> LocalizedBoundReport:
     """Per-gap slope drift |Df - s_i| <= B_i, plus the 7x aggregate norm check."""
-    bounds = localized_slope_bounds(d)
-    fd_norm = lipschitz_norm(connect_the_dots(d))
+    d = ch.dataset
+    bounds = localized_slope_bounds(ch)
+    fd_norm = lipschitz_norm(ch.f_D)
     xs = d.xs
-    s = np.diff(d.ys) / np.diff(xs)
+    s = ch.profile.slopes
 
     max_excess = -math.inf
     worst_member = worst_gap = -1

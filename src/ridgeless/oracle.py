@@ -44,17 +44,6 @@ class CertificateReport:
     minimizer_is_member: bool  # advisory: grid minimizers may ride envelope edges
     advisory_violations: int
 
-    def to_dict(self) -> dict:
-        return {
-            "achieved": self.achieved,
-            "target": self.target,
-            "residual": self.residual,
-            "iterations": self.iterations,
-            "passed": self.passed,
-            "minimizer_is_member": self.minimizer_is_member,
-            "advisory_violations": self.advisory_violations,
-        }
-
 
 def grid_tv_minimize(
     d: Dataset,

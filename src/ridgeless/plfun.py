@@ -14,14 +14,18 @@ from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 import numpy as np
 
 # Jumps at or below this relative size are merged away during canonicalization.
 JUMP_MERGE_RTOL = 1e-12
+
+_location = itemgetter(0)  # of a (location, jump) breakpoint
 
 
 @dataclass(frozen=True)
@@ -127,15 +131,24 @@ def piece_slopes_on(f: PiecewiseLinear, lo: float, hi: float) -> np.ndarray:
     """
     if not lo < hi:
         raise ValueError("empty interval")
-    loc = f._locations
-    i0 = int(np.searchsorted(loc, lo, side="right"))
-    i1 = int(np.searchsorted(loc, hi, side="left"))
-    return f._piece_slopes[i0 : i1 + 1]
+    w = _window(f, lo, hi)
+    return f._piece_slopes[w.start : w.stop + 1]
 
 
 def breakpoints_in(f: PiecewiseLinear, lo: float, hi: float) -> list[tuple[float, float]]:
     """Breakpoints of ``f`` strictly inside (lo, hi)."""
-    return [(xi, c) for xi, c in f.breakpoints if lo < xi < hi]
+    return list(f.breakpoints[_window(f, lo, hi)])
+
+
+def _window(f: PiecewiseLinear, lo: float, hi: float) -> slice:
+    """Index slice of the breakpoints strictly inside (lo, hi); empty unless lo < hi.
+
+    Two binary searches over the breakpoint tuple, as ``searchsorted``
+    with side="right" on lo and side="left" on hi; ``bisect`` skips
+    numpy's per-call overhead, which dominates at a handful of breakpoints.
+    """
+    return slice(bisect_right(f.breakpoints, lo, key=_location),
+                 bisect_left(f.breakpoints, hi, key=_location))
 
 
 def tv_of_derivative(f: PiecewiseLinear) -> float:
@@ -158,11 +171,15 @@ def canonical(
     jumps that are negligible relative to the largest one are dropped.
     The drop threshold carries a 1e-12 absolute floor so that slope
     dither on near-affine data reads as affine; data whose genuine slope
-    jumps all sit below that floor should be rescaled first.
+    jumps all sit below that floor should be rescaled first.  A
+    non-finite location or (summed) jump raises ValueError, since an
+    infinite jump would make every other jump fall below the threshold.
     """
     merged: dict[float, float] = {}
     for xi, c in breakpoints:
         merged[xi] = merged.get(xi, 0.0) + c
+    if not (all(map(math.isfinite, merged)) and all(map(math.isfinite, merged.values()))):
+        raise ValueError("breakpoint locations and jumps must be finite")
     if merged:
         cmax = max(abs(c) for c in merged.values())
         tol = JUMP_MERGE_RTOL * (1.0 + cmax)

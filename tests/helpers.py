@@ -85,6 +85,24 @@ def _slope_at_midpoint(f: r.PiecewiseLinear, a: float, b: float) -> float:
     return slope
 
 
+def breakpoints_in_reference(f: r.PiecewiseLinear, lo: float, hi: float) -> list:
+    """Breakpoints of ``f`` strictly inside (lo, hi), by a scan of every breakpoint."""
+    return [(xi, c) for xi, c in f.breakpoints if lo < xi < hi]
+
+
+def localized_slope_bounds_reference(slopes) -> np.ndarray:
+    """Per-gap drift bounds by a loop that clamps slope indices to 1..n."""
+    n = len(slopes)
+
+    def sp(i: int) -> float:
+        return slopes[min(max(i, 1), n) - 1]
+
+    return np.array(
+        [abs(sp(i + 1) - sp(i)) + abs(sp(i) - sp(i - 1)) + abs(sp(i - 1) - sp(i - 2))
+         for i in range(1, n + 1)]
+    )
+
+
 def count_calls(monkeypatch, module, name: str) -> list:
     """Wrap ``module.name`` for the test; the returned list grows by one per call."""
     calls: list = []

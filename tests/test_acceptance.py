@@ -164,8 +164,8 @@ class TestAcceptance:
             ch = r.characterize(d)
             members = [r.sample_member(ch, seed) for seed in range(1000)]
             sup = r.verify_sup_error(gt, d, members, grid=100)
-            lip = r.verify_lip_domination(d, members, gt.L)
-            loc = r.verify_localized_bounds(d, members)
+            lip = r.verify_lip_domination(ch, members, gt.L)
+            loc = r.verify_localized_bounds(ch, members)
             ok &= sup.passed and sup.exact_max <= 2.0 / m + 1e-9
             ok &= lip.passed and lip.members_max_norm <= gt.L + 1e-9
             ok &= loc.passed and loc.lip_ratio <= 7.0 + 1e-9

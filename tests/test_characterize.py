@@ -1,10 +1,11 @@
 import importlib
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
 import ridgeless as r
-from helpers import count_calls, random_dataset
+from helpers import count_calls, localized_slope_bounds_reference, random_dataset
 from ridgeless.characterize import tv_formula_pair
 from ridgeless.plfun import evaluate, from_knots
 
@@ -187,8 +188,8 @@ class TestMembershipFixtures:
 
     def test_report_serializes(self, dataset_a):
         rep = r.check_membership(dataset_a, r.connect_the_dots(dataset_a))
-        d = rep.to_dict()
-        assert d["is_member"] is True and d["violations"] == []
+        d = asdict(rep)
+        assert d["is_member"] is True and d["violations"] == ()
 
     def test_negative_tolerance_rejected(self, dataset_a):
         with pytest.raises(ValueError):
@@ -197,17 +198,24 @@ class TestMembershipFixtures:
 
 class TestLocalizedSlopeBounds:
     def test_collinear_zero(self, dataset_collinear):
-        assert np.array_equal(r.localized_slope_bounds(dataset_collinear), [0.0, 0.0])
+        assert np.array_equal(r.localized_slope_bounds(r.characterize(dataset_collinear)), [0.0, 0.0])
 
     def test_convex_fixture(self, dataset_a):
-        assert np.array_equal(r.localized_slope_bounds(dataset_a), [1.0, 2.0, 2.0])
+        assert np.array_equal(r.localized_slope_bounds(r.characterize(dataset_a)), [1.0, 2.0, 2.0])
 
     def test_zigzag_fixture(self, dataset_zigzag):
-        assert np.array_equal(r.localized_slope_bounds(dataset_zigzag), [2.0, 4.0, 4.0])
+        assert np.array_equal(r.localized_slope_bounds(r.characterize(dataset_zigzag)), [2.0, 4.0, 4.0])
 
     def test_two_points(self):
         d = r.make_dataset([(0, 0), (1, 9)])
-        assert np.array_equal(r.localized_slope_bounds(d), [0.0])
+        assert np.array_equal(r.localized_slope_bounds(r.characterize(d)), [0.0])
+
+    def test_matches_the_clamped_loop_bit_for_bit(self):
+        rng = np.random.default_rng(47)
+        for m in (2, 3, 4, *rng.integers(5, 80, size=30)):
+            ch = r.characterize(random_dataset(rng, m=int(m)))
+            want = localized_slope_bounds_reference(ch.profile.slopes)
+            assert r.localized_slope_bounds(ch).tobytes() == want.tobytes()
 
 
 class TestSerialization:

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import ridgeless as r
+from helpers import count_calls
 from ridgeless.cli import main
 from ridgeless.plfun import from_json, from_knots, structurally_equal, to_json
 
@@ -68,7 +69,7 @@ class TestCheckCommand:
 class TestFileCommands:
     def test_fd_emits_connect_the_dots(self, data_a, fd_file):
         d = r.load_dataset(data_a)
-        f = from_json(open(fd_file).read())
+        f = from_json(Path(fd_file).read_text())
         assert structurally_equal(f, r.connect_the_dots(d), rtol=0.0)
 
     def test_tv(self, capsys, fd_file):
@@ -83,7 +84,7 @@ class TestFileCommands:
         code, _, _ = run(capsys, ["from-network", str(net_path), "--out", str(pl_path)])
         assert code == 0
         back = from_json(pl_path.read_text())
-        assert structurally_equal(back, from_json(open(fd_file).read()))
+        assert structurally_equal(back, from_json(Path(fd_file).read_text()))
 
     def test_sample_writes_members(self, capsys, data_a, tmp_path):
         out_dir = tmp_path / "members"
@@ -129,6 +130,20 @@ class TestBoundCommand:
         blob = json.loads(out.splitlines()[0])
         assert blob["sup_error"] == {"skipped": "non-uniform design"}
 
+    def test_derives_the_slope_profile_once(self, capsys, data_a, tmp_path, monkeypatch):
+        # every package module that holds either name is wrapped
+        mods = [m for n, m in sorted(sys.modules.items()) if n.startswith("ridgeless.")]
+        profiles = [count_calls(monkeypatch, m, "slope_profile")
+                    for m in mods if hasattr(m, "slope_profile")]
+        chords = [count_calls(monkeypatch, m, "connect_the_dots")
+                  for m in mods if hasattr(m, "connect_the_dots")]
+        path = tmp_path / "fstar.json"
+        path.write_text(to_json(from_knots([(0, 0), (0.5, 1), (1, 0)], 2.0, -2.0)))
+        code, _, _ = run(capsys, ["bound", data_a, "--fstar", str(path), "--m", "10",
+                                  "--members", "3"])
+        assert code == 0
+        assert sum(map(len, profiles)) == 1 and sum(map(len, chords)) == 0
+
 
 class TestPlotCommand:
     def test_valid_svg_with_tv_metadata(self, capsys, data_a, tmp_path):
@@ -147,7 +162,10 @@ class TestErrorsAndDeterminism:
         for argv in (["no-such-command"],
                      ["check", "data.csv", "f.json", "--tol", "-1"],
                      ["certify", "data.csv", "--grid", "0"],
-                     ["bound", "data.csv", "--fstar", "f.json", "--m", "1"]):
+                     ["bound", "data.csv", "--fstar", "f.json", "--m", "1"],
+                     ["sample", "data.csv", "--n", "-2"],
+                     ["bound", "data.csv", "--fstar", "f.json", "--members", "-1"],
+                     ["plot", "data.csv", "--members", "-1"]):
             code, _, err = run(capsys, argv)
             assert code == 1 and err.startswith("error code=1 kind=usage"), argv
 
@@ -156,13 +174,27 @@ class TestErrorsAndDeterminism:
         assert code == 2 and err.startswith("error code=2 kind=io")
 
     def test_bad_dataset_exit_2(self, capsys, tmp_path):
-        for name, text, detail in (("dup.csv", "0,0\n0,1\n", "duplicate"),
-                                   ("bad.json", '{"points": [["a", 1], [2, 3]]}', "non-numeric")):
+        big = "1" + "0" * 400  # an integer literal past the float range
+        deep = '{"points": ' + "[" * 10**5 + "]" * 10**5 + "}"
+        pl = '{"anchor": [0, %s], "left_slope": 0, "breakpoints": []}' % big
+        # (file, text, expected detail, command the file path is appended to)
+        for name, text, detail, *cmd in (
+            ("dup.csv", "0,0\n0,1\n", "duplicate", "characterize"),
+            ("bad.json", '{"points": [["a", 1], [2, 3]]}', "non-numeric", "characterize"),
+            ("deep.json", deep, "invalid json", "characterize"),
+            ("deep.json", deep, "bad piecewise-linear file", "to-network"),
+            ("big.json", pl, "bad piecewise-linear file", "tv"),
+            ("big.json", pl, "bad piecewise-linear file", "bound", "x.csv", "--m", "4", "--fstar"),
+            ("big.json", '{"a": %s, "b": 0, "units": []}' % big, "bad network file",
+             "from-network"),
+            ("inf.json", '{"a": 0, "b": 0, "units": [[1e200, 0, 1e200]]}', "finite",
+             "from-network"),
+        ):
             path = tmp_path / name
             path.write_text(text)
-            code, _, err = run(capsys, ["characterize", str(path)])
-            assert code == 2 and "kind=format" in err
-            assert detail in err
+            code, out, err = run(capsys, [*cmd, str(path)])
+            assert code == 2 and err.startswith("error code=2 kind=format"), (cmd, err)
+            assert detail in err and out == "", (cmd, err)
 
     def test_stdout_byte_identical_across_runs(self, capsys, data_a, tmp_path):
         out_dir = tmp_path / "m"

@@ -1,9 +1,10 @@
 """Byte-exact CLI output against stored goldens.
 
 Every subcommand runs on two inputs in ``tests/data``: fixture dataset A
-and a seeded m = 50 dataset from ``helpers.random_dataset``.  Stdout, exit
-codes and every written file must equal ``tests/data/cli_golden.json``
-byte for byte.  For ``certify`` only ``target`` is compared, because the
+and a seeded m = 50 dataset from ``helpers.random_dataset``.  Each run
+also checks the chord interpolant of the other input against its data,
+which pins a non-member's violation list.  Stdout, exit codes and every
+written file must equal ``tests/data/cli_golden.json`` byte for byte.  For ``certify`` only ``target`` is compared, because the
 LP figures depend on the HiGHS build.
 
 Regenerate the goldens (and the m = 50 input) only for an intended output
@@ -39,6 +40,8 @@ STEPS = (
     ("sample", ["sample", "data.csv", "--n", "3", "--seed", "11", "--out-dir", "members"],
      ["members/member-0000.json", "members/member-0001.json", "members/member-0002.json"]),
     ("check-member", ["check", "data.csv", "members/member-0001.json"], []),
+    ("fd-other", ["fd", "other.csv", "--out", "other-fd.json"], ["other-fd.json"]),
+    ("check-other", ["check", "data.csv", "other-fd.json"], []),
     ("tv-fd", ["tv", "fd.json"], []),
     ("tv-member", ["tv", "members/member-0000.json"], []),
     ("to-network", ["to-network", "members/member-0000.json", "--out", "net.json"], ["net.json"]),
@@ -53,9 +56,11 @@ STEPS = (
 )
 
 
-def transcript(data: Path, work: Path) -> dict:
-    """Run every step on ``data`` inside ``work``; collect codes, stdout and files."""
-    shutil.copyfile(data, work / "data.csv")
+def transcript(name: str, work: Path) -> dict:
+    """Run every step on input ``name`` inside ``work``; collect codes, stdout and files."""
+    shutil.copyfile(DATA / name, work / "data.csv")
+    other, = (n for n in INPUTS if n != name)
+    shutil.copyfile(DATA / other, work / "other.csv")
     out: dict = {}
     cwd = os.getcwd()
     os.chdir(work)
@@ -79,7 +84,7 @@ def transcript(data: Path, work: Path) -> dict:
 @pytest.mark.parametrize("name", INPUTS)
 def test_cli_output_matches_golden(name, tmp_path):
     golden = json.loads(GOLDEN.read_text())[name]
-    actual = transcript(DATA / name, tmp_path)
+    actual = transcript(name, tmp_path)
     assert list(actual) == list(golden)
     for key, want in golden.items():
         assert actual[key] == want, key
@@ -99,7 +104,7 @@ def _regenerate() -> None:
     goldens = {}
     for name in INPUTS:
         with tempfile.TemporaryDirectory() as work:
-            goldens[name] = transcript(DATA / name, Path(work))
+            goldens[name] = transcript(name, Path(work))
     GOLDEN.write_text(json.dumps(goldens, indent=1) + "\n")
     print(f"wrote {GOLDEN}", file=sys.stderr)
 

@@ -70,8 +70,9 @@ class TestJsonLoading:
                 loads_dataset(text, format="json")
 
     def test_invalid_json(self):
-        with pytest.raises(MalformedRecordError):
-            loads_dataset("{not json", format="json")
+        for text in ("{not json", '{"points": ' + "[" * 10**5 + "]" * 10**5 + "}"):
+            with pytest.raises(MalformedRecordError):
+                loads_dataset(text, format="json")
         # past the interpreter's int digit limit, where it has one; else a float overflow
         with pytest.raises((MalformedRecordError, NonFiniteValueError)):
             loads_dataset('{"points": [[0, 1%s], [1, 1]]}' % ("0" * 5000), format="json")

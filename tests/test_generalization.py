@@ -56,13 +56,13 @@ class TestLipDomination:
         d = r.make_dataset_from(gt, [0.0, 0.5, 1.0])
         ch = r.characterize(d)
         members = [r.sample_member(ch, s) for s in range(5)]
-        rep = r.verify_lip_domination(d, members, gt.L)
+        rep = r.verify_lip_domination(ch, members, gt.L)
         assert rep.passed and rep.members_max_norm == 2.0 and rep.fd_norm == 2.0
 
     def test_convex_fixture_bounded_by_two(self, dataset_a):
         ch = r.characterize(dataset_a)
         members = [r.sample_member(ch, s) for s in range(50)]
-        rep = r.verify_lip_domination(dataset_a, members, L=2.0)
+        rep = r.verify_lip_domination(ch, members, L=2.0)
         assert rep.passed and rep.members_max_norm <= 2.0
 
     def test_structural_domination_by_fd(self):
@@ -116,14 +116,14 @@ class TestLocalizedBounds:
     def test_collinear_all_zero_slack(self, dataset_collinear):
         ch = r.characterize(dataset_collinear)
         members = [r.sample_member(ch, s) for s in range(3)]
-        rep = r.verify_localized_bounds(dataset_collinear, members)
+        rep = r.verify_localized_bounds(ch, members)
         assert rep.passed and rep.max_excess <= 0.0
         assert rep.gap_bounds == (0.0, 0.0)
 
     def test_convex_fixture_gap_bound(self, dataset_a):
         ch = r.characterize(dataset_a)
         members = [r.sample_member(ch, s) for s in range(50)]
-        rep = r.verify_localized_bounds(dataset_a, members)
+        rep = r.verify_localized_bounds(ch, members)
         assert rep.passed
         assert rep.gap_bounds[1] == 2.0  # drift on the free gap capped by 2
         assert rep.lip_ratio <= 7.0
@@ -134,7 +134,7 @@ class TestLocalizedBounds:
             d = random_dataset(rng)
             ch = r.characterize(d)
             members = [r.sample_member(ch, s) for s in range(10)]
-            rep = r.verify_localized_bounds(d, members)
+            rep = r.verify_localized_bounds(ch, members)
             assert rep.passed
 
     def test_sharp_bound_implies_localized(self):

@@ -1,6 +1,7 @@
 import ast
 import importlib
 import inspect
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -88,7 +89,7 @@ class TestCertify:
 
     def test_report_serializes(self, dataset_a):
         ch = r.characterize(dataset_a)
-        blob = certify(dataset_a, ch, tol=1e-3).to_dict()
+        blob = asdict(certify(dataset_a, ch, tol=1e-3))
         assert blob["passed"] is True
         assert set(blob) >= {"achieved", "target", "residual", "iterations", "passed"}
 

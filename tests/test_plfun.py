@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import evaluate_by_slope_integration, random_pl
+from helpers import breakpoints_in_reference, evaluate_by_slope_integration, random_pl
 from ridgeless.plfun import (
     PiecewiseLinear,
+    breakpoints_in,
     canonical,
     canonicalize,
     evaluate,
@@ -179,6 +180,13 @@ class TestCanonicalization:
         with pytest.raises(ValueError):
             PiecewiseLinear((0.0, 0.0), 0.0, ((1.0, 1.0), (1.0, 1.0)))
 
+    def test_rejects_non_finite_breakpoints(self):
+        # an infinite jump must not push every other jump under the drop threshold
+        for bps in ([(0.0, math.inf), (1.0, 1.0)], [(0.0, math.nan)], [(math.inf, 1e-20)],
+                    [(0.0, 1e308), (0.0, 1e308)]):
+            with pytest.raises(ValueError):
+                canonical((0, 0), 0.0, bps)
+
 
 class TestTvAlgebra:
     @given(pl_inputs, st.integers(-8, 8), st.integers(-8, 8))
@@ -227,3 +235,19 @@ class TestPieceSlopes:
         assert np.array_equal(piece_slopes_on(f, 1.0, 2.0), [1.0])
         assert np.array_equal(piece_slopes_on(f, 0.5, 2.5), [0.0, 1.0, 2.0])
         assert np.array_equal(piece_slopes_on(f, -math.inf, math.inf), [0.0, 1.0, 2.0])
+
+    def test_windows_match_the_scan(self):
+        # ends at breakpoints, off them, at +-inf, and empty or reversed windows
+        rng = np.random.default_rng(21)
+        for _ in range(60):
+            f = random_pl(rng)
+            locs = [xi for xi, _ in f.breakpoints]
+            ends = [-math.inf, math.inf, *locs, *rng.uniform(-6.0, 6.0, size=3).tolist()]
+            for lo in ends:
+                for hi in ends:
+                    inside = breakpoints_in_reference(f, lo, hi)
+                    assert breakpoints_in(f, lo, hi) == inside
+                    if lo < hi:
+                        starts = [lo, *(xi for xi, _ in inside)]
+                        outgoing = [one_sided_slopes(f, x)[1] for x in starts]
+                        assert piece_slopes_on(f, lo, hi).tolist() == outgoing
