@@ -29,17 +29,19 @@ import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from itertools import repeat
+from typing import NamedTuple
 
 import numpy as np
 
 from .dataset import CURVATURE_RTOL, Dataset, SlopeProfile, slope_profile
 from .plfun import (
     PiecewiseLinear,
-    breakpoints_in,
+    breakpoint_arrays,
     evaluate,
     from_knots,
-    piece_slopes_on,
-    restriction_mismatches,
+    one_sided_slopes,
     tv_of_derivative,
 )
 
@@ -51,8 +53,13 @@ DIRECT_TAGS = frozenset(
      "block-monotone", "block-envelope", "block-boundary-slope"}
 )
 
+# Gap classes, as codes into _KINDS and _REASONS.
+_FREE, _END, _FLAT, _FLIP = 0, 1, 2, 3
+_KINDS = ("free", "forced", "forced", "forced")
+_REASONS = (None, "1a", "1b", "1c")
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, slots=True)
 class SupportLine:
     """Line through a data point; tangent bound for a free block."""
 
@@ -64,7 +71,7 @@ class SupportLine:
         return (np.asarray(x, dtype=float) - x0) * self.slope + y0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IntervalVerdict:
     index: int
     kind: str  # "forced" | "free"
@@ -72,7 +79,7 @@ class IntervalVerdict:
     block_id: int | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FreeBlock:
     block_id: int
     knot_range: tuple[int, int]  # 1-based point indices (a, b); spans (x_a, x_b)
@@ -91,12 +98,29 @@ class FreeBlock:
         }
 
 
+class _Gaps(NamedTuple):
+    """The gap classification as arrays; gaps and knots are numbered from 1."""
+
+    code: np.ndarray  # class of each gap 1..m-1
+    forced: np.ndarray  # the forced gaps
+    free: np.ndarray  # the free gaps
+    a: np.ndarray  # first knot of each block
+    b: np.ndarray  # last knot of each block
+    sign: np.ndarray  # curvature sign of each block
+    knots: np.ndarray  # every block knot, block by block
+
+
 @dataclass(frozen=True)
 class Characterization:
+    """The family of one dataset.
+
+    ``verdicts`` and ``blocks`` are built on first access from the gap
+    classification, which the sampler and the membership test read as
+    arrays.
+    """
+
     dataset: Dataset
     profile: SlopeProfile
-    verdicts: tuple[IntervalVerdict, ...]
-    blocks: tuple[FreeBlock, ...]
     inflection_set: tuple[int, ...]
     minimal_tv: float
     f_D: PiecewiseLinear
@@ -112,8 +136,40 @@ class Characterization:
             "minimal_tv": self.minimal_tv,
         }
 
+    @cached_property
+    def verdicts(self) -> tuple[IntervalVerdict, ...]:
+        code = self._gaps.code
+        starts = np.zeros(code.size, dtype=int)
+        starts[self._gaps.a - 1] = 1
+        block_of = np.cumsum(starts) - 1  # the block id on free gaps
+        return tuple([
+            IntervalVerdict(j, _KINDS[c], _REASONS[c], k if c == _FREE else None)
+            for j, c, k in zip(range(1, code.size + 1), code.tolist(), block_of.tolist())
+        ])
 
-@dataclass(frozen=True)
+    @cached_property
+    def blocks(self) -> tuple[FreeBlock, ...]:
+        a, b = self._gaps.a, self._gaps.b
+        xs, ys, s = self.dataset.xs, self.dataset.ys, self._slopes
+        return tuple([
+            FreeBlock(k, (ak, bk), sk, SupportLine((xa, ya), sa), SupportLine((xb, yb), sb))
+            for k, (ak, bk, sk, xa, ya, sa, xb, yb, sb) in enumerate(zip(
+                a.tolist(), b.tolist(), self._gaps.sign.tolist(),
+                xs[a - 1].tolist(), ys[a - 1].tolist(), s[a - 2].tolist(),
+                xs[b - 1].tolist(), ys[b - 1].tolist(), s[b - 1].tolist(),
+            ))
+        ])
+
+    @cached_property
+    def _slopes(self) -> np.ndarray:
+        return np.array(self.profile.slopes)
+
+    @cached_property
+    def _gaps(self) -> _Gaps:
+        return _classify(np.array(self.profile.curvatures, dtype=int))
+
+
+@dataclass(frozen=True, slots=True)
 class Violation:
     tag: str
     location: float | int | None
@@ -136,7 +192,7 @@ def connect_the_dots(d: Dataset) -> PiecewiseLinear:
 
 
 def _chord_interpolant(d: Dataset, prof: SlopeProfile) -> PiecewiseLinear:
-    return from_knots(d.points, prof.slopes[0], prof.slopes[-1])
+    return from_knots(np.column_stack((d.xs, d.ys)), prof.slopes[0], prof.slopes[-1])
 
 
 def tv_formula_pair(d: Dataset, curvature_tol: float = CURVATURE_RTOL) -> tuple[Fraction, Fraction]:
@@ -146,88 +202,82 @@ def tv_formula_pair(d: Dataset, curvature_tol: float = CURVATURE_RTOL) -> tuple[
     slope values, so equal results compare equal with no rounding slack.
     """
     prof = slope_profile(d, curvature_tol)
-    return _tv_sums(prof.slopes, _inflection_indices(d.m, prof.curvatures))
-
-
-def _tv_sums(slopes: tuple[float, ...], idx: list[int]) -> tuple[Fraction, Fraction]:
-    s = [Fraction(v) for v in slopes]
+    idx = _inflection_indices(np.array(prof.curvatures, dtype=int)).tolist()
+    s = [Fraction(v) for v in prof.slopes]
     adjacent = sum((abs(s[i] - s[i - 1]) for i in range(1, len(s))), Fraction(0))
     inflect = sum((abs(s[b - 1] - s[a - 1]) for a, b in zip(idx, idx[1:])), Fraction(0))
     return adjacent, inflect
 
 
-def _inflection_indices(m: int, curvatures: tuple[int, ...]) -> list[int]:
-    interior = [i for i in range(2, m - 1) if curvatures[i - 2] != curvatures[i - 1]]
-    return sorted({1, m - 1, *interior})
+def _inflection_indices(eps: np.ndarray) -> np.ndarray:
+    """1, m-1 and every interior gap whose end curvatures differ (1-based)."""
+    mask = np.ones(len(eps) + 1, dtype=bool)
+    mask[1:-1] = eps[:-1] != eps[1:]
+    return np.flatnonzero(mask) + 1
+
+
+def _classify(eps: np.ndarray) -> _Gaps:
+    """Classify the gaps from the curvatures eps_2..eps_{m-1}; find the blocks.
+
+    Gap j (2 <= j <= m-2) has curvatures eps_j and eps_{j+1} at its ends.
+    A block is a maximal run of free gaps j0..j1; it spans knots
+    a = j0 .. b = j1 + 1 and takes the sign of eps_a.
+    """
+    left, right = eps[:-1], eps[1:]
+    code = np.full(len(eps) + 1, _END)
+    code[1:-1] = np.where((left == 0) | (right == 0), _FLAT, np.where(left == right, _FREE, _FLIP))
+    is_free = code == _FREE
+    padded = np.concatenate(([False], is_free, [False]))
+    edges = np.flatnonzero(padded[1:] != padded[:-1]) + 1
+    a, b = edges[0::2], edges[1::2]
+    knots = np.flatnonzero(padded[:-1] | padded[1:]) + 1  # knot j borders free gap j-1 or j
+    return _Gaps(code, np.flatnonzero(~is_free) + 1, np.flatnonzero(is_free) + 1,
+                 a, b, eps[a - 2], knots)
+
+
+def _abs_differences(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
+    """Floats whose exact sum is the exact sum of |hi - lo|.
+
+    TwoSum splits hi - lo into its rounded value d and the exact error e;
+    |hi - lo| = |d| + sign(d) * e exactly, since |e| is below half an ulp
+    of d.  ``math.fsum`` of these terms is the correctly rounded sum.
+    """
+    d = hi - lo
+    z = d - hi
+    e = (hi - (d - z)) - (lo + z)
+    return np.concatenate((np.abs(d), np.sign(d) * e))
+
+
+def _insert_sorted(a: np.ndarray, at: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.insert(a, at, b)`` for nondecreasing ``at``, without a sort."""
+    pos = at + np.arange(len(b))
+    out = np.empty((len(a) + len(b),) + a.shape[1:])
+    rest = np.ones(len(out), dtype=bool)
+    rest[pos] = False
+    out[pos], out[rest] = b, a
+    return out
 
 
 def characterize(d: Dataset, curvature_tol: float = CURVATURE_RTOL) -> Characterization:
     prof = slope_profile(d, curvature_tol)
-    m = d.m
-    xs, ys = d.xs, d.ys
-    s = prof.slopes
-
-    def eps(i: int) -> int:  # curvature at point i, 2 <= i <= m-1
-        return prof.curvatures[i - 2]
-
-    kinds: list[tuple[str, str | None]] = []
-    for j in range(1, m):
-        if j == 1 or j == m - 1:
-            kinds.append(("forced", "1a"))
-        elif eps(j) == 0 or eps(j + 1) == 0:
-            kinds.append(("forced", "1b"))
-        elif eps(j) * eps(j + 1) == -1:
-            kinds.append(("forced", "1c"))
-        else:
-            kinds.append(("free", None))
-
-    blocks: list[FreeBlock] = []
-    block_of_interval: dict[int, int] = {}
-    j = 1
-    while j <= m - 1:
-        if kinds[j - 1][0] != "free":
-            j += 1
-            continue
-        j0 = j
-        while j <= m - 1 and kinds[j - 1][0] == "free":
-            block_of_interval[j] = len(blocks)
-            j += 1
-        a, b = j0, j  # knots a..b, spanning intervals j0..j-1
-        sigma = eps(a)
-        blocks.append(
-            FreeBlock(
-                block_id=len(blocks),
-                knot_range=(a, b),
-                sign=sigma,
-                lower_support=SupportLine((float(xs[a - 1]), float(ys[a - 1])), s[a - 2]),
-                upper_support=SupportLine((float(xs[b - 1]), float(ys[b - 1])), s[b - 1]),
-            )
-        )
-
-    verdicts = tuple(
-        IntervalVerdict(index=j, kind=kind, reason=reason, block_id=block_of_interval.get(j))
-        for j, (kind, reason) in enumerate(kinds, start=1)
-    )
-
-    inflection_set = _inflection_indices(m, prof.curvatures)
-    adjacent, inflect = _tv_sums(s, inflection_set)
+    s = np.array(prof.slopes)
+    inflection_set = _inflection_indices(np.array(prof.curvatures, dtype=int))
+    adjacent = _abs_differences(s[1:], s[:-1])
+    minimal_tv = math.fsum(adjacent.tolist())
+    inflect = _abs_differences(s[inflection_set[1:] - 1], s[inflection_set[:-1] - 1])
+    disagreement = math.fsum(np.concatenate((adjacent, -inflect)).tolist())
     # Sub-tolerance slope wiggles (dithered collinear data) make the two sums
     # differ by a few ulps, which is expected; anything larger is a real
     # inconsistency.  The adjacent-gap sum is the true TV of the chord
     # interpolant either way.
-    if abs(adjacent - inflect) > Fraction(1, 10**9) * max(Fraction(1), adjacent):
-        warnings.warn(
-            "TV formulas disagree by %.3g on this dataset" % float(adjacent - inflect),
-            RuntimeWarning,
-        )
+    if abs(disagreement) > 1e-9 * max(1.0, minimal_tv):
+        warnings.warn("TV formulas disagree by %.3g on this dataset" % disagreement, RuntimeWarning)
 
     return Characterization(
         dataset=d,
         profile=prof,
-        verdicts=verdicts,
-        blocks=tuple(blocks),
-        inflection_set=tuple(inflection_set),
-        minimal_tv=float(adjacent),
+        inflection_set=tuple(inflection_set.tolist()),
+        minimal_tv=minimal_tv,
         f_D=_chord_interpolant(d, prof),
     )
 
@@ -245,31 +295,19 @@ def check_membership_against(
     and the convexity/envelope conditions on free blocks.  The TV test
     checks interpolation plus minimality of the derivative's total
     variation.  All failures are recorded as data, never raised.
+    Violations come in the order: interpolation by data point, then per
+    forced gap, then per block, then the TV mismatch.
     """
     if tol < 0:
         raise ValueError("tolerance must be nonnegative")
-    d = ch.dataset
-    m = d.m
-    xs, ys = d.xs, d.ys
-    violations: list[Violation] = []
+    xs, ys = ch.dataset.xs, ch.dataset.ys
 
-    fvals = np.atleast_1d(evaluate(f, xs))
-    for i in range(m):
-        err = abs(float(fvals[i]) - float(ys[i]))
-        if err > tol * max(1.0, abs(float(ys[i]))):
-            violations.append(Violation("interp", float(xs[i]), err))
+    err = np.abs(evaluate(f, xs) - ys)
+    bad = err > tol * np.maximum(1.0, np.abs(ys))
+    violations = list(map(Violation, repeat("interp"), xs[bad].tolist(), err[bad].tolist()))
     interp_ok = not violations
-
-    for v in ch.verdicts:
-        if v.kind != "forced":
-            continue
-        lo = -math.inf if v.index == 1 else float(xs[v.index - 1])
-        hi = math.inf if v.index == m - 1 else float(xs[v.index])
-        for loc, gap in restriction_mismatches(f, ch.f_D, (lo, hi), tol):
-            violations.append(Violation(f"forced-{v.reason}", loc, gap))
-
-    for blk in ch.blocks:
-        violations.extend(_block_violations(ch, blk, f, tol))
+    violations += _forced_violations(ch, f, tol)
+    violations += _block_violations(ch, f, tol)
 
     tv_value = tv_of_derivative(f)
     tv_gap = abs(tv_value - ch.minimal_tv)
@@ -288,51 +326,121 @@ def check_membership_against(
     )
 
 
-def _block_violations(
-    ch: Characterization, blk: FreeBlock, f: PiecewiseLinear, tol: float
-) -> list[Violation]:
-    d = ch.dataset
-    xs = d.xs
-    s = ch.profile.slopes
-    a, b = blk.knot_range
-    xa, xb = float(xs[a - 1]), float(xs[b - 1])
-    sigma = blk.sign
-    out: list[Violation] = []
+def _in_order(keys, locations, magnitudes, tags) -> list[Violation]:
+    """Violations from parallel lists of arrays, stably sorted by key.
 
-    # slope monotonicity inside the block: non-decreasing for convex blocks
-    slopes = piece_slopes_on(f, xa, xb)
-    kink_locs = [xi for xi, _ in breakpoints_in(f, xa, xb)]
-    for k in range(len(slopes) - 1):
-        drop = sigma * (slopes[k + 1] - slopes[k])
-        if drop < -tol * max(1.0, abs(slopes[k]), abs(slopes[k + 1])):
-            out.append(Violation("block-monotone", kink_locs[k], float(-drop)))
+    ``tags`` maps the sorted keys to the violation tags.
+    """
+    key = np.concatenate(keys)
+    if not key.size:
+        return []
+    order = np.argsort(key, kind="stable")
+    return list(map(Violation, tags(key[order]), np.concatenate(locations)[order].tolist(),
+                    np.concatenate(magnitudes)[order].tolist()))
+
+
+def _forced_violations(ch: Characterization, f: PiecewiseLinear, tol: float) -> list[Violation]:
+    """f against the chord on every forced gap at once.
+
+    Gap 1 reaches to -inf and gap m-1 to +inf.  f_D has kinks only at
+    interior data points, which lie in no open gap, so on each gap the
+    mismatches are f's own kinks there, by location, then the value at
+    one probe point, then its one-sided slopes.  The probe is f's first
+    kink in the gap, else a point inside it.
+    """
+    xs, m = ch.dataset.xs, ch.dataset.m
+    code, forced = ch._gaps.code, ch._gaps.forced
+    loc, jump = breakpoint_arrays(f)
+    left, right = xs.searchsorted(loc, side="left"), xs.searchsorted(loc, side="right")
+    gap = np.minimum(np.maximum(right, 1), m - 1)  # of each kink, unless on an interior data point
+    kink = ((left == right) | (right == 1) | (right == m)) & (code[gap - 1] != _FREE)
+    gap, loc, size = gap[kink], loc[kink], np.abs(jump[kink])
+    mismatch = size > tol * np.maximum(1.0, size)
+
+    lo, hi = xs[forced - 1], xs[forced]
+    probe = 0.5 * (lo + hi)
+    probe[0], probe[-1] = hi[0] - 1.0, lo[-1] + 1.0  # gaps 1 and m-1, both forced
+    if m == 2:
+        probe[0] = 0.0
+    at = gap.searchsorted(forced)
+    has_kink = at < gap.searchsorted(forced, side="right")
+    probe[has_kink] = loc[at[has_kink]]
+
+    fv, gv = evaluate(f, probe), evaluate(ch.f_D, probe)
+    dv = np.abs(fv - gv)
+    bad_value = dv > tol * np.maximum(1.0, np.abs(gv))
+    (fi, fo), (gi, go) = one_sided_slopes(f, probe), one_sided_slopes(ch.f_D, probe)
+    d_in, d_out = np.abs(fi - gi), np.abs(fo - go)
+    scale = tol * np.maximum(1.0, np.maximum(np.abs(gi), np.abs(go)))
+    bad_in = d_in > scale
+    bad_slope = bad_in | (d_out > scale)
+    d_slope = np.where(bad_in, d_in, d_out)
+
+    return _in_order(
+        [3 * gap[mismatch], 3 * forced[bad_value] + 1, 3 * forced[bad_slope] + 2],
+        [loc[mismatch], probe[bad_value], probe[bad_slope]],
+        [size[mismatch], dv[bad_value], d_slope[bad_slope]],
+        lambda key: [f"forced-{_REASONS[c]}" for c in code[key // 3 - 1].tolist()],
+    )
+
+
+def _block_violations(ch: Characterization, f: PiecewiseLinear, tol: float) -> list[Violation]:
+    """The free-block conditions on every block at once, in block order.
+
+    Per block: slope monotonicity at each of f's kinks inside it, the
+    boundary slopes against the flanking chord slopes, then the envelope
+    between the support lines and the chord.
+    """
+    a, b, knots = ch._gaps.a, ch._gaps.b, ch._gaps.knots
+    if not a.size:
+        return []
+    xs, ys = ch.dataset.xs, ch.dataset.ys
+    s = ch._slopes
+    xa, xb = xs[a - 1], xs[b - 1]
+    sigma = ch._gaps.sign.astype(float)
+
+    # slope monotonicity inside each block: non-decreasing for convex blocks
+    loc, _ = breakpoint_arrays(f)
+    blk = xa.searchsorted(loc, side="left") - 1  # last block starting left of the kink
+    inside = (blk >= 0) & (loc < xb[blk])
+    blk, loc = blk[inside], loc[inside]
+    s_before, s_after = one_sided_slopes(f, loc)
+    drop = sigma[blk] * (s_after - s_before)
+    bad_drop = drop < -tol * np.maximum(1.0, np.maximum(np.abs(s_before), np.abs(s_after)))
 
     # boundary slopes must respect the flanking chord slopes
+    s_first, s_last = one_sided_slopes(f, xa)[1], one_sided_slopes(f, xb)[0]
     s_enter, s_exit = s[a - 2], s[b - 1]
-    gap_in = sigma * (slopes[0] - s_enter)
-    if gap_in < -tol * max(1.0, abs(slopes[0]), abs(s_enter)):
-        out.append(Violation("block-boundary-slope", xa, float(-gap_in)))
-    gap_out = sigma * (s_exit - slopes[-1])
-    if gap_out < -tol * max(1.0, abs(slopes[-1]), abs(s_exit)):
-        out.append(Violation("block-boundary-slope", xb, float(-gap_out)))
+    gap_in = sigma * (s_first - s_enter)
+    bad_in = gap_in < -tol * np.maximum(1.0, np.maximum(np.abs(s_first), np.abs(s_enter)))
+    gap_out = sigma * (s_exit - s_last)
+    bad_out = gap_out < -tol * np.maximum(1.0, np.maximum(np.abs(s_last), np.abs(s_exit)))
 
     # envelope: between the support lines and the chord.  PL-vs-PL bounds are
     # decided at the union of kinks, so checking f's breakpoints and the block
     # knots is exact up to tolerance.
-    pts = np.array(sorted(set(kink_locs) | {float(x) for x in xs[a - 1 : b]}))
-    fv = np.atleast_1d(evaluate(f, pts))
-    chordv = np.atleast_1d(evaluate(ch.f_D, pts))
-    line_lo = np.asarray(blk.lower_support(pts))
-    line_hi = np.asarray(blk.upper_support(pts))
-    linev = np.maximum(line_lo, line_hi) if sigma > 0 else np.minimum(line_lo, line_hi)
-    for p, fp, cp, lp in zip(pts, fv, chordv, linev):
-        scale = tol * max(1.0, abs(cp), abs(lp))
-        below = sigma * (fp - lp)  # must be >= 0: above support lines (convex case)
-        above = sigma * (cp - fp)  # must be >= 0: below the chord (convex case)
-        worst = min(below, above)
-        if worst < -scale:
-            out.append(Violation("block-envelope", float(p), float(-worst)))
-    return out
+    knot_x = xs[knots - 1]
+    at = knot_x.searchsorted(loc)
+    off_knots = knot_x[at] != loc  # every kink here lies below its block's last knot
+    pts = _insert_sorted(knot_x, at[off_knots], loc[off_knots])
+    pb = xa.searchsorted(pts, side="right") - 1
+    fv, cv = evaluate(f, pts), evaluate(ch.f_D, pts)
+    line_lo = (pts - xa[pb]) * s_enter[pb] + ys[a - 1][pb]
+    line_hi = (pts - xb[pb]) * s_exit[pb] + ys[b - 1][pb]
+    lv = np.where(sigma[pb] > 0, np.maximum(line_lo, line_hi), np.minimum(line_lo, line_hi))
+    below = sigma[pb] * (fv - lv)  # must be >= 0: above support lines (convex case)
+    above = sigma[pb] * (cv - fv)  # must be >= 0: below the chord (convex case)
+    worst = np.minimum(below, above)
+    bad_env = worst < -tol * np.maximum(1.0, np.maximum(np.abs(cv), np.abs(lv)))
+
+    ids = np.arange(a.size)
+    tags = ("block-monotone", "block-boundary-slope", "block-boundary-slope", "block-envelope")
+    return _in_order(
+        [4 * blk[bad_drop], 4 * ids[bad_in] + 1, 4 * ids[bad_out] + 2, 4 * pb[bad_env] + 3],
+        [loc[bad_drop], xa[bad_in], xb[bad_out], pts[bad_env]],
+        [-drop[bad_drop], -gap_in[bad_in], -gap_out[bad_out], -worst[bad_env]],
+        lambda key: [tags[r] for r in (key % 4).tolist()],
+    )
 
 
 def localized_slope_bounds(ch: Characterization) -> np.ndarray:

@@ -196,9 +196,9 @@ def cmd_plot(args) -> int:
     return 0
 
 
-def _curve_points(f, lo: float, hi: float) -> list[tuple[float, float]]:
+def _curve_points(f, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
     xs = np.unique([lo, hi, *(xi for xi, _ in plfun.breakpoints_in(f, lo, hi))])
-    return list(zip(xs.tolist(), evaluate(f, xs).tolist()))
+    return xs, evaluate(f, xs)
 
 
 def render_svg(ch, members, width: int = 800, height: int = 500) -> str:
@@ -208,7 +208,7 @@ def render_svg(ch, members, width: int = 800, height: int = 500) -> str:
     pad = 0.08 * (xs[-1] - xs[0])
     lo, hi = float(xs[0] - pad), float(xs[-1] + pad)
 
-    curves: list[list[tuple[float, float]]] = [_curve_points(ch.f_D, lo, hi)]
+    curves = [_curve_points(ch.f_D, lo, hi)]
     member_curves = [_curve_points(f, lo, hi) for f in members]
     curves.extend(member_curves)
     support_curves = []
@@ -219,25 +219,25 @@ def render_svg(ch, members, width: int = 800, height: int = 500) -> str:
         line = (np.maximum if blk.sign > 0 else np.minimum)(
             blk.lower_support(grid), blk.upper_support(grid)
         )
-        support_curves.append(list(zip(grid.tolist(), line.tolist())))
+        support_curves.append((grid, line))
     curves.extend(support_curves)
 
-    all_y = [y for c in curves for _, y in c] + ys.tolist()
-    ymin, ymax = min(all_y), max(all_y)
+    all_y = np.concatenate([y for _, y in curves] + [ys])
+    ymin, ymax = float(all_y.min()), float(all_y.max())
     if ymax - ymin < 1e-12:
         ymin, ymax = ymin - 1.0, ymax + 1.0
     ypad = 0.08 * (ymax - ymin)
     ymin, ymax = ymin - ypad, ymax + ypad
     margin = 40.0
 
-    def tx(x: float) -> float:
-        return margin + (x - lo) / (hi - lo) * (width - 2 * margin)
-
-    def ty(y: float) -> float:
-        return height - margin - (y - ymin) / (ymax - ymin) * (height - 2 * margin)
+    def pixels(template: str, x, y) -> map:
+        """``template`` formatted with each point mapped to pixel coordinates."""
+        px = margin + (x - lo) / (hi - lo) * (width - 2 * margin)
+        py = height - margin - (y - ymin) / (ymax - ymin) * (height - 2 * margin)
+        return map(template.format, px.tolist(), py.tolist())
 
     def pts(curve) -> str:
-        return " ".join(f"{tx(x):.3f},{ty(y):.3f}" for x, y in curve)
+        return " ".join(pixels("{:.3f},{:.3f}", *curve))
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
@@ -245,10 +245,10 @@ def render_svg(ch, members, width: int = 800, height: int = 500) -> str:
         f"<metadata>{json.dumps({'minimal_tv': ch.minimal_tv})}</metadata>",
         f'<rect x="0" y="0" width="{width}" height="{height}" fill="white"/>',
     ]
-    for blk, sup in zip(ch.blocks, support_curves):
+    for blk, (sx, sy) in zip(ch.blocks, support_curves):
         a, b = blk.knot_range
-        chord = _curve_points(ch.f_D, float(xs[a - 1]), float(xs[b - 1]))
-        ring = pts(chord + sup[::-1])
+        cx, cy = _curve_points(ch.f_D, float(xs[a - 1]), float(xs[b - 1]))
+        ring = pts((np.concatenate((cx, sx[::-1])), np.concatenate((cy, sy[::-1]))))
         parts.append(f'<polygon points="{ring}" fill="#cfe8ff" stroke="none" opacity="0.7"/>')
     for curve in member_curves:
         parts.append(
@@ -262,8 +262,7 @@ def render_svg(ch, members, width: int = 800, height: int = 500) -> str:
     parts.append(
         f'<polyline points="{pts(curves[0])}" fill="none" stroke="#d62728" stroke-width="2"/>'
     )
-    for x, y in d.points:
-        parts.append(f'<circle cx="{tx(x):.3f}" cy="{ty(y):.3f}" r="4" fill="black"/>')
+    parts.extend(pixels('<circle cx="{:.3f}" cy="{:.3f}" r="4" fill="black"/>', xs, ys))
     parts.append(
         f'<text x="{margin:.0f}" y="{margin - 12:.0f}" font-family="monospace" '
         f'font-size="14">minimal TV = {fmt(ch.minimal_tv)}</text>'

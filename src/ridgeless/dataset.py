@@ -94,17 +94,21 @@ def make_dataset(pairs: Iterable[tuple[float, float]]) -> Dataset:
 
 
 def slope_profile(d: Dataset, curvature_tol: float = CURVATURE_RTOL) -> SlopeProfile:
-    xs, ys = d.xs, d.ys
-    s = np.diff(ys) / np.diff(xs)
-    eps = [sign_with_tol(s[i] - s[i - 1], curvature_tol * max(1.0, abs(s[i]), abs(s[i - 1])))
-           for i in range(1, len(s))]
-    return SlopeProfile(slopes=tuple(float(v) for v in s), curvatures=tuple(eps))
+    """Chord slopes and curvature signs, in one pass over the arrays.
 
-
-def sign_with_tol(delta: float, tol: float) -> int:
-    if abs(delta) <= tol:
-        return 0
-    return 1 if delta > 0 else -1
+    Raises NonFiniteValueError when a chord slope or a slope difference
+    leaves the float range (a huge rise over a tiny gap), since every
+    decision downstream compares those differences.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        s = (d.ys[1:] - d.ys[:-1]) / (d.xs[1:] - d.xs[:-1])
+        delta = s[1:] - s[:-1]
+    if not (np.isfinite(s).all() and np.isfinite(delta).all()):
+        raise NonFiniteValueError("non-finite chord slope or slope difference")
+    tol = curvature_tol * np.maximum(1.0, np.maximum(np.abs(s[1:]), np.abs(s[:-1])))
+    eps = np.sign(delta).astype(int)
+    eps[np.abs(delta) <= tol] = 0
+    return SlopeProfile(slopes=tuple(s.tolist()), curvatures=tuple(eps.tolist()))
 
 
 def load_dataset(source: Source, format: str | None = None) -> Dataset:

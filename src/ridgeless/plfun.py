@@ -22,7 +22,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-# Jumps at or below this relative size are merged away during canonicalization.
+# canonical and from_knots drop every jump |c| <= JUMP_MERGE_RTOL * (1 + max |c|).
 JUMP_MERGE_RTOL = 1e-12
 
 _location = itemgetter(0)  # of a (location, jump) breakpoint
@@ -99,8 +99,8 @@ class PiecewiseLinear:
 
 def _eval_from(loc: np.ndarray, slopes: np.ndarray, vals: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Evaluate relative to breakpoint values ``vals`` (no anchor offset)."""
-    idx = np.searchsorted(loc, x, side="right")
-    ref = np.clip(idx - 1, 0, None)
+    idx = loc.searchsorted(x, side="right")
+    ref = np.maximum(idx - 1, 0)
     return vals[ref] + slopes[idx] * (x - loc[ref])
 
 
@@ -114,13 +114,22 @@ def evaluate(f: PiecewiseLinear, x):
     return float(out) if np.isscalar(x) or xs.ndim == 0 else out
 
 
-def one_sided_slopes(f: PiecewiseLinear, x: float) -> tuple[float, float]:
-    """Incoming and outgoing derivative at ``x``; equal off the breakpoints."""
-    loc = f._locations
-    slopes = f._piece_slopes
-    s_in = slopes[int(np.searchsorted(loc, x, side="left"))]
-    s_out = slopes[int(np.searchsorted(loc, x, side="right"))]
-    return float(s_in), float(s_out)
+def one_sided_slopes(f: PiecewiseLinear, x):
+    """Incoming and outgoing derivative at ``x``; equal off the breakpoints.
+
+    A scalar ``x`` gives two floats, an array gives two arrays.
+    """
+    xs = np.asarray(x, dtype=float)
+    s_in = f._piece_slopes[f._locations.searchsorted(xs, side="left")]
+    s_out = f._piece_slopes[f._locations.searchsorted(xs, side="right")]
+    if xs.ndim == 0:
+        return float(s_in), float(s_out)
+    return s_in, s_out
+
+
+def breakpoint_arrays(f: PiecewiseLinear) -> tuple[np.ndarray, np.ndarray]:
+    """Locations and slope jumps of the breakpoints of ``f``, as arrays."""
+    return f._locations, f._jumps
 
 
 def piece_slopes_on(f: PiecewiseLinear, lo: float, hi: float) -> np.ndarray:
@@ -195,25 +204,36 @@ def canonicalize(f: PiecewiseLinear) -> PiecewiseLinear:
 
 
 def from_knots(
-    knots: Sequence[tuple[float, float]],
+    knots: Sequence[tuple[float, float]] | np.ndarray,
     left_slope: float,
     right_slope: float,
 ) -> PiecewiseLinear:
     """PL interpolant of the knots, affine with the given slopes outside them.
 
-    Knot abscissae must be strictly increasing; a single knot yields the
-    two-slope wedge (or a line when the slopes coincide).
+    ``knots`` is a sequence of (x, y) pairs or an (n, 2) array.  Knot
+    abscissae must be strictly increasing; a single knot yields the
+    two-slope wedge (or a line when the slopes coincide).  Jumps are
+    dropped and checked as :func:`canonical` does.
     """
     if len(knots) < 1:
         raise ValueError("need at least one knot")
-    xs = [float(x) for x, _ in knots]
-    ys = [float(y) for _, y in knots]
-    if any(b <= a for a, b in zip(xs, xs[1:])):
-        raise ValueError("knot abscissae must be strictly increasing")
-    chord = [(ys[i + 1] - ys[i]) / (xs[i + 1] - xs[i]) for i in range(len(xs) - 1)]
-    slope_seq = [float(left_slope)] + chord + [float(right_slope)]
-    bps = [(xs[i], slope_seq[i + 1] - slope_seq[i]) for i in range(len(xs))]
-    return canonical((xs[0], ys[0]), left_slope, bps)
+    k = np.asarray(knots, dtype=float)
+    xs, ys = k[:, 0], k[:, 1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        dx = xs[1:] - xs[:-1]
+        if (dx <= 0).any():
+            raise ValueError("knot abscissae must be strictly increasing")
+        slopes = np.concatenate(([left_slope], (ys[1:] - ys[:-1]) / dx, [right_slope]))
+        jumps = slopes[1:] - slopes[:-1]
+    if not (np.isfinite(xs).all() and np.isfinite(jumps).all()):
+        raise ValueError("breakpoint locations and jumps must be finite")
+    size = np.abs(jumps)
+    keep = size > JUMP_MERGE_RTOL * (1.0 + size.max())
+    # via a list: tuple(zip(...)) resizes its result while filling it, and over many
+    # small calls that kept the resident memory growing
+    breakpoints = tuple(list(zip(xs[keep].tolist(), jumps[keep].tolist())))
+    return PiecewiseLinear(anchor=(float(xs[0]), float(ys[0])), left_slope=float(left_slope),
+                           breakpoints=breakpoints)
 
 
 def restriction_equal(

@@ -18,7 +18,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .characterize import Characterization
+from .characterize import Characterization, _insert_sorted
 from .plfun import PiecewiseLinear, breakpoints_in, evaluate, from_knots
 
 # draw(rng, knot_index, lo, hi) -> slope in [lo, hi]
@@ -43,64 +43,59 @@ class SampleKnobs:
     tangent_draw: Optional[TangentDraw] = None
 
 
-def _uniform_draw(rng: np.random.Generator, knot: int, lo: float, hi: float) -> float:
-    return float(rng.uniform(lo, hi))
-
-
 def sample_member(
     ch: Characterization, seed: int, knobs: SampleKnobs = SampleKnobs()
 ) -> PiecewiseLinear:
-    """Draw one member of the family characterized by ``ch``."""
+    """Draw one member of the family characterized by ``ch``.
+
+    The default draw takes every tangent of the dataset from one
+    ``rng.uniform`` call, in knot order; a custom ``tangent_draw`` is
+    called once per knot, in the same order.
+    """
     if knobs.pin not in (None, "chord", "support"):
         raise ValueError(f"unknown pin mode {knobs.pin!r}")
     rng = np.random.default_rng(int(seed) % 2**64)
-    draw = knobs.tangent_draw or _uniform_draw
-    d = ch.dataset
-    s = ch.profile.slopes
-    xs, ys = d.xs, d.ys
-    if not ch.blocks:
+    a, b, knot = ch._gaps.a, ch._gaps.b, ch._gaps.knots
+    if not a.size:
         return ch.f_D
+    d = ch.dataset
+    xs, ys = d.xs, d.ys
+    s = ch._slopes
+    s_in, s_out = s[knot - 2], s[knot - 1]
+    if knobs.pin is None:
+        swap = s_out < s_in
+        lo, hi = np.where(swap, s_out, s_in), np.where(swap, s_in, s_out)
+        if knobs.tangent_draw is None:
+            t = rng.uniform(lo, hi)
+        else:
+            t = np.array([knobs.tangent_draw(rng, j, l, h)
+                          for j, l, h in zip(knot.tolist(), lo.tolist(), hi.tolist())], dtype=float)
+        t = np.where(lo > t, lo, t)  # min(max(t, lo), hi)
+        t = np.where(hi < t, hi, t)
+    else:
+        t = s_out
+    tangent = np.empty(d.m + 1)
+    tangent[knot] = t
+    if knobs.pin == "support":
+        tangent[a], tangent[b] = s[a - 2], s[b - 1]
 
-    knots: list[tuple[float, float]] = list(d.points)
-    for blk in ch.blocks:
-        a, b = blk.knot_range
-        tangents: dict[int, float] = {}
-        for j in range(a, b + 1):
-            lo, hi = sorted((s[j - 2], s[j - 1]))
-            if knobs.pin == "chord":
-                t = s[j - 1]
-            elif knobs.pin == "support":
-                t = s[a - 2] if j == a else (s[b - 1] if j == b else s[j - 1])
-            else:
-                t = min(max(draw(rng, j, lo, hi), lo), hi)
-            tangents[j] = t
-        for j in range(a, b):
-            knot = _tangent_crossing(
-                float(xs[j - 1]), float(ys[j - 1]), tangents[j],
-                float(xs[j]), float(ys[j]), tangents[j + 1],
-            )
-            if knot is not None:
-                knots.append(knot)
-    knots.sort()
+    # Free gap j runs from knot j to knot j+1.  The two tangents cross inside it
+    # unless they are parallel or cross (numerically) at an end, where the
+    # envelope is just the chord.
+    gap = ch._gaps.free
+    xj, yj, tj = xs[gap - 1], ys[gap - 1], tangent[gap]
+    xk, yk, tk = xs[gap], ys[gap], tangent[gap + 1]
+    with np.errstate(all="ignore"):
+        denom = tj - tk
+        xi = ((yk - yj) + tj * xj - tk * xk) / denom
+        margin = _CROSSING_MARGIN * (xk - xj)
+        flat = np.abs(denom) <= _CROSSING_MARGIN * np.maximum(1.0, np.maximum(np.abs(tj), np.abs(tk)))
+        keep = ~(flat | (xi <= xj + margin) | (xi >= xk - margin))
+        yi = yj + tj * (xi - xj)
+    # the crossing of gap j goes between data points j and j+1
+    knots = _insert_sorted(np.column_stack((xs, ys)), gap[keep],
+                           np.column_stack((xi[keep], yi[keep])))
     return from_knots(knots, s[0], s[-1])
-
-
-def _tangent_crossing(
-    xj: float, yj: float, tj: float, xk: float, yk: float, tk: float
-) -> tuple[float, float] | None:
-    """Intersection of the two knot tangents, or None when it degenerates.
-
-    A crossing at (or numerically indistinguishable from) either endpoint
-    means the envelope of the tangents is just the chord there.
-    """
-    denom = tj - tk
-    if abs(denom) <= _CROSSING_MARGIN * max(1.0, abs(tj), abs(tk)):
-        return None
-    xi = ((yk - yj) + tj * xj - tk * xk) / denom
-    margin = _CROSSING_MARGIN * (xk - xj)
-    if xi <= xj + margin or xi >= xk - margin:
-        return None
-    return (xi, yj + tj * (xi - xj))
 
 
 def perturb_to_nonmember(

@@ -1,12 +1,34 @@
-"""Shared generators and invariant oracles for the test suite."""
+"""Shared generators, invariant oracles and loop references for the test suite."""
 
 from __future__ import annotations
+
+import math
+import warnings
+from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
 import ridgeless as r
-from ridgeless.dataset import sign_with_tol
-from ridgeless.plfun import one_sided_slopes, piece_slopes_on
+from ridgeless.characterize import (
+    DIRECT_TAGS,
+    Characterization,
+    FreeBlock,
+    IntervalVerdict,
+    MembershipReport,
+    SupportLine,
+    Violation,
+)
+from ridgeless.dataset import CURVATURE_RTOL, SlopeProfile
+from ridgeless.generalization import LocalizedBoundReport
+from ridgeless.plfun import (
+    breakpoints_in,
+    evaluate,
+    one_sided_slopes,
+    piece_slopes_on,
+    restriction_mismatches,
+    tv_of_derivative,
+)
 
 
 def random_dataset(rng: np.random.Generator, m: int | None = None,
@@ -204,3 +226,284 @@ def slope_window_failures(ch: r.Characterization, f: r.PiecewiseLinear,
         if np.any(mids < lo - scale) or np.any(mids > hi + scale):
             failures.append(f"slope-window@{i}")
     return failures
+
+
+# Loop references.  The package computes each of these with array passes; the
+# per-gap and per-knot loops it replaced are kept here to check that the
+# outputs did not change.
+
+
+def sign_with_tol(delta: float, tol: float) -> int:
+    if abs(delta) <= tol:
+        return 0
+    return 1 if delta > 0 else -1
+
+
+def slope_profile_reference(d: r.Dataset, curvature_tol: float = CURVATURE_RTOL) -> SlopeProfile:
+    s = np.diff(d.ys) / np.diff(d.xs)
+    eps = [sign_with_tol(s[i] - s[i - 1], curvature_tol * max(1.0, abs(s[i]), abs(s[i - 1])))
+           for i in range(1, len(s))]
+    return SlopeProfile(slopes=tuple(float(v) for v in s), curvatures=tuple(eps))
+
+
+def from_knots_reference(knots, left_slope: float, right_slope: float) -> r.PiecewiseLinear:
+    """``from_knots`` by Python lists and ``canonical``."""
+    xs = [float(x) for x, _ in knots]
+    ys = [float(y) for _, y in knots]
+    if any(b <= a for a, b in zip(xs, xs[1:])):
+        raise ValueError("knot abscissae must be strictly increasing")
+    chord = [(ys[i + 1] - ys[i]) / (xs[i + 1] - xs[i]) for i in range(len(xs) - 1)]
+    slope_seq = [float(left_slope)] + chord + [float(right_slope)]
+    bps = [(xs[i], slope_seq[i + 1] - slope_seq[i]) for i in range(len(xs))]
+    return r.canonical((xs[0], ys[0]), left_slope, bps)
+
+
+@dataclass(frozen=True)
+class CharacterizationReference:
+    """A characterization with its verdicts and blocks built eagerly, as fields."""
+
+    dataset: r.Dataset
+    profile: SlopeProfile
+    verdicts: tuple[IntervalVerdict, ...]
+    blocks: tuple[FreeBlock, ...]
+    inflection_set: tuple[int, ...]
+    minimal_tv: float
+    f_D: r.PiecewiseLinear
+
+    to_dict = Characterization.to_dict
+
+
+def characterize_reference(d: r.Dataset,
+                           curvature_tol: float = CURVATURE_RTOL) -> CharacterizationReference:
+    """Gap classification by a loop over the gaps, C* as an exact Fraction sum."""
+    prof = slope_profile_reference(d, curvature_tol)
+    m = d.m
+    xs, ys = d.xs, d.ys
+    s = prof.slopes
+
+    def eps(i: int) -> int:  # curvature at point i, 2 <= i <= m-1
+        return prof.curvatures[i - 2]
+
+    kinds: list[tuple[str, str | None]] = []
+    for j in range(1, m):
+        if j == 1 or j == m - 1:
+            kinds.append(("forced", "1a"))
+        elif eps(j) == 0 or eps(j + 1) == 0:
+            kinds.append(("forced", "1b"))
+        elif eps(j) * eps(j + 1) == -1:
+            kinds.append(("forced", "1c"))
+        else:
+            kinds.append(("free", None))
+
+    blocks: list[FreeBlock] = []
+    block_of_interval: dict[int, int] = {}
+    j = 1
+    while j <= m - 1:
+        if kinds[j - 1][0] != "free":
+            j += 1
+            continue
+        j0 = j
+        while j <= m - 1 and kinds[j - 1][0] == "free":
+            block_of_interval[j] = len(blocks)
+            j += 1
+        a, b = j0, j  # knots a..b, spanning intervals j0..j-1
+        blocks.append(
+            FreeBlock(
+                block_id=len(blocks),
+                knot_range=(a, b),
+                sign=eps(a),
+                lower_support=SupportLine((float(xs[a - 1]), float(ys[a - 1])), s[a - 2]),
+                upper_support=SupportLine((float(xs[b - 1]), float(ys[b - 1])), s[b - 1]),
+            )
+        )
+
+    verdicts = tuple(
+        IntervalVerdict(index=j, kind=kind, reason=reason, block_id=block_of_interval.get(j))
+        for j, (kind, reason) in enumerate(kinds, start=1)
+    )
+    interior = [i for i in range(2, m - 1) if prof.curvatures[i - 2] != prof.curvatures[i - 1]]
+    inflection_set = sorted({1, m - 1, *interior})
+    fs = [Fraction(v) for v in s]
+    adjacent = sum((abs(fs[i] - fs[i - 1]) for i in range(1, len(fs))), Fraction(0))
+    inflect = sum((abs(fs[b - 1] - fs[a - 1]) for a, b in zip(inflection_set, inflection_set[1:])),
+                  Fraction(0))
+    if abs(adjacent - inflect) > Fraction(1, 10**9) * max(Fraction(1), adjacent):
+        warnings.warn(
+            "TV formulas disagree by %.3g on this dataset" % float(adjacent - inflect),
+            RuntimeWarning,
+        )
+    return CharacterizationReference(
+        dataset=d,
+        profile=prof,
+        verdicts=verdicts,
+        blocks=tuple(blocks),
+        inflection_set=tuple(inflection_set),
+        minimal_tv=float(adjacent),
+        f_D=from_knots_reference(d.points, s[0], s[-1]),
+    )
+
+
+def check_membership_reference(ch: Characterization, f: r.PiecewiseLinear,
+                               tol: float = 1e-9) -> MembershipReport:
+    """Membership by a loop over the forced gaps (one ``restriction_mismatches``
+    each) and over the blocks."""
+    d = ch.dataset
+    m = d.m
+    xs, ys = d.xs, d.ys
+    violations: list[Violation] = []
+
+    fvals = np.atleast_1d(evaluate(f, xs))
+    for i in range(m):
+        err = abs(float(fvals[i]) - float(ys[i]))
+        if err > tol * max(1.0, abs(float(ys[i]))):
+            violations.append(Violation("interp", float(xs[i]), err))
+    interp_ok = not violations
+
+    for v in ch.verdicts:
+        if v.kind != "forced":
+            continue
+        lo = -math.inf if v.index == 1 else float(xs[v.index - 1])
+        hi = math.inf if v.index == m - 1 else float(xs[v.index])
+        for loc, gap in restriction_mismatches(f, ch.f_D, (lo, hi), tol):
+            violations.append(Violation(f"forced-{v.reason}", loc, gap))
+
+    for blk in ch.blocks:
+        violations.extend(_block_violations_reference(ch, blk, f, tol))
+
+    tv_value = tv_of_derivative(f)
+    tv_gap = abs(tv_value - ch.minimal_tv)
+    tv_close = tv_gap <= tol * max(1.0, ch.minimal_tv)
+    if not tv_close:
+        violations.append(Violation("tv-mismatch", None, tv_gap))
+
+    direct_pass = not any(v.tag in DIRECT_TAGS for v in violations)
+    return MembershipReport(
+        is_member=direct_pass,
+        direct_pass=direct_pass,
+        tv_pass=interp_ok and tv_close,
+        tv_value=tv_value,
+        minimal_tv=ch.minimal_tv,
+        violations=tuple(violations),
+    )
+
+
+def _block_violations_reference(ch, blk, f, tol) -> list[Violation]:
+    xs = ch.dataset.xs
+    s = ch.profile.slopes
+    a, b = blk.knot_range
+    xa, xb = float(xs[a - 1]), float(xs[b - 1])
+    sigma = blk.sign
+    out: list[Violation] = []
+
+    slopes = piece_slopes_on(f, xa, xb)
+    kink_locs = [xi for xi, _ in breakpoints_in(f, xa, xb)]
+    for k in range(len(slopes) - 1):
+        drop = sigma * (slopes[k + 1] - slopes[k])
+        if drop < -tol * max(1.0, abs(slopes[k]), abs(slopes[k + 1])):
+            out.append(Violation("block-monotone", kink_locs[k], float(-drop)))
+
+    s_enter, s_exit = s[a - 2], s[b - 1]
+    gap_in = sigma * (slopes[0] - s_enter)
+    if gap_in < -tol * max(1.0, abs(slopes[0]), abs(s_enter)):
+        out.append(Violation("block-boundary-slope", xa, float(-gap_in)))
+    gap_out = sigma * (s_exit - slopes[-1])
+    if gap_out < -tol * max(1.0, abs(slopes[-1]), abs(s_exit)):
+        out.append(Violation("block-boundary-slope", xb, float(-gap_out)))
+
+    pts = np.array(sorted(set(kink_locs) | {float(x) for x in xs[a - 1 : b]}))
+    fv = np.atleast_1d(evaluate(f, pts))
+    chordv = np.atleast_1d(evaluate(ch.f_D, pts))
+    line_lo = np.asarray(blk.lower_support(pts))
+    line_hi = np.asarray(blk.upper_support(pts))
+    linev = np.maximum(line_lo, line_hi) if sigma > 0 else np.minimum(line_lo, line_hi)
+    for p, fp, cp, lp in zip(pts, fv, chordv, linev):
+        scale = tol * max(1.0, abs(cp), abs(lp))
+        below = sigma * (fp - lp)
+        above = sigma * (cp - fp)
+        worst = min(below, above)
+        if worst < -scale:
+            out.append(Violation("block-envelope", float(p), float(-worst)))
+    return out
+
+
+def sample_member_reference(ch: Characterization, seed: int,
+                            knobs: r.SampleKnobs = r.SampleKnobs()) -> r.PiecewiseLinear:
+    """The sampler as a loop over blocks and knots, one scalar draw per knot."""
+    rng = np.random.default_rng(int(seed) % 2**64)
+    draw = knobs.tangent_draw or (lambda rng, knot, lo, hi: float(rng.uniform(lo, hi)))
+    d = ch.dataset
+    s = ch.profile.slopes
+    xs, ys = d.xs, d.ys
+    if not ch.blocks:
+        return ch.f_D
+
+    knots: list[tuple[float, float]] = list(d.points)
+    for blk in ch.blocks:
+        a, b = blk.knot_range
+        tangents: dict[int, float] = {}
+        for j in range(a, b + 1):
+            lo, hi = sorted((s[j - 2], s[j - 1]))
+            if knobs.pin == "chord":
+                t = s[j - 1]
+            elif knobs.pin == "support":
+                t = s[a - 2] if j == a else (s[b - 1] if j == b else s[j - 1])
+            else:
+                t = min(max(draw(rng, j, lo, hi), lo), hi)
+            tangents[j] = t
+        for j in range(a, b):
+            knot = _tangent_crossing_reference(
+                float(xs[j - 1]), float(ys[j - 1]), tangents[j],
+                float(xs[j]), float(ys[j]), tangents[j + 1],
+            )
+            if knot is not None:
+                knots.append(knot)
+    knots.sort()
+    return from_knots_reference(knots, s[0], s[-1])
+
+
+def _tangent_crossing_reference(xj, yj, tj, xk, yk, tk):
+    denom = tj - tk
+    if abs(denom) <= 1e-12 * max(1.0, abs(tj), abs(tk)):
+        return None
+    xi = ((yk - yj) + tj * xj - tk * xk) / denom
+    margin = 1e-12 * (xk - xj)
+    if xi <= xj + margin or xi >= xk - margin:
+        return None
+    return (xi, yj + tj * (xi - xj))
+
+
+def verify_localized_bounds_reference(ch: Characterization, members,
+                                      tol: float = 1e-9) -> LocalizedBoundReport:
+    """Localized bounds by a loop over members and gaps."""
+    d = ch.dataset
+    bounds = r.localized_slope_bounds(ch)
+    fd_norm = r.lipschitz_norm(ch.f_D)
+    xs = d.xs
+    s = ch.profile.slopes
+
+    max_excess = -math.inf
+    worst_member = worst_gap = -1
+    lip_ratio = 0.0
+    ok = True
+    for k, f in enumerate(members):
+        for i in range(1, d.m):
+            slopes = piece_slopes_on(f, float(xs[i - 1]), float(xs[i]))
+            drift = float(np.max(np.abs(slopes - s[i - 1])))
+            excess = drift - float(bounds[i - 1])
+            if excess > max_excess:
+                max_excess, worst_member, worst_gap = excess, k, i
+            if excess > tol * max(1.0, float(bounds[i - 1])):
+                ok = False
+        norm = r.lipschitz_norm(f)
+        ratio = norm / fd_norm if fd_norm > 0 else 0.0
+        lip_ratio = max(lip_ratio, ratio)
+        if norm > 7.0 * fd_norm + tol * max(1.0, fd_norm):
+            ok = False
+    return LocalizedBoundReport(
+        gap_bounds=tuple(float(b) for b in bounds),
+        max_excess=max_excess if members else 0.0,
+        lip_ratio=lip_ratio,
+        worst_member=worst_member,
+        worst_gap=worst_gap,
+        passed=ok,
+    )

@@ -1,0 +1,166 @@
+"""The array passes against the per-gap and per-knot loops they replaced.
+
+Characterization, sampling, membership and the localized bounds are
+computed with whole-array numpy passes; ``helpers`` keeps the loop
+versions.  Outputs must be equal, not close: the same float operations
+run in the same order, and C* is correctly rounded both ways.
+"""
+
+import importlib
+from collections import Counter
+from dataclasses import asdict
+
+import numpy as np
+import pytest
+
+import ridgeless as r
+from helpers import (
+    characterize_reference,
+    check_membership_reference,
+    count_calls,
+    from_knots_reference,
+    random_dataset,
+    random_pl,
+    sample_member_reference,
+    slope_profile_reference,
+    verify_localized_bounds_reference,
+)
+from ridgeless.characterize import tv_formula_pair
+
+
+def mixed_dataset(rng: np.random.Generator, m: int) -> r.Dataset:
+    """Random slopes, small-integer slopes (many zero curvatures) or runs of equal slopes."""
+    kind = int(rng.integers(3))
+    if kind == 0:
+        return random_dataset(rng, m)
+    gaps = rng.uniform(0.2, 1.5, size=m - 1)
+    xs = np.concatenate([[rng.uniform(-2.0, 2.0)], gaps]).cumsum()
+    if kind == 1:
+        slopes = rng.integers(-2, 3, size=m - 1).astype(float)
+    else:
+        slopes = np.repeat(rng.uniform(-3.0, 3.0, size=m // 3 + 1), 3)[: m - 1]
+    ys = np.concatenate([[rng.uniform(-1.0, 1.0)], slopes * gaps]).cumsum()
+    return r.make_dataset(zip(xs.tolist(), ys.tolist()))
+
+
+def same_pl(f: r.PiecewiseLinear, g: r.PiecewiseLinear) -> bool:
+    return (f.anchor, f.left_slope, f.breakpoints) == (g.anchor, g.left_slope, g.breakpoints)
+
+
+KNOBS = (
+    r.SampleKnobs(),
+    r.SampleKnobs(pin="chord"),
+    r.SampleKnobs(pin="support"),
+    r.SampleKnobs(tangent_draw=lambda rng, j, lo, hi: lo + (hi - lo) * rng.uniform() ** 2),
+)
+
+
+@pytest.fixture(scope="module")
+def cases():
+    """300 datasets with m in 3..400 and one with m = 10^4, each with both characterizations."""
+    rng = np.random.default_rng(2024)
+    sizes = [int(m) for m in rng.integers(3, 401, size=300)] + [10**4]
+    out = []
+    for m in sizes:
+        d = mixed_dataset(rng, m)
+        out.append((d, r.characterize(d), characterize_reference(d)))
+    return out
+
+
+class TestCharacterize:
+    def test_matches_the_gap_loop(self, cases):
+        for d, ch, ref in cases:
+            assert r.slope_profile(d) == slope_profile_reference(d)
+            assert ch.to_dict() == ref.to_dict()
+            assert ch.verdicts == ref.verdicts and ch.blocks == ref.blocks
+            assert same_pl(ch.f_D, ref.f_D)
+
+    def test_minimal_tv_is_the_rounded_exact_sum(self, cases):
+        for d, ch, _ in cases:
+            assert ch.minimal_tv == float(tv_formula_pair(d)[0])
+
+    def test_from_knots_matches_the_list_build(self):
+        rng = np.random.default_rng(5)
+        for _ in range(200):
+            k = int(rng.integers(1, 30))
+            xs = np.sort(rng.choice(np.arange(-50, 50), size=k, replace=False)) / 8.0
+            ys = rng.integers(-3, 4, size=k) / 4.0  # exact slopes, so some jumps vanish
+            knots = list(zip(xs.tolist(), ys.tolist()))
+            left, right = float(rng.integers(-2, 3)), float(rng.uniform(-2, 2))
+            assert same_pl(r.from_knots(knots, left, right),
+                           from_knots_reference(knots, left, right))
+
+
+class TestSample:
+    def test_matches_the_scalar_sampler(self, cases):
+        for seed, (_, ch, ref) in enumerate(cases):
+            for knobs in KNOBS:
+                assert same_pl(r.sample_member(ch, seed, knobs),
+                               sample_member_reference(ref, seed, knobs)), (seed, knobs)
+
+
+class TestMembership:
+    def test_matches_the_per_gap_loop(self, cases):
+        rng = np.random.default_rng(9)
+        for seed, (d, ch, ref) in enumerate(cases):
+            member = r.sample_member(ch, seed)
+            functions = [member, r.perturb_to_nonmember(ch, member, seed), ch.f_D]
+            if seed % 4 == 0:  # off the data, with wrong tails; anything at all
+                functions.append(r.from_knots(
+                    [(x, y + 1e-6 * rng.standard_normal()) for x, y in d.points], 0.5, -0.5))
+                functions.append(random_pl(rng, 20))
+            for f in functions:
+                assert asdict(r.check_membership_against(ch, f)) == \
+                    asdict(check_membership_reference(ref, f)), seed
+
+
+class TestLocalizedBounds:
+    def test_matches_the_gap_loop(self, cases):
+        for seed, (_, ch, ref) in enumerate(cases[:100]):
+            members = [r.sample_member(ch, seed + k) for k in range(3)]
+            members += [members[1], r.perturb_to_nonmember(ch, members[0], seed)]  # a tie
+            assert r.verify_localized_bounds(ch, members) == \
+                verify_localized_bounds_reference(ref, members)
+
+    def test_ties_pick_the_first_member_and_gap(self, dataset_collinear):
+        # every gap of every member has excess 0
+        ch = r.characterize(dataset_collinear)
+        rep = r.verify_localized_bounds(ch, [ch.f_D, ch.f_D])
+        assert (rep.worst_member, rep.worst_gap, rep.max_excess) == (0, 1, 0.0)
+
+
+class TestNoPerGapCalls:
+    """Scalar PL probes per call must not grow with m."""
+
+    names = ("evaluate", "breakpoints_in", "piece_slopes_on", "one_sided_slopes",
+             "restriction_mismatches")
+    modules = [importlib.import_module(f"ridgeless.{name}")
+               for name in ("plfun", "characterize", "sample", "generalization")]
+
+    def counts(self, monkeypatch, m: int) -> dict:
+        d = random_dataset(np.random.default_rng(m), m)
+        with monkeypatch.context() as mp:
+            calls = [(name, count_calls(mp, mod, name))
+                     for mod in self.modules for name in self.names if hasattr(mod, name)]
+
+            def tally() -> Counter:
+                total = Counter()
+                for name, c in calls:
+                    total[name] += len(c)
+                return total
+
+            seen = {}
+            before = tally()
+            ch = r.characterize(d)
+            seen["characterize"], before = tally() - before, tally()
+            members = [r.sample_member(ch, k) for k in range(3)]
+            seen["sample_member"], before = tally() - before, tally()
+            for f in members:
+                r.check_membership_against(ch, f)
+            seen["check_membership_against"], before = tally() - before, tally()
+            r.verify_localized_bounds(ch, members)
+            seen["verify_localized_bounds"] = tally() - before
+        return seen
+
+    def test_same_calls_at_m_100_and_1000(self, monkeypatch):
+        assert self.counts(monkeypatch, 100) == self.counts(monkeypatch, 1000)

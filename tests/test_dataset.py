@@ -137,6 +137,15 @@ class TestSlopeProfile:
         d = r.make_dataset([(0.0, 0.0), (1.0, 1.0), (2.0, 2.0 + 1e-14)])
         assert r.slope_profile(d).curvatures == (0,)
 
+    def test_overflowing_slopes_rejected(self):
+        # a rise past the float range, a gap of 1e-320, a slope difference past it
+        for points in ([(0, -1e308), (1e-300, 1e308), (2, 0)],
+                       [(0, 0), (1e-320, 1), (2, 0)],
+                       [(0, 0), (1, 1.5e308), (2, 0)],
+                       [(0, 0), (1e-320, 1)]):
+            with pytest.raises(NonFiniteValueError, match="non-finite"):
+                r.slope_profile(r.make_dataset(points))
+
 
 # Dyadic coordinates: slopes and their differences are exact in floats,
 # so curvature signs are decided without tolerance ambiguity.
