@@ -43,7 +43,6 @@ from .generalization import (
     NonUniformDesignError,
     SupErrorReport,
     make_dataset_from,
-    random_design_probe,
     verify_lip_domination,
     verify_localized_bounds,
     verify_sup_error,
@@ -53,12 +52,10 @@ from .oracle import CertificateReport, OracleError, certify, grid_tv_minimize
 from .plfun import (
     PiecewiseLinear,
     canonical,
-    canonicalize,
     evaluate,
     from_knots,
     lipschitz_norm,
     one_sided_slopes,
-    restriction_equal,
     structurally_equal,
     tv_of_derivative,
 )

@@ -216,33 +216,3 @@ def verify_localized_bounds(
         worst_gap=worst_gap,
         passed=ok,
     )
-
-
-def random_design_probe(
-    gt: GroundTruth, m: int, seed: int, n_members: int = 50
-) -> dict:
-    """Exploratory iid-design measurement; reports values, no pass/fail.
-
-    With x_i drawn iid uniform on [0,1] the recovery error is expected to
-    scale like log(m) L / m, but no explicit constant is asserted.
-    """
-    from .characterize import characterize
-    from .sample import sample_member
-
-    rng = np.random.default_rng(int(seed) % 2**64)
-    xs = np.sort(rng.uniform(0.0, 1.0, size=m))
-    while np.any(np.diff(xs) <= 0):
-        xs = np.sort(rng.uniform(0.0, 1.0, size=m))
-    d = make_dataset_from(gt, xs)
-    ch = characterize(d)
-    worst = 0.0
-    for k in range(n_members):
-        f = sample_member(ch, seed=int(rng.integers(2**63)))
-        worst = max(worst, sup_error(f, gt.f_star, 0.0, 1.0))
-    reference = math.log(m) * gt.L / m if m > 1 else math.inf
-    return {
-        "m": m,
-        "measured_sup_error": worst,
-        "log_scale_reference": reference,
-        "ratio": worst / reference if reference > 0 else math.inf,
-    }

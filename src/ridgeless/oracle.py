@@ -1,12 +1,33 @@
 """Independent certification of the minimal derivative-TV by convex solve.
 
 The minimum of TV(Df) over piecewise-linear interpolants is re-derived
-here from scratch: fix a grid refining every data gap, treat the grid
-values as unknowns, and minimize the sum of absolute slope changes (an
-exact expression for TV(Df) of the grid function) subject to equality at
-the data points.  That is a linear program over slack variables, solved
-densely.  The solver path deliberately knows nothing about the geometric
-characterization; certification then compares the two numbers.
+here from scratch: fix a grid refining every data gap and minimize
+TV(Df) over the continuous PL functions that interpolate the data and
+bend only at grid nodes.  The solver path deliberately knows nothing
+about the geometric characterization; certification then compares the
+two numbers.
+
+The linear program is written in kink form.  Its unknowns are the slope
+sigma_0 of the first grid piece and, at each interior node t_k, the
+slope jump c_k = p_k - q_k with p, q >= 0; the objective sum(p + q) is
+sum |c_k| = TV(Df) at any optimum, since lowering both of a positive
+pair p_k, q_k keeps c_k and lowers the objective.  This is the
+grid-value LP (node values u as unknowns, u fixed at the data, sum of
+|second differences| minimized) after a change of variables and row
+operations, so it has the same feasible functions and the same optimum:
+
+- sigma_0, the jumps and u_0 = y_0 give every node value, and every grid
+  function with u_0 = y_0 arises this way, once;
+- u(x_{i+1}) - u(x_i) = w_i * (mean slope on gap i), so the interpolation
+  conditions say that the mean slope on each gap i is its chord slope s_i,
+  and that mean slope is sigma_0 + sum_k c_k * clip((x_{i+1} - t_k) / w_i, 0, 1)
+  (t_k >= x_{i+1} gives weight 0, t_k <= x_i weight 1);
+- row 0 keeps gap 0's equation, and row i >= 1 is gap i's minus gap
+  i - 1's, sum_k c_k * phi_i(t_k) = s_i - s_{i-1}, where phi_i is the hat
+  function that is 1 at x_i and 0 at x_{i-1} and x_{i+1}.
+
+That leaves m - 1 equality rows and at most two nonzeros per column, in
+place of m equalities and two inequality rows per interior node.
 
 Because the grid contains every data point, the chord interpolant is
 always feasible, so the grid minimum can never exceed its TV; and grid
@@ -19,8 +40,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
-from scipy.optimize import linprog
 
 from .dataset import Dataset
 from .plfun import PiecewiseLinear, from_knots
@@ -63,48 +82,48 @@ def _solve_grid_lp(
         raise ValueError("grid too coarse: need at least one grid point per data gap")
     if tol <= 0:
         raise ValueError("tol must be positive")
+    # scipy is imported here, so that importing the package does not load it
+    from scipy import sparse
+    from scipy.optimize import linprog
 
     xs, ys = d.xs, d.ys
     g = int(grid_points_per_gap)
-    segments = [np.linspace(xs[i], xs[i + 1], g + 1)[:-1] for i in range(d.m - 1)]
-    nodes = np.concatenate(segments + [xs[-1:]])
+    w = np.diff(xs)
+    s = np.diff(ys) / w
+    # the same float operations as np.linspace(xs[i], xs[i + 1], g + 1)[:-1] on each gap
+    nodes = np.append(np.arange(g) * (w / g)[:, None] + xs[:-1, None], xs[-1])
     n = nodes.size
-    data_idx = np.arange(d.m) * g
     h = np.diff(nodes)
 
-    n_slack = n - 2
-    cvec = np.concatenate([np.zeros(n), np.ones(n_slack)])
-
-    a_eq = sparse.csr_matrix(
-        (np.ones(d.m), (np.arange(d.m), data_idx)), shape=(d.m, n + n_slack)
+    # Unknowns: sigma_0, then p and q at the interior nodes 1..n-2.  Node k lies in
+    # gap j = k // g; it enters row j with the falling side of the hat at x_j (for
+    # j = 0, its weight in gap 0's mean slope) and row j + 1 with the rising side of
+    # the hat at x_{j+1}, which is 0 at a data node and has no row on the last gap.
+    k = np.arange(1, n - 1)
+    j, t = k // g, nodes[1:-1]
+    row, col = np.concatenate([j, j + 1]), np.concatenate([k, k])
+    coef = np.concatenate([(xs[j + 1] - t) / w[j], (t - xs[j]) / w[j]])
+    keep = (row < d.m - 1) & (coef != 0.0)
+    row, col, coef = row[keep], col[keep], coef[keep]
+    n_vars = 2 * n - 3
+    a_eq = sparse.csc_array(
+        (np.concatenate([[1.0], coef, -coef]),
+         (np.concatenate([[0], row, row]), np.concatenate([[0], col, col + n - 2]))),
+        shape=(d.m - 1, n_vars),
     )
-
-    if n_slack > 0:
-        k = np.arange(1, n - 1)
-        rows = np.repeat(np.arange(n_slack), 3)
-        cols = np.concatenate([np.stack([k - 1, k, k + 1], axis=1).ravel()])
-        inv_l, inv_r = 1.0 / h[k - 1], 1.0 / h[k]
-        coef = np.stack([inv_l, -(inv_l + inv_r), inv_r], axis=1).ravel()
-        second_diff = sparse.csr_matrix((coef, (rows, cols)), shape=(n_slack, n))
-        eye = sparse.identity(n_slack, format="csr")
-        a_ub = sparse.vstack(
-            [sparse.hstack([second_diff, -eye]), sparse.hstack([-second_diff, -eye])],
-            format="csr",
-        )
-        b_ub = np.zeros(2 * n_slack)
-    else:
-        a_ub, b_ub = None, None
-
-    bounds = [(None, None)] * n + [(0, None)] * n_slack
+    cost = np.ones(n_vars)
+    cost[0] = 0.0
+    bounds = np.tile([0.0, np.inf], (n_vars, 1))
+    bounds[0, 0] = -np.inf
     res = linprog(
-        cvec,
-        A_ub=a_ub,
-        b_ub=b_ub,
+        cost,
         A_eq=a_eq,
-        b_eq=ys,
+        b_eq=np.concatenate([s[:1], np.diff(s)]),
         bounds=bounds,
         method="highs",
+        # presolve solves this LP outright in 0 iterations, where maxiter cannot bind
         options={
+            "presolve": False,
             "maxiter": int(max_iters),
             "primal_feasibility_tolerance": tol,
             "dual_feasibility_tolerance": tol,
@@ -115,13 +134,11 @@ def _solve_grid_lp(
             f"grid TV minimization did not converge (status {res.status}: {res.message}); "
             f"objective so far {getattr(res, 'fun', None)!r}"
         )
-    u = res.x[:n]
-    if n > 2:
-        left = (u[1] - u[0]) / h[0]
-        right = (u[-1] - u[-2]) / h[-1]
-    else:
-        left = right = (u[-1] - u[0]) / h[0]
-    minimizer = from_knots(list(zip(nodes.tolist(), u.tolist())), left, right)
+    jumps = res.x[1 : n - 1] - res.x[n - 1 :]
+    slopes = res.x[0] + np.concatenate([[0.0], np.cumsum(jumps)])
+    u = ys[0] + np.concatenate([[0.0], np.cumsum(slopes * h)])
+    left, right = (u[1] - u[0]) / h[0], (u[-1] - u[-2]) / h[-1]
+    minimizer = from_knots(np.column_stack([nodes, u]), left, right)
     return float(res.fun), minimizer, int(res.nit)
 
 

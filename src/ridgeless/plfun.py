@@ -53,7 +53,7 @@ class PiecewiseLinear:
             if xi <= prev:
                 raise ValueError(f"breakpoint locations not strictly increasing at {xi}")
             if c == 0.0:
-                raise ValueError(f"zero jump at {xi}; canonicalize first")
+                raise ValueError(f"zero jump at {xi}; build through canonical or from_knots")
             prev = xi
 
     @cached_property
@@ -132,18 +132,6 @@ def breakpoint_arrays(f: PiecewiseLinear) -> tuple[np.ndarray, np.ndarray]:
     return f._locations, f._jumps
 
 
-def piece_slopes_on(f: PiecewiseLinear, lo: float, hi: float) -> np.ndarray:
-    """Slopes of the pieces of ``f`` restricted to the open interval (lo, hi).
-
-    The first entry is the outgoing slope at ``lo``; subsequent entries follow
-    each breakpoint strictly inside the interval.
-    """
-    if not lo < hi:
-        raise ValueError("empty interval")
-    w = _window(f, lo, hi)
-    return f._piece_slopes[w.start : w.stop + 1]
-
-
 def breakpoints_in(f: PiecewiseLinear, lo: float, hi: float) -> list[tuple[float, float]]:
     """Breakpoints of ``f`` strictly inside (lo, hi)."""
     return list(f.breakpoints[_window(f, lo, hi)])
@@ -199,10 +187,6 @@ def canonical(
                            left_slope=float(left_slope), breakpoints=kept)
 
 
-def canonicalize(f: PiecewiseLinear) -> PiecewiseLinear:
-    return canonical(f.anchor, f.left_slope, f.breakpoints)
-
-
 def from_knots(
     knots: Sequence[tuple[float, float]] | np.ndarray,
     left_slope: float,
@@ -234,88 +218,6 @@ def from_knots(
     breakpoints = tuple(list(zip(xs[keep].tolist(), jumps[keep].tolist())))
     return PiecewiseLinear(anchor=(float(xs[0]), float(ys[0])), left_slope=float(left_slope),
                            breakpoints=breakpoints)
-
-
-def restriction_equal(
-    f: PiecewiseLinear,
-    g: PiecewiseLinear,
-    interval: tuple[float, float],
-    tol: float,
-) -> bool:
-    """True iff f and g agree as functions on the open interval, up to tol.
-
-    Compared structurally: the jump patterns inside the interval must match
-    and value plus one-sided slopes must match at one probe point.  Either
-    endpoint may be infinite.
-    """
-    return not restriction_mismatches(f, g, interval, tol)
-
-
-def restriction_mismatches(
-    f: PiecewiseLinear,
-    g: PiecewiseLinear,
-    interval: tuple[float, float],
-    tol: float,
-) -> list[tuple[float, float]]:
-    """Structural disagreements of f and g on the open interval.
-
-    Returns (location, magnitude) pairs; empty means the restrictions agree.
-    """
-    lo, hi = interval
-    if not lo < hi:
-        raise ValueError("interval must be nonempty")
-    bad: list[tuple[float, float]] = []
-
-    fb = breakpoints_in(f, lo, hi)
-    gb = breakpoints_in(g, lo, hi)
-    i = j = 0
-    while i < len(fb) or j < len(gb):
-        if j >= len(gb):
-            (loc, cf), cg = fb[i], 0.0
-            i += 1
-        elif i >= len(fb):
-            (loc, cg), cf = gb[j], 0.0
-            j += 1
-        else:
-            xf, cf = fb[i]
-            xg, cg = gb[j]
-            if abs(xf - xg) <= tol * max(1.0, abs(xf), abs(xg)):
-                loc = xf
-                i += 1
-                j += 1
-            elif xf < xg:
-                loc, cg = xf, 0.0
-                i += 1
-            else:
-                loc, cf = xg, 0.0
-                j += 1
-        gap = abs(cf - cg)
-        if gap > tol * max(1.0, abs(cf), abs(cg)):
-            bad.append((loc, gap))
-
-    t0 = _probe_point(fb, gb, lo, hi)
-    dv = abs(evaluate(f, t0) - evaluate(g, t0))
-    if dv > tol * max(1.0, abs(evaluate(g, t0))):
-        bad.append((t0, dv))
-    fi, fo = one_sided_slopes(f, t0)
-    gi, go = one_sided_slopes(g, t0)
-    for df in (abs(fi - gi), abs(fo - go)):
-        if df > tol * max(1.0, abs(gi), abs(go)):
-            bad.append((t0, df))
-            break
-    return bad
-
-
-def _probe_point(fb, gb, lo: float, hi: float) -> float:
-    for xi, _ in fb + gb:
-        return xi
-    if math.isinf(lo) and math.isinf(hi):
-        return 0.0
-    if math.isinf(lo):
-        return hi - 1.0
-    if math.isinf(hi):
-        return lo + 1.0
-    return 0.5 * (lo + hi)
 
 
 def structurally_equal(f: PiecewiseLinear, g: PiecewiseLinear, rtol: float = 1e-12) -> bool:

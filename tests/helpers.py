@@ -8,6 +8,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
+from scipy import sparse
+from scipy.optimize import linprog
 
 import ridgeless as r
 from ridgeless.characterize import (
@@ -20,15 +22,8 @@ from ridgeless.characterize import (
     Violation,
 )
 from ridgeless.dataset import CURVATURE_RTOL, SlopeProfile
-from ridgeless.generalization import LocalizedBoundReport
-from ridgeless.plfun import (
-    breakpoints_in,
-    evaluate,
-    one_sided_slopes,
-    piece_slopes_on,
-    restriction_mismatches,
-    tv_of_derivative,
-)
+from ridgeless.generalization import GroundTruth, LocalizedBoundReport, make_dataset_from, sup_error
+from ridgeless.plfun import _window, breakpoints_in, evaluate, one_sided_slopes, tv_of_derivative
 
 
 def random_dataset(rng: np.random.Generator, m: int | None = None,
@@ -125,6 +120,134 @@ def localized_slope_bounds_reference(slopes) -> np.ndarray:
     )
 
 
+# PL restriction checks and an iid-design probe that only the tests use.
+
+
+def piece_slopes_on(f: r.PiecewiseLinear, lo: float, hi: float) -> np.ndarray:
+    """Slopes of the pieces of ``f`` restricted to the open interval (lo, hi).
+
+    The first entry is the outgoing slope at ``lo``; subsequent entries follow
+    each breakpoint strictly inside the interval.
+    """
+    if not lo < hi:
+        raise ValueError("empty interval")
+    w = _window(f, lo, hi)
+    return f._piece_slopes[w.start : w.stop + 1]
+
+
+def canonicalize(f: r.PiecewiseLinear) -> r.PiecewiseLinear:
+    return r.canonical(f.anchor, f.left_slope, f.breakpoints)
+
+
+def restriction_equal(
+    f: r.PiecewiseLinear,
+    g: r.PiecewiseLinear,
+    interval: tuple[float, float],
+    tol: float,
+) -> bool:
+    """True iff f and g agree as functions on the open interval, up to tol.
+
+    Compared structurally: the jump patterns inside the interval must match
+    and value plus one-sided slopes must match at one probe point.  Either
+    endpoint may be infinite.
+    """
+    return not restriction_mismatches(f, g, interval, tol)
+
+
+def restriction_mismatches(
+    f: r.PiecewiseLinear,
+    g: r.PiecewiseLinear,
+    interval: tuple[float, float],
+    tol: float,
+) -> list[tuple[float, float]]:
+    """Structural disagreements of f and g on the open interval.
+
+    Returns (location, magnitude) pairs; empty means the restrictions agree.
+    """
+    lo, hi = interval
+    if not lo < hi:
+        raise ValueError("interval must be nonempty")
+    bad: list[tuple[float, float]] = []
+
+    fb = breakpoints_in(f, lo, hi)
+    gb = breakpoints_in(g, lo, hi)
+    i = j = 0
+    while i < len(fb) or j < len(gb):
+        if j >= len(gb):
+            (loc, cf), cg = fb[i], 0.0
+            i += 1
+        elif i >= len(fb):
+            (loc, cg), cf = gb[j], 0.0
+            j += 1
+        else:
+            xf, cf = fb[i]
+            xg, cg = gb[j]
+            if abs(xf - xg) <= tol * max(1.0, abs(xf), abs(xg)):
+                loc = xf
+                i += 1
+                j += 1
+            elif xf < xg:
+                loc, cg = xf, 0.0
+                i += 1
+            else:
+                loc, cf = xg, 0.0
+                j += 1
+        gap = abs(cf - cg)
+        if gap > tol * max(1.0, abs(cf), abs(cg)):
+            bad.append((loc, gap))
+
+    t0 = _probe_point(fb, gb, lo, hi)
+    dv = abs(evaluate(f, t0) - evaluate(g, t0))
+    if dv > tol * max(1.0, abs(evaluate(g, t0))):
+        bad.append((t0, dv))
+    fi, fo = one_sided_slopes(f, t0)
+    gi, go = one_sided_slopes(g, t0)
+    for df in (abs(fi - gi), abs(fo - go)):
+        if df > tol * max(1.0, abs(gi), abs(go)):
+            bad.append((t0, df))
+            break
+    return bad
+
+
+def _probe_point(fb, gb, lo: float, hi: float) -> float:
+    for xi, _ in fb + gb:
+        return xi
+    if math.isinf(lo) and math.isinf(hi):
+        return 0.0
+    if math.isinf(lo):
+        return hi - 1.0
+    if math.isinf(hi):
+        return lo + 1.0
+    return 0.5 * (lo + hi)
+
+
+def random_design_probe(
+    gt: GroundTruth, m: int, seed: int, n_members: int = 50
+) -> dict:
+    """Exploratory iid-design measurement; reports values, no pass/fail.
+
+    With x_i drawn iid uniform on [0,1] the recovery error is expected to
+    scale like log(m) L / m, but no explicit constant is asserted.
+    """
+    rng = np.random.default_rng(int(seed) % 2**64)
+    xs = np.sort(rng.uniform(0.0, 1.0, size=m))
+    while np.any(np.diff(xs) <= 0):
+        xs = np.sort(rng.uniform(0.0, 1.0, size=m))
+    d = make_dataset_from(gt, xs)
+    ch = r.characterize(d)
+    worst = 0.0
+    for k in range(n_members):
+        f = r.sample_member(ch, seed=int(rng.integers(2**63)))
+        worst = max(worst, sup_error(f, gt.f_star, 0.0, 1.0))
+    reference = math.log(m) * gt.L / m if m > 1 else math.inf
+    return {
+        "m": m,
+        "measured_sup_error": worst,
+        "log_scale_reference": reference,
+        "ratio": worst / reference if reference > 0 else math.inf,
+    }
+
+
 def count_calls(monkeypatch, module, name: str) -> list:
     """Wrap ``module.name`` for the test; the returned list grows by one per call."""
     calls: list = []
@@ -184,13 +307,13 @@ def member_invariant_failures(ch: r.Characterization, f: r.PiecewiseLinear,
         if any(link < -scale for link in links):
             failures.append(f"eps-sandwich@{i}")
 
-    if not r.restriction_equal(f, ch.f_D, (-np.inf, float(xs[1])), tol):
+    if not restriction_equal(f, ch.f_D, (-np.inf, float(xs[1])), tol):
         failures.append("ends-left")
-    if not r.restriction_equal(f, ch.f_D, (float(xs[m - 2]), np.inf), tol):
+    if not restriction_equal(f, ch.f_D, (float(xs[m - 2]), np.inf), tol):
         failures.append("ends-right")
 
     for i in range(2, m):
-        if eps[i - 2] == 0 and not r.restriction_equal(
+        if eps[i - 2] == 0 and not restriction_equal(
             f, ch.f_D, (float(xs[i - 2]), float(xs[i])), tol
         ):
             failures.append(f"neighbors@{i}")
@@ -507,3 +630,50 @@ def verify_localized_bounds_reference(ch: Characterization, members,
         worst_gap=worst_gap,
         passed=ok,
     )
+
+
+def grid_tv_minimize_reference(d: r.Dataset, grid_points_per_gap: int, tol: float = 1e-6,
+                               max_iters: int = 200_000) -> tuple[float, r.PiecewiseLinear]:
+    """The grid LP over node values: u free, u = y at the data, and one slack with
+    two inequality rows per interior node bounding |second difference|.
+
+    The epigraph form that ``oracle.grid_tv_minimize`` replaced with its kink form.
+    """
+    xs, ys = d.xs, d.ys
+    g = int(grid_points_per_gap)
+    segments = [np.linspace(xs[i], xs[i + 1], g + 1)[:-1] for i in range(d.m - 1)]
+    nodes = np.concatenate(segments + [xs[-1:]])
+    n = nodes.size
+    data_idx = np.arange(d.m) * g
+    h = np.diff(nodes)
+
+    n_slack = n - 2
+    cvec = np.concatenate([np.zeros(n), np.ones(n_slack)])
+    a_eq = sparse.csr_matrix(
+        (np.ones(d.m), (np.arange(d.m), data_idx)), shape=(d.m, n + n_slack)
+    )
+    if n_slack > 0:
+        k = np.arange(1, n - 1)
+        rows = np.repeat(np.arange(n_slack), 3)
+        cols = np.stack([k - 1, k, k + 1], axis=1).ravel()
+        inv_l, inv_r = 1.0 / h[k - 1], 1.0 / h[k]
+        coef = np.stack([inv_l, -(inv_l + inv_r), inv_r], axis=1).ravel()
+        second_diff = sparse.csr_matrix((coef, (rows, cols)), shape=(n_slack, n))
+        eye = sparse.identity(n_slack, format="csr")
+        a_ub = sparse.vstack(
+            [sparse.hstack([second_diff, -eye]), sparse.hstack([-second_diff, -eye])],
+            format="csr",
+        )
+        b_ub = np.zeros(2 * n_slack)
+    else:
+        a_ub, b_ub = None, None
+
+    bounds = [(None, None)] * n + [(0, None)] * n_slack
+    res = linprog(cvec, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=ys, bounds=bounds,
+                  method="highs",
+                  options={"maxiter": int(max_iters), "primal_feasibility_tolerance": tol,
+                           "dual_feasibility_tolerance": tol})
+    assert res.status == 0, res.message
+    u = res.x[:n]
+    left, right = (u[1] - u[0]) / h[0], (u[-1] - u[-2]) / h[-1]
+    return float(res.fun), r.from_knots(list(zip(nodes.tolist(), u.tolist())), left, right)

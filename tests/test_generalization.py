@@ -4,6 +4,7 @@ import pytest
 import ridgeless as r
 from helpers import (
     random_dataset,
+    random_design_probe,
     random_unit_lipschitz_pl,
     slope_window_failures,
 )
@@ -168,7 +169,7 @@ class TestRandomDesignProbe:
     def test_reports_without_threshold(self):
         rng = np.random.default_rng(49)
         gt = r.GroundTruth.of(random_unit_lipschitz_pl(rng))
-        out = r.random_design_probe(gt, m=30, seed=5, n_members=10)
+        out = random_design_probe(gt, m=30, seed=5, n_members=10)
         assert out["m"] == 30
         assert out["measured_sup_error"] >= 0.0
         assert "log_scale_reference" in out and "ratio" in out

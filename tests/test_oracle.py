@@ -1,16 +1,23 @@
 import ast
 import importlib
 import inspect
+import os
+import subprocess
+import sys
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.optimize
+import scipy.sparse
 
 import ridgeless as r
 import ridgeless.oracle
-from helpers import count_calls, random_dataset
+from helpers import count_calls, grid_tv_minimize_reference, random_dataset
+from ridgeless.characterize import check_membership_against
 from ridgeless.oracle import OracleError, certify, grid_tv_minimize
-from ridgeless.plfun import evaluate, tv_of_derivative
+from ridgeless.plfun import breakpoint_arrays, evaluate, tv_of_derivative
 
 
 class TestGridTvMinimize:
@@ -104,6 +111,78 @@ class TestCertify:
         ch = r.characterize(dataset_a)
         with pytest.raises(OracleError):
             certify(dataset_a, ch, tol=1e-3, grid_points_per_gap=64, max_iters=1)
+
+
+def wide_range_dataset(rng: np.random.Generator, m: int) -> r.Dataset:
+    """Gaps spread over 1e-3..1e2 and chord slopes of either sign over 1e-3..1e3."""
+    gaps = 10.0 ** rng.uniform(-3.0, 2.0, size=m - 1)
+    slopes = rng.choice([-1.0, 1.0], size=m - 1) * 10.0 ** rng.uniform(-3.0, 3.0, size=m - 1)
+    xs = np.concatenate([[0.0], gaps]).cumsum()
+    ys = np.concatenate([[0.0], slopes * gaps]).cumsum()
+    return r.make_dataset(zip(xs.tolist(), ys.tolist()))
+
+
+class TestKinkForm:
+    """The kink-form LP against the grid-value LP it replaced."""
+
+    grids = (1, 2, 3, 8, 16)
+
+    def test_matches_the_grid_value_lp(self):
+        rng = np.random.default_rng(60)
+        # m cycles over 2..30 and the grid over `grids`, so every pair occurs
+        cases = [(random_dataset(rng, 2 + i % 29), self.grids[i % 5]) for i in range(200)]
+        cases += [(wide_range_dataset(rng, 2 + i % 29), self.grids[i % 5]) for i in range(40)]
+        for d, g in cases:
+            ch = r.characterize(d)
+            achieved, minimizer = grid_tv_minimize(d, g)
+            ref, ref_minimizer = grid_tv_minimize_reference(d, g)
+            assert abs(achieved - ref) <= 1e-9 * max(1.0, achieved)
+            scale = max(1.0, float(np.abs(d.ys).max()))
+            for tv, f in ((achieved, minimizer), (ref, ref_minimizer)):
+                assert np.abs(evaluate(f, d.xs) - d.ys).max() <= 1e-9 * scale
+                assert abs(tv_of_derivative(f) - tv) <= 1e-9 * max(1.0, tv)
+            # every kink sits on the grid the grid-value LP builds with linspace
+            grid = np.concatenate([np.linspace(d.xs[i], d.xs[i + 1], g + 1)
+                                   for i in range(d.m - 1)])
+            assert np.isin(breakpoint_arrays(minimizer)[0], grid).all()
+            rep = certify(d, ch, grid_points_per_gap=g)
+            ref_rep = check_membership_against(ch, ref_minimizer, tol=1e-6)
+            assert rep.passed
+            assert rep.minimizer_is_member == ref_rep.is_member
+            assert rep.advisory_violations == len(ref_rep.violations)
+
+    @pytest.mark.parametrize("m", [10, 40])
+    def test_one_equality_row_per_gap(self, monkeypatch, m):
+        seen, linprog = [], scipy.optimize.linprog
+
+        def recording(*args, **kwargs):
+            seen.append(kwargs)
+            return linprog(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.optimize, "linprog", recording)
+        d = random_dataset(np.random.default_rng(m), m)
+        grid_tv_minimize(d, 64)
+        (lp,) = seen
+        assert lp["A_eq"].shape[0] == m - 1
+        assert lp.get("A_ub") is None
+        assert np.diff(scipy.sparse.csc_array(lp["A_eq"]).indptr).max() <= 2
+
+    def test_certifies_m_200(self):
+        d = random_dataset(np.random.default_rng(2), 200)
+        rep = certify(d, r.characterize(d), grid_points_per_gap=64)
+        assert rep.passed and rep.minimizer_is_member
+
+
+class TestImport:
+    def test_package_import_does_not_load_scipy(self):
+        # the child imports the same package as this process, installed or not
+        src = str(Path(r.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        code = "import sys, ridgeless, ridgeless.cli; print('scipy' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, check=True)
+        assert proc.stdout.strip() == "False"
 
 
 class TestSolverIndependence:

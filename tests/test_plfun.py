@@ -5,19 +5,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import breakpoints_in_reference, evaluate_by_slope_integration, random_pl
+from helpers import (
+    breakpoints_in_reference,
+    canonicalize,
+    evaluate_by_slope_integration,
+    piece_slopes_on,
+    random_pl,
+    restriction_equal,
+)
 from ridgeless.plfun import (
     PiecewiseLinear,
     breakpoints_in,
     canonical,
-    canonicalize,
     evaluate,
     from_json,
     from_knots,
     lipschitz_norm,
     one_sided_slopes,
-    piece_slopes_on,
-    restriction_equal,
     structurally_equal,
     to_json,
     tv_of_derivative,
