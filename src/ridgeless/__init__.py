@@ -21,7 +21,6 @@ from .characterize import (
     check_membership_against,
     connect_the_dots,
     localized_slope_bounds,
-    tv_formula_pair,
 )
 from .dataset import (
     Dataset,

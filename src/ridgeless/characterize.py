@@ -28,14 +28,13 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
 
-from .dataset import CURVATURE_RTOL, Dataset, SlopeProfile, slope_profile
+from .dataset import Dataset, SlopeProfile, slope_profile
 from .plfun import (
     PiecewiseLinear,
     breakpoint_arrays,
@@ -150,7 +149,7 @@ class Characterization:
     @cached_property
     def blocks(self) -> tuple[FreeBlock, ...]:
         a, b = self._gaps.a, self._gaps.b
-        xs, ys, s = self.dataset.xs, self.dataset.ys, self._slopes
+        xs, ys, s = self.dataset.xs, self.dataset.ys, self.profile.slopes
         return tuple([
             FreeBlock(k, (ak, bk), sk, SupportLine((xa, ya), sa), SupportLine((xb, yb), sb))
             for k, (ak, bk, sk, xa, ya, sa, xb, yb, sb) in enumerate(zip(
@@ -161,12 +160,8 @@ class Characterization:
         ])
 
     @cached_property
-    def _slopes(self) -> np.ndarray:
-        return np.array(self.profile.slopes)
-
-    @cached_property
     def _gaps(self) -> _Gaps:
-        return _classify(np.array(self.profile.curvatures, dtype=int))
+        return _classify(self.profile.curvatures)
 
 
 @dataclass(frozen=True, slots=True)
@@ -193,20 +188,6 @@ def connect_the_dots(d: Dataset) -> PiecewiseLinear:
 
 def _chord_interpolant(d: Dataset, prof: SlopeProfile) -> PiecewiseLinear:
     return from_knots(np.column_stack((d.xs, d.ys)), prof.slopes[0], prof.slopes[-1])
-
-
-def tv_formula_pair(d: Dataset, curvature_tol: float = CURVATURE_RTOL) -> tuple[Fraction, Fraction]:
-    """Minimal TV by adjacent slope gaps and by inflection-set gaps.
-
-    Both sums are evaluated in exact rational arithmetic over the float
-    slope values, so equal results compare equal with no rounding slack.
-    """
-    prof = slope_profile(d, curvature_tol)
-    idx = _inflection_indices(np.array(prof.curvatures, dtype=int)).tolist()
-    s = [Fraction(v) for v in prof.slopes]
-    adjacent = sum((abs(s[i] - s[i - 1]) for i in range(1, len(s))), Fraction(0))
-    inflect = sum((abs(s[b - 1] - s[a - 1]) for a, b in zip(idx, idx[1:])), Fraction(0))
-    return adjacent, inflect
 
 
 def _inflection_indices(eps: np.ndarray) -> np.ndarray:
@@ -258,10 +239,10 @@ def _insert_sorted(a: np.ndarray, at: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def characterize(d: Dataset, curvature_tol: float = CURVATURE_RTOL) -> Characterization:
-    prof = slope_profile(d, curvature_tol)
-    s = np.array(prof.slopes)
-    inflection_set = _inflection_indices(np.array(prof.curvatures, dtype=int))
+def characterize(d: Dataset) -> Characterization:
+    prof = slope_profile(d)
+    s = prof.slopes
+    inflection_set = _inflection_indices(prof.curvatures)
     adjacent = _abs_differences(s[1:], s[:-1])
     minimal_tv = math.fsum(adjacent.tolist())
     inflect = _abs_differences(s[inflection_set[1:] - 1], s[inflection_set[:-1] - 1])
@@ -395,7 +376,7 @@ def _block_violations(ch: Characterization, f: PiecewiseLinear, tol: float) -> l
     if not a.size:
         return []
     xs, ys = ch.dataset.xs, ch.dataset.ys
-    s = ch._slopes
+    s = ch.profile.slopes
     xa, xb = xs[a - 1], xs[b - 1]
     sigma = ch._gaps.sign.astype(float)
 

@@ -201,8 +201,9 @@ def _curve_points(f, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
     return xs, evaluate(f, xs)
 
 
-def render_svg(ch, members, width: int = 800, height: int = 500) -> str:
+def render_svg(ch, members) -> str:
     """Static picture of the data, chords, block envelopes and members."""
+    width, height = 800, 500  # pixels
     d = ch.dataset
     xs, ys = d.xs, d.ys
     pad = 0.08 * (xs[-1] - xs[0])
@@ -345,8 +346,6 @@ def main(argv=None) -> int:
         return _error(1, "usage", str(e))
     except DatasetError as e:
         return _error(2, "format", str(e))
-    except FileNotFoundError as e:
-        return _error(2, "io", str(e))
     except OSError as e:
         return _error(2, "io", str(e))
     except OracleError as e:

@@ -18,6 +18,8 @@ from typing import IO, Iterable, Union
 
 import numpy as np
 
+from .plfun import check_json_numbers
+
 # eps_i is declared zero when |s_i - s_{i-1}| <= tol * max(1, |s_i|, |s_{i-1}|).
 CURVATURE_RTOL = 1e-12
 
@@ -79,12 +81,12 @@ class Dataset:
         return np.array([y for _, y in self.points], dtype=float)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SlopeProfile:
-    """Chord slopes s_1..s_{m-1} and curvature signs eps_2..eps_{m-1}."""
+    """Chord slopes s_1..s_{m-1} and curvature signs eps_2..eps_{m-1}, as read-only arrays."""
 
-    slopes: tuple[float, ...]
-    curvatures: tuple[int, ...]
+    slopes: np.ndarray
+    curvatures: np.ndarray
 
 
 def make_dataset(pairs: Iterable[tuple[float, float]]) -> Dataset:
@@ -93,7 +95,7 @@ def make_dataset(pairs: Iterable[tuple[float, float]]) -> Dataset:
     return Dataset(points=tuple(pts))
 
 
-def slope_profile(d: Dataset, curvature_tol: float = CURVATURE_RTOL) -> SlopeProfile:
+def slope_profile(d: Dataset) -> SlopeProfile:
     """Chord slopes and curvature signs, in one pass over the arrays.
 
     Raises NonFiniteValueError when a chord slope or a slope difference
@@ -105,10 +107,11 @@ def slope_profile(d: Dataset, curvature_tol: float = CURVATURE_RTOL) -> SlopePro
         delta = s[1:] - s[:-1]
     if not (np.isfinite(s).all() and np.isfinite(delta).all()):
         raise NonFiniteValueError("non-finite chord slope or slope difference")
-    tol = curvature_tol * np.maximum(1.0, np.maximum(np.abs(s[1:]), np.abs(s[:-1])))
+    tol = CURVATURE_RTOL * np.maximum(1.0, np.maximum(np.abs(s[1:]), np.abs(s[:-1])))
     eps = np.sign(delta).astype(int)
     eps[np.abs(delta) <= tol] = 0
-    return SlopeProfile(slopes=tuple(s.tolist()), curvatures=tuple(eps.tolist()))
+    s.flags.writeable = eps.flags.writeable = False
+    return SlopeProfile(slopes=s, curvatures=eps)
 
 
 def load_dataset(source: Source, format: str | None = None) -> Dataset:
@@ -167,8 +170,9 @@ def _parse_json(text: str) -> Dataset:
         if not isinstance(rec, (list, tuple)) or len(rec) != 2:
             raise MalformedRecordError(f"expected [x, y], got {rec!r}")
         try:
+            check_json_numbers(rec)
             x, y = float(rec[0]), float(rec[1])
-        except (TypeError, ValueError):
+        except TypeError:
             raise MalformedRecordError(f"non-numeric coordinate in record {rec!r}") from None
         except OverflowError:  # an integer literal beyond the float range
             raise NonFiniteValueError(f"non-finite value in record {rec!r}") from None

@@ -31,6 +31,10 @@ from .plfun import (
 )
 
 
+# slack of every bound check: relative to max(1, size) for the norms, absolute for the sup error
+BOUND_TOL = 1e-9
+
+
 class NonUniformDesignError(ValueError):
     """The sharp 2L/m bound only holds for the uniform design x_i = i/m."""
 
@@ -85,14 +89,14 @@ class LipDominationReport:
 
 
 def verify_lip_domination(
-    ch: Characterization, members: Sequence[PiecewiseLinear], L: float, tol: float = 1e-9
+    ch: Characterization, members: Sequence[PiecewiseLinear], L: float
 ) -> LipDominationReport:
     """Check lip(member) <= lip(chord interpolant) <= L for every member."""
     fd_norm = lipschitz_norm(ch.f_D)
     norms = [lipschitz_norm(f) for f in members]
     worst = int(np.argmax(norms)) if norms else -1
     members_max = max(norms) if norms else 0.0
-    passed = members_max <= fd_norm + tol * max(1.0, fd_norm) and fd_norm <= L + tol * max(1.0, L)
+    passed = members_max <= fd_norm + BOUND_TOL * max(1.0, fd_norm) and fd_norm <= L + BOUND_TOL * max(1.0, L)
     return LipDominationReport(
         fd_norm=fd_norm,
         members_max_norm=members_max,
@@ -118,7 +122,6 @@ def verify_sup_error(
     d: Dataset,
     members: Sequence[PiecewiseLinear],
     grid: int = 100,
-    tol: float = 1e-9,
 ) -> SupErrorReport:
     """Check sup_{[0,1]} |member - f_star| <= 2L/m on the uniform design.
 
@@ -142,7 +145,7 @@ def verify_sup_error(
             exact_max, worst = err, k
         gerr = float(np.max(np.abs(np.atleast_1d(evaluate(f, dense)) - star_dense)))
         grid_max = max(grid_max, gerr)
-    passed = exact_max <= bound + tol
+    passed = exact_max <= bound + BOUND_TOL
     return SupErrorReport(
         bound=bound,
         exact_max=exact_max,
@@ -170,7 +173,7 @@ class LocalizedBoundReport:
 
 
 def verify_localized_bounds(
-    ch: Characterization, members: Sequence[PiecewiseLinear], tol: float = 1e-9
+    ch: Characterization, members: Sequence[PiecewiseLinear]
 ) -> LocalizedBoundReport:
     """Per-gap slope drift |Df - s_i| <= B_i, plus the 7x aggregate norm check.
 
@@ -178,10 +181,10 @@ def verify_localized_bounds(
     member and gap by gap.
     """
     bounds = localized_slope_bounds(ch)
-    limit = tol * np.maximum(1.0, bounds)
+    limit = BOUND_TOL * np.maximum(1.0, bounds)
     fd_norm = lipschitz_norm(ch.f_D)
     xs = ch.dataset.xs
-    s = ch._slopes
+    s = ch.profile.slopes
 
     max_excess = -math.inf
     worst_member = worst_gap = -1
@@ -206,7 +209,7 @@ def verify_localized_bounds(
         norm = lipschitz_norm(f)
         ratio = norm / fd_norm if fd_norm > 0 else 0.0
         lip_ratio = max(lip_ratio, ratio)
-        if norm > 7.0 * fd_norm + tol * max(1.0, fd_norm):
+        if norm > 7.0 * fd_norm + BOUND_TOL * max(1.0, fd_norm):
             ok = False
     return LocalizedBoundReport(
         gap_bounds=tuple(bounds.tolist()),

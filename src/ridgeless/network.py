@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .plfun import PiecewiseLinear, canonical, evaluate
+from .plfun import PiecewiseLinear, canonical, check_json_numbers, evaluate
 
 
 @dataclass(frozen=True)
@@ -39,6 +39,7 @@ class ReluNetwork:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ReluNetwork":
+        check_json_numbers((d["a"], d["b"]), *d["units"])
         units = tuple((float(w1), float(b1), float(w2)) for w1, b1, w2 in d["units"])
         return cls(a=float(d["a"]), b=float(d["b"]), units=units)
 

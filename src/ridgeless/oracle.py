@@ -147,11 +147,10 @@ def certify(
     ch,
     tol: float = 1e-3,
     grid_points_per_gap: int = DEFAULT_GRID_POINTS_PER_GAP,
-    solver_tol: float = DEFAULT_SOLVER_TOL,
     max_iters: int = DEFAULT_MAX_ITERS,
 ) -> CertificateReport:
     """Compare the independently solved grid minimum against ch.minimal_tv."""
-    achieved, minimizer, iters = _solve_grid_lp(d, grid_points_per_gap, solver_tol, max_iters)
+    achieved, minimizer, iters = _solve_grid_lp(d, grid_points_per_gap, DEFAULT_SOLVER_TOL, max_iters)
     target = float(ch.minimal_tv)
     residual = abs(achieved - target)
     passed = residual <= tol * max(1.0, target)
@@ -162,7 +161,7 @@ def certify(
     # characterization even by accident.
     from .characterize import check_membership_against
 
-    member_report = check_membership_against(ch, minimizer, tol=max(solver_tol, 1e-6))
+    member_report = check_membership_against(ch, minimizer, tol=DEFAULT_SOLVER_TOL)
     return CertificateReport(
         achieved=achieved,
         target=target,

@@ -17,6 +17,7 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from operator import itemgetter
 from typing import Iterable, Sequence
 
@@ -92,9 +93,16 @@ class PiecewiseLinear:
 
     @classmethod
     def from_dict(cls, d: dict) -> "PiecewiseLinear":
+        check_json_numbers(d["anchor"], (d["left_slope"],), *d["breakpoints"])
         anchor = (float(d["anchor"][0]), float(d["anchor"][1]))
         bps = [(float(xi), float(c)) for xi, c in d["breakpoints"]]
         return canonical(anchor, float(d["left_slope"]), bps)
+
+
+def check_json_numbers(*rows) -> None:
+    """Raise TypeError unless each value in the rows is a JSON number (int or float, not bool)."""
+    if not {int, float}.issuperset(map(type, chain.from_iterable(rows))):
+        raise TypeError("expected only JSON numbers (ints or floats) as values")
 
 
 def _eval_from(loc: np.ndarray, slopes: np.ndarray, vals: np.ndarray, x: np.ndarray) -> np.ndarray:

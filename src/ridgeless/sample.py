@@ -60,7 +60,7 @@ def sample_member(
         return ch.f_D
     d = ch.dataset
     xs, ys = d.xs, d.ys
-    s = ch._slopes
+    s = ch.profile.slopes
     s_in, s_out = s[knot - 2], s[knot - 1]
     if knobs.pin is None:
         swap = s_out < s_in
@@ -111,27 +111,24 @@ def perturb_to_nonmember(
     """
     rng = np.random.default_rng(int(seed) % 2**64)
     d = ch.dataset
-    xs, ys = d.xs, d.ys
-    s = ch.profile.slopes
-    m = d.m
-    f_d = ch.f_D
+    xs, s = d.xs, ch.profile.slopes
 
-    if m == 2:
+    if d.m == 2:
         xk = float(xs[-1]) + 1.0
         bump = 1.0 + float(rng.uniform(0.5, 1.5))
-        knots = list(d.points) + [(xk, float(evaluate(f_d, xk)))]
+        knots = list(d.points) + [(xk, float(evaluate(ch.f_D, xk)))]
         return from_knots(knots, s[0], s[-1] + bump)
 
+    blocks = list(zip(ch._gaps.a.tolist(), ch._gaps.b.tolist(), ch._gaps.sign.tolist()))
     inner: list[tuple[float, float, int]] = []  # (xi, value, block sign)
-    for blk in ch.blocks:
-        a, b = blk.knot_range
+    for a, b, sign in blocks:
         data_x = set(float(x) for x in xs[a - 1 : b])
         for xi, _ in breakpoints_in(f, float(xs[a - 1]), float(xs[b - 1])):
             if xi not in data_x:
-                inner.append((xi, float(evaluate(f, xi)), blk.sign))
+                inner.append((xi, float(evaluate(f, xi)), sign))
 
     def bumped(x: float, sigma: int) -> tuple[float, float]:
-        cv = float(evaluate(f_d, x))
+        cv = float(evaluate(ch.f_D, x))
         delta = (0.5 + float(rng.uniform())) * 0.5 * (1.0 + abs(cv))
         return (x, cv + sigma * delta)
 
@@ -140,14 +137,13 @@ def perturb_to_nonmember(
         knots = list(d.points)
         for k, (xi, v, sigma) in enumerate(inner):
             knots.append(bumped(xi, sigma) if k == pick else (xi, v))
-    elif ch.blocks:
-        blk = ch.blocks[int(rng.integers(len(ch.blocks)))]
-        a, b = blk.knot_range
+    elif blocks:
+        a, b, sign = blocks[int(rng.integers(len(blocks)))]
         j = int(rng.integers(a, b))
         mid = 0.5 * (float(xs[j - 1]) + float(xs[j]))
-        knots = list(d.points) + [bumped(mid, blk.sign)]
+        knots = list(d.points) + [bumped(mid, sign)]
     else:
-        j = int(rng.integers(1, m))
+        j = int(rng.integers(1, d.m))
         mid = 0.5 * (float(xs[j - 1]) + float(xs[j]))
         sigma = 1 if rng.uniform() < 0.5 else -1
         knots = list(d.points) + [bumped(mid, sigma)]

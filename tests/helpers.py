@@ -8,8 +8,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy import sparse
-from scipy.optimize import linprog
 
 import ridgeless as r
 from ridgeless.characterize import (
@@ -366,7 +364,34 @@ def slope_profile_reference(d: r.Dataset, curvature_tol: float = CURVATURE_RTOL)
     s = np.diff(d.ys) / np.diff(d.xs)
     eps = [sign_with_tol(s[i] - s[i - 1], curvature_tol * max(1.0, abs(s[i]), abs(s[i - 1])))
            for i in range(1, len(s))]
-    return SlopeProfile(slopes=tuple(float(v) for v in s), curvatures=tuple(eps))
+    return SlopeProfile(slopes=s, curvatures=np.array(eps, dtype=int))
+
+
+def inflection_set_reference(curvatures) -> list[int]:
+    """1, m-1 and every interior gap whose end curvatures differ, by a loop."""
+    m = len(curvatures) + 2
+    interior = [i for i in range(2, m - 1) if curvatures[i - 2] != curvatures[i - 1]]
+    return sorted({1, m - 1, *interior})
+
+
+def tv_sums_exact(slopes, inflection_set) -> tuple[Fraction, Fraction]:
+    """Minimal TV by adjacent slope gaps and by inflection-set gaps.
+
+    Both sums are evaluated in exact rational arithmetic over the float
+    slope values, so equal results compare equal with no rounding slack.
+    """
+    s = [Fraction(v) for v in slopes]
+    adjacent = sum((abs(s[i] - s[i - 1]) for i in range(1, len(s))), Fraction(0))
+    inflect = sum((abs(s[b - 1] - s[a - 1]) for a, b in zip(inflection_set, inflection_set[1:])),
+                  Fraction(0))
+    return adjacent, inflect
+
+
+def tv_formula_pair(d: r.Dataset) -> tuple[Fraction, Fraction]:
+    """The two exact sums for ``d``, from the loop references of the slope
+    profile and the inflection set, so they share no code with ``characterize``."""
+    prof = slope_profile_reference(d)
+    return tv_sums_exact(prof.slopes, inflection_set_reference(prof.curvatures))
 
 
 def from_knots_reference(knots, left_slope: float, right_slope: float) -> r.PiecewiseLinear:
@@ -444,12 +469,8 @@ def characterize_reference(d: r.Dataset,
         IntervalVerdict(index=j, kind=kind, reason=reason, block_id=block_of_interval.get(j))
         for j, (kind, reason) in enumerate(kinds, start=1)
     )
-    interior = [i for i in range(2, m - 1) if prof.curvatures[i - 2] != prof.curvatures[i - 1]]
-    inflection_set = sorted({1, m - 1, *interior})
-    fs = [Fraction(v) for v in s]
-    adjacent = sum((abs(fs[i] - fs[i - 1]) for i in range(1, len(fs))), Fraction(0))
-    inflect = sum((abs(fs[b - 1] - fs[a - 1]) for a, b in zip(inflection_set, inflection_set[1:])),
-                  Fraction(0))
+    inflection_set = inflection_set_reference(prof.curvatures)
+    adjacent, inflect = tv_sums_exact(s, inflection_set)
     if abs(adjacent - inflect) > Fraction(1, 10**9) * max(Fraction(1), adjacent):
         warnings.warn(
             "TV formulas disagree by %.3g on this dataset" % float(adjacent - inflect),
@@ -639,6 +660,9 @@ def grid_tv_minimize_reference(d: r.Dataset, grid_points_per_gap: int, tol: floa
 
     The epigraph form that ``oracle.grid_tv_minimize`` replaced with its kink form.
     """
+    from scipy import sparse
+    from scipy.optimize import linprog
+
     xs, ys = d.xs, d.ys
     g = int(grid_points_per_gap)
     segments = [np.linspace(xs[i], xs[i + 1], g + 1)[:-1] for i in range(d.m - 1)]

@@ -15,8 +15,8 @@ from helpers import (
     member_invariant_failures,
     random_dataset,
     random_unit_lipschitz_pl,
+    tv_formula_pair,
 )
-from ridgeless.characterize import tv_formula_pair
 from ridgeless.oracle import grid_tv_minimize
 from ridgeless.plfun import evaluate, structurally_equal, tv_of_derivative
 

@@ -23,9 +23,9 @@ from helpers import (
     random_pl,
     sample_member_reference,
     slope_profile_reference,
+    tv_formula_pair,
     verify_localized_bounds_reference,
 )
-from ridgeless.characterize import tv_formula_pair
 
 
 def mixed_dataset(rng: np.random.Generator, m: int) -> r.Dataset:
@@ -70,7 +70,9 @@ def cases():
 class TestCharacterize:
     def test_matches_the_gap_loop(self, cases):
         for d, ch, ref in cases:
-            assert r.slope_profile(d) == slope_profile_reference(d)
+            prof, want = r.slope_profile(d), slope_profile_reference(d)
+            assert prof.slopes.tolist() == want.slopes.tolist()
+            assert prof.curvatures.tolist() == want.curvatures.tolist()
             assert ch.to_dict() == ref.to_dict()
             assert ch.verdicts == ref.verdicts and ch.blocks == ref.blocks
             assert same_pl(ch.f_D, ref.f_D)
@@ -132,8 +134,7 @@ class TestLocalizedBounds:
 class TestNoPerGapCalls:
     """Scalar PL probes per call must not grow with m."""
 
-    names = ("evaluate", "breakpoints_in", "piece_slopes_on", "one_sided_slopes",
-             "restriction_mismatches")
+    names = ("evaluate", "breakpoints_in", "one_sided_slopes")
     modules = [importlib.import_module(f"ridgeless.{name}")
                for name in ("plfun", "characterize", "sample", "generalization")]
 
@@ -164,3 +165,19 @@ class TestNoPerGapCalls:
 
     def test_same_calls_at_m_100_and_1000(self, monkeypatch):
         assert self.counts(monkeypatch, 100) == self.counts(monkeypatch, 1000)
+
+
+class TestNoObjectLayer:
+    def test_library_paths_build_no_blocks_or_verdicts(self):
+        # slopes 0,1,2,3,2,1,0: a convex block, a curvature flip, a concave block
+        d = r.make_dataset([(0, 0), (1, 0), (2, 1), (3, 3), (4, 6), (5, 8), (6, 9), (7, 9)])
+        ch = r.characterize(d)
+        assert ch._gaps.a.size == 2
+        member = r.sample_member(ch, 0)
+        # a member with kinks inside the blocks, and f_D, which has none
+        outside = [r.perturb_to_nonmember(ch, f, 0) for f in (member, ch.f_D)]
+        for f in (member, ch.f_D, *outside):
+            r.check_membership_against(ch, f)
+        r.verify_localized_bounds(ch, [member, *outside])
+        r.certify(d, ch, grid_points_per_gap=8)
+        assert "blocks" not in vars(ch) and "verdicts" not in vars(ch)

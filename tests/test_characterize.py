@@ -5,8 +5,7 @@ import numpy as np
 import pytest
 
 import ridgeless as r
-from helpers import count_calls, localized_slope_bounds_reference, random_dataset
-from ridgeless.characterize import tv_formula_pair
+from helpers import count_calls, localized_slope_bounds_reference, random_dataset, tv_formula_pair
 from ridgeless.plfun import evaluate, from_knots
 
 

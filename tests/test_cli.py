@@ -181,6 +181,14 @@ class TestErrorsAndDeterminism:
         for name, text, detail, *cmd in (
             ("dup.csv", "0,0\n0,1\n", "duplicate", "characterize"),
             ("bad.json", '{"points": [["a", 1], [2, 3]]}', "non-numeric", "characterize"),
+            ("bool.json", '{"points": [[0, true], [1, false], [2, true]]}', "non-numeric",
+             "characterize"),
+            ("str.json", '{"points": [["0", "1.5"], ["1", "0"], [2, 3]]}', "non-numeric",
+             "characterize"),
+            ("str.json", '{"anchor": ["0", true], "left_slope": "2", "breakpoints": [[true, "1"]]}',
+             "bad piecewise-linear file", "tv"),
+            ("str.json", '{"a": true, "b": "1", "units": [["1", 0, true]]}', "bad network file",
+             "from-network"),
             ("deep.json", deep, "invalid json", "characterize"),
             ("deep.json", deep, "bad piecewise-linear file", "to-network"),
             ("big.json", pl, "bad piecewise-linear file", "tv"),

@@ -65,7 +65,9 @@ class TestJsonLoading:
         with pytest.raises(MalformedRecordError):
             loads_dataset('{"points": [[1, 2, 3]]}', format="json")
         for text in ('{"points": 5}', '{"points": [["a", 1], [2, 3]]}',
-                     '{"points": [[null, 1], [2, 3]]}'):
+                     '{"points": [[null, 1], [2, 3]]}',
+                     '{"points": [[0, true], [1, false], [2, true]]}',
+                     '{"points": [["0", "1.5"], ["1", "0"], [2, 3]]}'):
             with pytest.raises(MalformedRecordError):
                 loads_dataset(text, format="json")
 
@@ -113,29 +115,36 @@ class TestSlopeProfile:
     def test_convex_fixture(self):
         d = r.make_dataset([(0, 0), (1, 0), (2, 1), (3, 3)])
         prof = r.slope_profile(d)
-        assert prof.slopes == (0.0, 1.0, 2.0)
-        assert prof.curvatures == (1, 1)
+        assert prof.slopes.tolist() == [0.0, 1.0, 2.0]
+        assert prof.curvatures.tolist() == [1, 1]
 
     def test_zigzag_fixture(self):
         d = r.make_dataset([(0, 0), (1, 1), (2, 0), (3, 1)])
         prof = r.slope_profile(d)
-        assert prof.slopes == (1.0, -1.0, 1.0)
-        assert prof.curvatures == (-1, 1)
+        assert prof.slopes.tolist() == [1.0, -1.0, 1.0]
+        assert prof.curvatures.tolist() == [-1, 1]
 
     def test_collinear(self):
         d = r.make_dataset([(0, 1), (1, 3), (2, 5)])
         prof = r.slope_profile(d)
-        assert prof.slopes == (2.0, 2.0)
-        assert prof.curvatures == (0,)
+        assert prof.slopes.tolist() == [2.0, 2.0]
+        assert prof.curvatures.tolist() == [0]
 
     def test_two_points_empty_curvature(self):
         prof = r.slope_profile(r.make_dataset([(0, 0), (2, 1)]))
-        assert prof.slopes == (0.5,)
-        assert prof.curvatures == ()
+        assert prof.slopes.tolist() == [0.5]
+        assert prof.curvatures.tolist() == []
 
     def test_near_tie_counts_as_flat(self):
         d = r.make_dataset([(0.0, 0.0), (1.0, 1.0), (2.0, 2.0 + 1e-14)])
-        assert r.slope_profile(d).curvatures == (0,)
+        assert r.slope_profile(d).curvatures.tolist() == [0]
+
+    def test_arrays_are_read_only(self):
+        prof = r.slope_profile(r.make_dataset([(0, 0), (1, 0), (2, 1), (3, 3)]))
+        with pytest.raises(ValueError):
+            prof.slopes[0] = 5.0
+        with pytest.raises(ValueError):
+            prof.curvatures[0] = -1
 
     def test_overflowing_slopes_rejected(self):
         # a rise past the float range, a gap of 1e-320, a slope difference past it
@@ -164,15 +173,15 @@ class TestCurvatureInvariance:
         beta, gamma = beta8 / 8, gamma8 / 8
         d = r.make_dataset(pts)
         mapped = r.make_dataset([(x, alpha * y + beta * x + gamma) for x, y in pts])
-        assert r.slope_profile(mapped).curvatures == r.slope_profile(d).curvatures
+        assert r.slope_profile(mapped).curvatures.tolist() == r.slope_profile(d).curvatures.tolist()
 
     @given(dyadic_datasets)
     @settings(max_examples=150, deadline=None)
     def test_reflection_negates_curvature(self, pts):
         d = r.make_dataset(pts)
         flipped = r.make_dataset([(x, -y) for x, y in pts])
-        expected = tuple(-e for e in r.slope_profile(d).curvatures)
-        assert r.slope_profile(flipped).curvatures == expected
+        expected = [-e for e in r.slope_profile(d).curvatures.tolist()]
+        assert r.slope_profile(flipped).curvatures.tolist() == expected
 
 
 class TestValidation:
