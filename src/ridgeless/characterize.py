@@ -35,14 +35,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .dataset import Dataset, SlopeProfile, slope_profile
-from .plfun import (
-    PiecewiseLinear,
-    breakpoint_arrays,
-    evaluate,
-    from_knots,
-    one_sided_slopes,
-    tv_of_derivative,
-)
+from .plfun import PiecewiseLinear, evaluate, from_knots, one_sided_slopes, tv_of_derivative
 
 DEFAULT_MEMBERSHIP_RTOL = 1e-9
 
@@ -331,11 +324,11 @@ def _forced_violations(ch: Characterization, f: PiecewiseLinear, tol: float) -> 
     """
     xs, m = ch.dataset.xs, ch.dataset.m
     code, forced = ch._gaps.code, ch._gaps.forced
-    loc, jump = breakpoint_arrays(f)
+    loc = f.x
     left, right = xs.searchsorted(loc, side="left"), xs.searchsorted(loc, side="right")
     gap = np.minimum(np.maximum(right, 1), m - 1)  # of each kink, unless on an interior data point
     kink = ((left == right) | (right == 1) | (right == m)) & (code[gap - 1] != _FREE)
-    gap, loc, size = gap[kink], loc[kink], np.abs(jump[kink])
+    gap, loc, size = gap[kink], loc[kink], np.abs(f.c[kink])
     mismatch = size > tol * np.maximum(1.0, size)
 
     lo, hi = xs[forced - 1], xs[forced]
@@ -381,7 +374,7 @@ def _block_violations(ch: Characterization, f: PiecewiseLinear, tol: float) -> l
     sigma = ch._gaps.sign.astype(float)
 
     # slope monotonicity inside each block: non-decreasing for convex blocks
-    loc, _ = breakpoint_arrays(f)
+    loc = f.x
     blk = xa.searchsorted(loc, side="left") - 1  # last block starting left of the kink
     inside = (blk >= 0) & (loc < xb[blk])
     blk, loc = blk[inside], loc[inside]

@@ -197,7 +197,7 @@ def cmd_plot(args) -> int:
 
 
 def _curve_points(f, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
-    xs = np.unique([lo, hi, *(xi for xi, _ in plfun.breakpoints_in(f, lo, hi))])
+    xs = np.unique(np.concatenate(([lo, hi], f.x[plfun._window(f, lo, hi)])))
     return xs, evaluate(f, xs)
 
 

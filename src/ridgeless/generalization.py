@@ -21,18 +21,13 @@ import numpy as np
 
 from .characterize import Characterization, _insert_sorted, localized_slope_bounds
 from .dataset import Dataset
-from .plfun import (
-    PiecewiseLinear,
-    breakpoint_arrays,
-    breakpoints_in,
-    evaluate,
-    lipschitz_norm,
-    one_sided_slopes,
-)
+from .plfun import PiecewiseLinear, _window, evaluate, lipschitz_norm, one_sided_slopes
 
 
 # slack of every bound check: relative to max(1, size) for the norms, absolute for the sup error
 BOUND_TOL = 1e-9
+# largest |x_i - i/m| of a design that counts as uniform
+UNIFORM_DESIGN_TOL = 1e-12
 
 
 class NonUniformDesignError(ValueError):
@@ -72,10 +67,9 @@ def make_dataset_from(gt: GroundTruth, design) -> Dataset:
     return Dataset(points=tuple(zip(xs.tolist(), ys.tolist())))
 
 
-def is_uniform_design(d: Dataset, rtol: float = 1e-12) -> bool:
-    m = d.m
-    expected = np.arange(1, m + 1) / float(m)
-    return bool(np.all(np.abs(d.xs - expected) <= rtol))
+def is_uniform_design(d: Dataset) -> bool:
+    expected = np.arange(1, d.m + 1) / float(d.m)
+    return bool(np.all(np.abs(d.xs - expected) <= UNIFORM_DESIGN_TOL))
 
 
 @dataclass(frozen=True)
@@ -158,7 +152,7 @@ def verify_sup_error(
 
 def sup_error(f: PiecewiseLinear, g: PiecewiseLinear, lo: float, hi: float) -> float:
     """Exact max of |f - g| on [lo, hi], taken at the union of kinks and the ends."""
-    pts = np.unique([lo, hi, *(xi for fn in (f, g) for xi, _ in breakpoints_in(fn, lo, hi))])
+    pts = np.unique(np.concatenate(([lo, hi], f.x[_window(f, lo, hi)], g.x[_window(g, lo, hi)])))
     return float(np.max(np.abs(evaluate(f, pts) - evaluate(g, pts))))
 
 
@@ -192,7 +186,7 @@ def verify_localized_bounds(
     ok = True
     for k, f in enumerate(members):
         # the pieces of f on gap i start at x_i and at each kink strictly inside the gap
-        loc, _ = breakpoint_arrays(f)
+        loc = f.x
         left, right = xs.searchsorted(loc, side="left"), xs.searchsorted(loc, side="right")
         inner = (left == right) & (left > 0) & (left < xs.size)
         gap = left[inner]  # 1-based

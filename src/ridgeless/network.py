@@ -64,17 +64,13 @@ def pl_to_network(f: PiecewiseLinear) -> ReluNetwork:
     (sqrt|c|, -xi*sqrt|c|, sign(c)*sqrt|c|), an upward-opening kink with
     balanced weights.  The linear unit carries the left tail.
     """
-    units = []
-    for xi, c in f.breakpoints:
-        r = math.sqrt(abs(c))
-        units.append((r, -xi * r, math.copysign(r, c)))
+    r = np.sqrt(np.abs(f.c))
+    # via a list: tuple(zip(...)) resizes its result while filling it, and over many
+    # small calls that kept the resident memory growing
+    units = tuple(list(zip(r.tolist(), (-f.x * r).tolist(), np.copysign(r, f.c).tolist())))
     a = f.left_slope
-    if f.breakpoints:
-        x1 = f.breakpoints[0][0]
-        b = evaluate(f, x1) - a * x1
-    else:
-        b = evaluate(f, 0.0)
-    return ReluNetwork(a=a, b=b, units=tuple(units))
+    b = float(f.y[0] - a * f.x[0]) if f.x.size else evaluate(f, 0.0)
+    return ReluNetwork(a=a, b=b, units=units)
 
 
 def network_to_pl(net: ReluNetwork) -> PiecewiseLinear:

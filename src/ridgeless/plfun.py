@@ -1,85 +1,86 @@
-"""Continuous piecewise-linear functions on the real line, in breakpoint form.
+"""Continuous piecewise-linear functions on the real line, in knot-array form.
 
-A function is stored as an anchor point ``(x0, v0)``, the slope of its
-leftmost affine piece, and a sorted tuple of breakpoints ``(xi, c)`` where
-``c`` is the slope jump (outgoing minus incoming slope) at ``xi``.  The
-distributional second derivative is then the atomic measure with weight
-``c_j`` at each ``xi_j``, and the total variation of the first derivative
-is ``sum |c_j|``.  This makes the jumps the primitive objects: total
-variation, Lipschitz norm and ReLU-network synthesis all read them
-directly.
+A function with k kinks is stored as three read-only arrays built once at
+construction: the kink locations ``x`` (strictly increasing), the slope
+jumps ``c`` (outgoing minus incoming slope, all nonzero) and the values
+``y`` at the kinks, plus the slope of the leftmost affine piece and an
+anchor point ``(x0, v0)`` on the graph.  The distributional second
+derivative is the atomic measure with weight ``c_j`` at ``x_j``, so total
+variation, Lipschitz norm and ReLU-network synthesis read the jumps;
+evaluation interpolates the values, and is exact at every kink.
+
+Each constructor keeps the quantity it is given and derives the other
+one once: :func:`from_knots` keeps knot values and takes the jumps from
+value differences, :func:`canonical` keeps jumps and takes the values by
+prefix sums from the anchor.  :func:`from_knots` drops a knot whose jump
+is negligible together with its value and takes the jumps of the knots
+kept again, so no later slope absorbs a dropped jump.  The JSON wire
+format is unchanged: the anchor, the left slope and the
+``[location, jump]`` pairs.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
-from operator import itemgetter
 from typing import Iterable, Sequence
 
 import numpy as np
 
-# canonical and from_knots drop every jump |c| <= JUMP_MERGE_RTOL * (1 + max |c|).
+# canonical drops each jump, and from_knots each knot with its jump, where
+# |c| <= JUMP_MERGE_RTOL * (1 + max |c|).
 JUMP_MERGE_RTOL = 1e-12
 
-_location = itemgetter(0)  # of a (location, jump) breakpoint
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PiecewiseLinear:
     """Canonical continuous PL function.
 
-    Invariants (enforced at construction): breakpoint locations strictly
-    increasing, all jumps nonzero, everything finite.  Use
-    :func:`canonical` or :func:`from_knots` to build instances from
-    unnormalized data.
+    Invariants (enforced at construction): kink locations strictly
+    increasing, all jumps nonzero, everything finite, ``x``, ``c`` and
+    ``y`` of one length.  Use :func:`canonical` or :func:`from_knots` to
+    build instances from unnormalized data.
     """
 
     anchor: tuple[float, float]
     left_slope: float
-    breakpoints: tuple[tuple[float, float], ...]
+    x: np.ndarray  # kink locations
+    c: np.ndarray  # slope jumps at the kinks
+    y: np.ndarray  # values at the kinks
 
     def __post_init__(self) -> None:
         x0, v0 = self.anchor
         if not (math.isfinite(x0) and math.isfinite(v0) and math.isfinite(self.left_slope)):
             raise ValueError("anchor and left slope must be finite")
-        prev = -math.inf
-        for xi, c in self.breakpoints:
-            if not (math.isfinite(xi) and math.isfinite(c)):
-                raise ValueError("breakpoints must be finite")
-            if xi <= prev:
-                raise ValueError(f"breakpoint locations not strictly increasing at {xi}")
-            if c == 0.0:
-                raise ValueError(f"zero jump at {xi}; build through canonical or from_knots")
-            prev = xi
+        # one read-only block whose rows are x, c and y; count_nonzero is the
+        # cheapest reduction at a handful of kinks
+        xcy = np.array((self.x, self.c, self.y), dtype=float)
+        if xcy.ndim != 2:
+            raise ValueError("kink locations, jumps and values must be 1-D and of one length")
+        xcy.flags.writeable = False
+        x, c = xcy[0], xcy[1]
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "c", c)
+        object.__setattr__(self, "y", xcy[2])
+        if np.count_nonzero(np.isfinite(xcy)) < xcy.size:
+            raise ValueError("breakpoints must be finite")
+        if np.count_nonzero(x[1:] <= x[:-1]):
+            raise ValueError("breakpoint locations not strictly increasing")
+        if np.count_nonzero(c) < c.size:
+            raise ValueError("zero jump; build through canonical or from_knots")
 
     @cached_property
-    def _locations(self) -> np.ndarray:
-        return np.array([xi for xi, _ in self.breakpoints], dtype=float)
+    def _slopes(self) -> np.ndarray:
+        # slope on (-inf, x_1), then after each kink; length k+1
+        return np.concatenate(([self.left_slope], self.left_slope + np.add.accumulate(self.c)))
 
     @cached_property
-    def _jumps(self) -> np.ndarray:
-        return np.array([c for _, c in self.breakpoints], dtype=float)
-
-    @cached_property
-    def _piece_slopes(self) -> np.ndarray:
-        # slope on (-inf, xi_1), then after each breakpoint; length k+1
-        return np.concatenate([[self.left_slope], self.left_slope + np.cumsum(self._jumps)])
-
-    @cached_property
-    def _values(self) -> np.ndarray:
-        """Values at the breakpoint locations, consistent with the anchor."""
-        loc = self._locations
-        if loc.size == 0:
-            return loc
-        rel = np.concatenate([[0.0], np.cumsum(self._piece_slopes[1:-1] * np.diff(loc))])
-        x0, v0 = self.anchor
-        offset = v0 - _eval_from(loc, self._piece_slopes, rel, np.asarray(x0))
-        return rel + offset
+    def breakpoints(self) -> tuple[tuple[float, float], ...]:
+        """The (location, jump) pairs, built on first access."""
+        return tuple(zip(self.x.tolist(), self.c.tolist()))
 
     def __call__(self, x):
         return evaluate(self, x)
@@ -88,7 +89,7 @@ class PiecewiseLinear:
         return {
             "anchor": [self.anchor[0], self.anchor[1]],
             "left_slope": self.left_slope,
-            "breakpoints": [[xi, c] for xi, c in self.breakpoints],
+            "breakpoints": np.column_stack((self.x, self.c)).tolist(),
         }
 
     @classmethod
@@ -105,64 +106,43 @@ def check_json_numbers(*rows) -> None:
         raise TypeError("expected only JSON numbers (ints or floats) as values")
 
 
-def _eval_from(loc: np.ndarray, slopes: np.ndarray, vals: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Evaluate relative to breakpoint values ``vals`` (no anchor offset)."""
-    idx = loc.searchsorted(x, side="right")
-    ref = np.maximum(idx - 1, 0)
-    return vals[ref] + slopes[idx] * (x - loc[ref])
-
-
 def evaluate(f: PiecewiseLinear, x):
     """Exact PL evaluation at a scalar or array of points."""
     xs = np.asarray(x, dtype=float)
-    if f._locations.size == 0:
-        out = f.anchor[1] + f.left_slope * (xs - f.anchor[0])
+    if f.x.size:
+        s = f._slopes
+        out = (np.interp(xs, f.x, f.y) + s[0] * np.minimum(xs - f.x[0], 0.0)
+               + s[-1] * np.maximum(xs - f.x[-1], 0.0))
     else:
-        out = _eval_from(f._locations, f._piece_slopes, f._values, xs)
-    return float(out) if np.isscalar(x) or xs.ndim == 0 else out
+        out = f.anchor[1] + f.left_slope * (xs - f.anchor[0])
+    return float(out) if xs.ndim == 0 else out
 
 
 def one_sided_slopes(f: PiecewiseLinear, x):
-    """Incoming and outgoing derivative at ``x``; equal off the breakpoints.
+    """Incoming and outgoing derivative at ``x``; equal off the kinks.
 
     A scalar ``x`` gives two floats, an array gives two arrays.
     """
     xs = np.asarray(x, dtype=float)
-    s_in = f._piece_slopes[f._locations.searchsorted(xs, side="left")]
-    s_out = f._piece_slopes[f._locations.searchsorted(xs, side="right")]
+    s_in = f._slopes[f.x.searchsorted(xs, side="left")]
+    s_out = f._slopes[f.x.searchsorted(xs, side="right")]
     if xs.ndim == 0:
         return float(s_in), float(s_out)
     return s_in, s_out
 
 
-def breakpoint_arrays(f: PiecewiseLinear) -> tuple[np.ndarray, np.ndarray]:
-    """Locations and slope jumps of the breakpoints of ``f``, as arrays."""
-    return f._locations, f._jumps
-
-
-def breakpoints_in(f: PiecewiseLinear, lo: float, hi: float) -> list[tuple[float, float]]:
-    """Breakpoints of ``f`` strictly inside (lo, hi)."""
-    return list(f.breakpoints[_window(f, lo, hi)])
-
-
 def _window(f: PiecewiseLinear, lo: float, hi: float) -> slice:
-    """Index slice of the breakpoints strictly inside (lo, hi); empty unless lo < hi.
-
-    Two binary searches over the breakpoint tuple, as ``searchsorted``
-    with side="right" on lo and side="left" on hi; ``bisect`` skips
-    numpy's per-call overhead, which dominates at a handful of breakpoints.
-    """
-    return slice(bisect_right(f.breakpoints, lo, key=_location),
-                 bisect_left(f.breakpoints, hi, key=_location))
+    """Index slice of the kinks strictly inside (lo, hi); empty unless lo < hi."""
+    return slice(f.x.searchsorted(lo, side="right"), f.x.searchsorted(hi, side="left"))
 
 
 def tv_of_derivative(f: PiecewiseLinear) -> float:
     """Total variation of the derivative: the sum of absolute slope jumps."""
-    return float(np.abs(f._jumps).sum()) if f.breakpoints else 0.0
+    return float(np.abs(f.c).sum())
 
 
 def lipschitz_norm(f: PiecewiseLinear) -> float:
-    return float(np.abs(f._piece_slopes).max())
+    return float(np.abs(f._slopes).max())
 
 
 def canonical(
@@ -179,20 +159,47 @@ def canonical(
     jumps all sit below that floor should be rescaled first.  A
     non-finite location or (summed) jump raises ValueError, since an
     infinite jump would make every other jump fall below the threshold.
+    The values at the kinks follow from the anchor by prefix sums of
+    the piece slopes, and those slopes by compensated prefix sums of the
+    jumps.
     """
     merged: dict[float, float] = {}
     for xi, c in breakpoints:
         merged[xi] = merged.get(xi, 0.0) + c
     if not (all(map(math.isfinite, merged)) and all(map(math.isfinite, merged.values()))):
         raise ValueError("breakpoint locations and jumps must be finite")
-    if merged:
-        cmax = max(abs(c) for c in merged.values())
-        tol = JUMP_MERGE_RTOL * (1.0 + cmax)
-        kept = tuple(sorted((xi, c) for xi, c in merged.items() if abs(c) > tol))
-    else:
-        kept = ()
-    return PiecewiseLinear(anchor=(float(anchor[0]), float(anchor[1])),
-                           left_slope=float(left_slope), breakpoints=kept)
+    tol = JUMP_MERGE_RTOL * (1.0 + max(map(abs, merged.values()), default=0.0))
+    locs = sorted(xi for xi, c in merged.items() if abs(c) > tol)
+    x, c = np.array(locs, dtype=float), np.array([merged[xi] for xi in locs], dtype=float)
+    x0, v0 = float(anchor[0]), float(anchor[1])
+    y = x
+    if x.size:
+        # values by prefix sums from the first kink, then shifted through the anchor
+        s = _prefix_sums(np.concatenate(([left_slope], c)))  # slope on each piece
+        rel = np.add.accumulate(np.concatenate(([0.0], s[1:-1] * (x[1:] - x[:-1]))))
+        i = int(x.searchsorted(x0, side="right"))
+        ref = max(i - 1, 0)
+        y = rel + (v0 - (rel[ref] + s[i] * (x0 - x[ref])))
+    return PiecewiseLinear((x0, v0), float(left_slope), x, c, y)
+
+
+def _prefix_sums(a: np.ndarray) -> np.ndarray:
+    """Prefix sums of ``a`` with the rounding error of each step added back.
+
+    The error of each addition is exact (TwoSum), so the slopes that the
+    values integrate do not drift with the number of kinks.
+    """
+    s = np.add.accumulate(a)
+    prev = np.concatenate(([0.0], s[:-1]))
+    b = s - prev
+    return s + np.add.accumulate((prev - (s - b)) + (a - b))
+
+
+def _knot_jumps(x: np.ndarray, y: np.ndarray, left_slope: float, right_slope: float) -> np.ndarray:
+    """Slope jumps at the knots of the interpolant with the given tail slopes."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        slopes = np.concatenate(([left_slope], (y[1:] - y[:-1]) / (x[1:] - x[:-1]), [right_slope]))
+        return slopes[1:] - slopes[:-1]
 
 
 def from_knots(
@@ -204,44 +211,43 @@ def from_knots(
 
     ``knots`` is a sequence of (x, y) pairs or an (n, 2) array.  Knot
     abscissae must be strictly increasing; a single knot yields the
-    two-slope wedge (or a line when the slopes coincide).  Jumps are
-    dropped and checked as :func:`canonical` does.
+    two-slope wedge (or a line when the slopes coincide).  Non-finite
+    input raises as in :func:`canonical`.  A knot whose jump falls under
+    canonical's drop threshold is dropped with its value, and unless all
+    dropped jumps were zero the jumps of the knots kept are taken again
+    from their values, until no jump is under the threshold; so no later
+    slope absorbs a dropped jump.
     """
     if len(knots) < 1:
         raise ValueError("need at least one knot")
     k = np.asarray(knots, dtype=float)
-    xs, ys = k[:, 0], k[:, 1]
-    with np.errstate(over="ignore", invalid="ignore"):
-        dx = xs[1:] - xs[:-1]
-        if (dx <= 0).any():
-            raise ValueError("knot abscissae must be strictly increasing")
-        slopes = np.concatenate(([left_slope], (ys[1:] - ys[:-1]) / dx, [right_slope]))
-        jumps = slopes[1:] - slopes[:-1]
-    if not (np.isfinite(xs).all() and np.isfinite(jumps).all()):
+    x, y = k[:, 0], k[:, 1]
+    if np.count_nonzero(x[1:] <= x[:-1]):
+        raise ValueError("knot abscissae must be strictly increasing")
+    c = _knot_jumps(x, y, left_slope, right_slope)
+    if np.count_nonzero(np.isfinite(x)) + np.count_nonzero(np.isfinite(c)) < 2 * x.size:
         raise ValueError("breakpoint locations and jumps must be finite")
-    size = np.abs(jumps)
-    keep = size > JUMP_MERGE_RTOL * (1.0 + size.max())
-    # via a list: tuple(zip(...)) resizes its result while filling it, and over many
-    # small calls that kept the resident memory growing
-    breakpoints = tuple(list(zip(xs[keep].tolist(), jumps[keep].tolist())))
-    return PiecewiseLinear(anchor=(float(xs[0]), float(ys[0])), left_slope=float(left_slope),
-                           breakpoints=breakpoints)
+    anchor = (float(x[0]), float(y[0]))
+    while True:
+        size = np.abs(c)
+        keep = size > JUMP_MERGE_RTOL * (1.0 + size.max())
+        if np.count_nonzero(keep) == keep.size:
+            break
+        x, y, c = x[keep], y[keep], c[keep]
+        if not (x.size and np.count_nonzero(size[~keep])):
+            break  # affine, or only zero jumps dropped, which no other jump absorbs
+        c = _knot_jumps(x, y, left_slope, right_slope)
+    return PiecewiseLinear(anchor, float(left_slope), x, c, y)
 
 
 def structurally_equal(f: PiecewiseLinear, g: PiecewiseLinear, rtol: float = 1e-12) -> bool:
     """Whole-line structural equality of two canonical PL functions."""
-    if len(f.breakpoints) != len(g.breakpoints):
+    if f.x.size != g.x.size:
         return False
-    if abs(f.left_slope - g.left_slope) > rtol * max(1.0, abs(f.left_slope), abs(g.left_slope)):
-        return False
-    for (xf, cf), (xg, cg) in zip(f.breakpoints, g.breakpoints):
-        if abs(xf - xg) > rtol * max(1.0, abs(xf), abs(xg)):
-            return False
-        if abs(cf - cg) > rtol * max(1.0, abs(cf), abs(cg)):
-            return False
     x0 = f.anchor[0]
-    va, vb = evaluate(f, x0), evaluate(g, x0)
-    return abs(va - vb) <= rtol * max(1.0, abs(va), abs(vb))
+    a = np.concatenate(([f.left_slope, evaluate(f, x0)], f.x, f.c))
+    b = np.concatenate(([g.left_slope, evaluate(g, x0)], g.x, g.c))
+    return not np.count_nonzero(np.abs(a - b) > rtol * np.maximum(1.0, np.maximum(np.abs(a), np.abs(b))))
 
 
 def to_json(f: PiecewiseLinear) -> str:

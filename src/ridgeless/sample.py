@@ -18,8 +18,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .characterize import Characterization, _insert_sorted
-from .plfun import PiecewiseLinear, breakpoints_in, evaluate, from_knots
+from .characterize import _FREE, Characterization, _insert_sorted
+from .plfun import PiecewiseLinear, evaluate, from_knots
 
 # draw(rng, knot_index, lo, hi) -> slope in [lo, hi]
 TangentDraw = Callable[[np.random.Generator, int, float, float], float]
@@ -92,9 +92,16 @@ def sample_member(
         flat = np.abs(denom) <= _CROSSING_MARGIN * np.maximum(1.0, np.maximum(np.abs(tj), np.abs(tk)))
         keep = ~(flat | (xi <= xj + margin) | (xi >= xk - margin))
         yi = yj + tj * (xi - xj)
-    # the crossing of gap j goes between data points j and j+1
-    knots = _insert_sorted(np.column_stack((xs, ys)), gap[keep],
-                           np.column_stack((xi[keep], yi[keep])))
+    # The crossing of gap j goes between data points j and j+1.  A data point
+    # between two crossed gaps lies on the one tangent both its pieces follow,
+    # so it is no knot; kept, it would close a piece that can be short enough
+    # for its slope, taken from values, to be noise.
+    crossed = gap[keep]
+    on_tangent = crossed[1:][crossed[1:] - crossed[:-1] == 1] - 1  # 0-based data points
+    data = np.ones(d.m, dtype=bool)
+    data[on_tangent] = False
+    knots = _insert_sorted(np.array((xs, ys)).T[data], crossed - on_tangent.searchsorted(crossed),
+                           np.array((xi[keep], yi[keep])).T)
     return from_knots(knots, s[0], s[-1])
 
 
@@ -119,33 +126,29 @@ def perturb_to_nonmember(
         knots = list(d.points) + [(xk, float(evaluate(ch.f_D, xk)))]
         return from_knots(knots, s[0], s[-1] + bump)
 
-    blocks = list(zip(ch._gaps.a.tolist(), ch._gaps.b.tolist(), ch._gaps.sign.tolist()))
-    inner: list[tuple[float, float, int]] = []  # (xi, value, block sign)
-    for a, b, sign in blocks:
-        data_x = set(float(x) for x in xs[a - 1 : b])
-        for xi, _ in breakpoints_in(f, float(xs[a - 1]), float(xs[b - 1])):
-            if xi not in data_x:
-                inner.append((xi, float(evaluate(f, xi)), sign))
+    a, b, sign = ch._gaps.a, ch._gaps.b, ch._gaps.sign
+    # f's kinks strictly inside a free gap, which are those inside a block and off the data
+    j = xs[1:-1].searchsorted(f.x, side="right")  # 0-based gap of each kink, ends clamped
+    inner = ((xs[j] < f.x) & (f.x < xs[j + 1]) & (ch._gaps.code[j] == _FREE)).nonzero()[0]
 
-    def bumped(x: float, sigma: int) -> tuple[float, float]:
+    def bumped(x: float, sigma: int) -> float:
         cv = float(evaluate(ch.f_D, x))
         delta = (0.5 + float(rng.uniform())) * 0.5 * (1.0 + abs(cv))
-        return (x, cv + sigma * delta)
+        return cv + sigma * delta
 
-    if inner:
-        pick = int(rng.integers(len(inner)))
-        knots = list(d.points)
-        for k, (xi, v, sigma) in enumerate(inner):
-            knots.append(bumped(xi, sigma) if k == pick else (xi, v))
-    elif blocks:
-        a, b, sign = blocks[int(rng.integers(len(blocks)))]
-        j = int(rng.integers(a, b))
-        mid = 0.5 * (float(xs[j - 1]) + float(xs[j]))
-        knots = list(d.points) + [bumped(mid, sign)]
+    if inner.size:
+        k = int(rng.integers(inner.size))
+        at, ex, ey = j[inner] + 1, f.x[inner], f.y[inner]
+        ey[k] = bumped(ex[k], int(sign[a.searchsorted(at[k], side="right") - 1]))
     else:
-        j = int(rng.integers(1, d.m))
-        mid = 0.5 * (float(xs[j - 1]) + float(xs[j]))
-        sigma = 1 if rng.uniform() < 0.5 else -1
-        knots = list(d.points) + [bumped(mid, sigma)]
-    knots.sort()
+        if a.size:
+            blk = int(rng.integers(a.size))
+            g = int(rng.integers(int(a[blk]), int(b[blk])))
+            sigma = int(sign[blk])
+        else:
+            g = int(rng.integers(1, d.m))
+            sigma = 1 if rng.uniform() < 0.5 else -1
+        mid = 0.5 * (float(xs[g - 1]) + float(xs[g]))
+        at, ex, ey = np.array([g]), [mid], [bumped(mid, sigma)]
+    knots = _insert_sorted(np.array((xs, d.ys)).T, at, np.array((ex, ey)).T)
     return from_knots(knots, s[0], s[-1])

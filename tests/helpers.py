@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import math
 import warnings
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 
 import numpy as np
 
@@ -21,7 +23,10 @@ from ridgeless.characterize import (
 )
 from ridgeless.dataset import CURVATURE_RTOL, SlopeProfile
 from ridgeless.generalization import GroundTruth, LocalizedBoundReport, make_dataset_from, sup_error
-from ridgeless.plfun import _window, breakpoints_in, evaluate, one_sided_slopes, tv_of_derivative
+from ridgeless.plfun import JUMP_MERGE_RTOL, evaluate, one_sided_slopes, tv_of_derivative
+
+
+_location = itemgetter(0)  # of a (location, jump) breakpoint
 
 
 def random_dataset(rng: np.random.Generator, m: int | None = None,
@@ -105,6 +110,16 @@ def breakpoints_in_reference(f: r.PiecewiseLinear, lo: float, hi: float) -> list
     return [(xi, c) for xi, c in f.breakpoints if lo < xi < hi]
 
 
+def breakpoints_between(f: r.PiecewiseLinear, lo: float, hi: float) -> list:
+    """Breakpoints of ``f`` strictly inside (lo, hi), by two bisections of the public view.
+
+    The same set as :func:`breakpoints_in_reference` in O(log k), for the
+    per-gap loop references below.
+    """
+    bps = f.breakpoints
+    return list(bps[bisect_right(bps, lo, key=_location) : bisect_left(bps, hi, key=_location)])
+
+
 def localized_slope_bounds_reference(slopes) -> np.ndarray:
     """Per-gap drift bounds by a loop that clamps slope indices to 1..n."""
     n = len(slopes)
@@ -129,8 +144,7 @@ def piece_slopes_on(f: r.PiecewiseLinear, lo: float, hi: float) -> np.ndarray:
     """
     if not lo < hi:
         raise ValueError("empty interval")
-    w = _window(f, lo, hi)
-    return f._piece_slopes[w.start : w.stop + 1]
+    return one_sided_slopes(f, np.array([lo, *(xi for xi, _ in breakpoints_between(f, lo, hi))]))[1]
 
 
 def canonicalize(f: r.PiecewiseLinear) -> r.PiecewiseLinear:
@@ -167,8 +181,8 @@ def restriction_mismatches(
         raise ValueError("interval must be nonempty")
     bad: list[tuple[float, float]] = []
 
-    fb = breakpoints_in(f, lo, hi)
-    gb = breakpoints_in(g, lo, hi)
+    fb = breakpoints_between(f, lo, hi)
+    gb = breakpoints_between(g, lo, hi)
     i = j = 0
     while i < len(fb) or j < len(gb):
         if j >= len(gb):
@@ -395,15 +409,28 @@ def tv_formula_pair(d: r.Dataset) -> tuple[Fraction, Fraction]:
 
 
 def from_knots_reference(knots, left_slope: float, right_slope: float) -> r.PiecewiseLinear:
-    """``from_knots`` by Python lists and ``canonical``."""
+    """``from_knots`` by Python lists: drop every knot whose jump is under the
+    threshold and, unless all dropped jumps were zero, take the jumps of the
+    rest again; repeat until none is under it."""
     xs = [float(x) for x, _ in knots]
     ys = [float(y) for _, y in knots]
     if any(b <= a for a, b in zip(xs, xs[1:])):
         raise ValueError("knot abscissae must be strictly increasing")
-    chord = [(ys[i + 1] - ys[i]) / (xs[i + 1] - xs[i]) for i in range(len(xs) - 1)]
-    slope_seq = [float(left_slope)] + chord + [float(right_slope)]
-    bps = [(xs[i], slope_seq[i + 1] - slope_seq[i]) for i in range(len(xs))]
-    return r.canonical((xs[0], ys[0]), left_slope, bps)
+    xs0, ys0 = xs[0], ys[0]
+    jumps: list[float] = []
+    while xs:
+        chord = [(ys[i + 1] - ys[i]) / (xs[i + 1] - xs[i]) for i in range(len(xs) - 1)]
+        slope_seq = [float(left_slope)] + chord + [float(right_slope)]
+        jumps = [slope_seq[i + 1] - slope_seq[i] for i in range(len(xs))]
+        tol = JUMP_MERGE_RTOL * (1.0 + max(abs(c) for c in jumps))
+        kept = [i for i, c in enumerate(jumps) if abs(c) > tol]
+        if len(kept) == len(xs):
+            break
+        dropped_nonzero = any(c != 0.0 for c in jumps if abs(c) <= tol)
+        xs, ys, jumps = [xs[i] for i in kept], [ys[i] for i in kept], [jumps[i] for i in kept]
+        if not dropped_nonzero:
+            break
+    return r.PiecewiseLinear((xs0, ys0), float(left_slope), xs, jumps, ys)
 
 
 @dataclass(frozen=True)
@@ -540,7 +567,7 @@ def _block_violations_reference(ch, blk, f, tol) -> list[Violation]:
     out: list[Violation] = []
 
     slopes = piece_slopes_on(f, xa, xb)
-    kink_locs = [xi for xi, _ in breakpoints_in(f, xa, xb)]
+    kink_locs = [xi for xi, _ in breakpoints_between(f, xa, xb)]
     for k in range(len(slopes) - 1):
         drop = sigma * (slopes[k + 1] - slopes[k])
         if drop < -tol * max(1.0, abs(slopes[k]), abs(slopes[k + 1])):
@@ -581,7 +608,8 @@ def sample_member_reference(ch: Characterization, seed: int,
     if not ch.blocks:
         return ch.f_D
 
-    knots: list[tuple[float, float]] = list(d.points)
+    knots: list[tuple[float, float]] = []
+    crossed: set[int] = set()
     for blk in ch.blocks:
         a, b = blk.knot_range
         tangents: dict[int, float] = {}
@@ -601,6 +629,9 @@ def sample_member_reference(ch: Characterization, seed: int,
             )
             if knot is not None:
                 knots.append(knot)
+                crossed.add(j)
+    # data point i lies between gaps i-1 and i; on two crossed gaps it is no kink
+    knots += [p for i, p in enumerate(d.points, start=1) if not {i - 1, i} <= crossed]
     knots.sort()
     return from_knots_reference(knots, s[0], s[-1])
 
@@ -614,6 +645,52 @@ def _tangent_crossing_reference(xj, yj, tj, xk, yk, tk):
     if xi <= xj + margin or xi >= xk - margin:
         return None
     return (xi, yj + tj * (xi - xj))
+
+
+def perturb_to_nonmember_reference(ch: Characterization, f: r.PiecewiseLinear,
+                                   seed: int) -> r.PiecewiseLinear:
+    """``perturb_to_nonmember`` as a loop over the blocks: one window of kinks
+    per block and one scalar ``evaluate`` per kink."""
+    rng = np.random.default_rng(int(seed) % 2**64)
+    d = ch.dataset
+    xs, s = d.xs, ch.profile.slopes
+
+    if d.m == 2:
+        xk = float(xs[-1]) + 1.0
+        bump = 1.0 + float(rng.uniform(0.5, 1.5))
+        knots = list(d.points) + [(xk, float(evaluate(ch.f_D, xk)))]
+        return from_knots_reference(knots, s[0], s[-1] + bump)
+
+    blocks = [(*blk.knot_range, blk.sign) for blk in ch.blocks]
+    inner: list[tuple[float, float, int]] = []  # (xi, value, block sign)
+    for a, b, sign in blocks:
+        data_x = set(float(x) for x in xs[a - 1 : b])
+        for xi, _ in breakpoints_between(f, float(xs[a - 1]), float(xs[b - 1])):
+            if xi not in data_x:
+                inner.append((xi, float(evaluate(f, xi)), sign))
+
+    def bumped(x: float, sigma: int) -> tuple[float, float]:
+        cv = float(evaluate(ch.f_D, x))
+        delta = (0.5 + float(rng.uniform())) * 0.5 * (1.0 + abs(cv))
+        return (x, cv + sigma * delta)
+
+    if inner:
+        pick = int(rng.integers(len(inner)))
+        knots = list(d.points)
+        for k, (xi, v, sigma) in enumerate(inner):
+            knots.append(bumped(xi, sigma) if k == pick else (xi, v))
+    elif blocks:
+        a, b, sign = blocks[int(rng.integers(len(blocks)))]
+        j = int(rng.integers(a, b))
+        mid = 0.5 * (float(xs[j - 1]) + float(xs[j]))
+        knots = list(d.points) + [bumped(mid, sign)]
+    else:
+        j = int(rng.integers(1, d.m))
+        mid = 0.5 * (float(xs[j - 1]) + float(xs[j]))
+        sigma = 1 if rng.uniform() < 0.5 else -1
+        knots = list(d.points) + [bumped(mid, sigma)]
+    knots.sort()
+    return from_knots_reference(knots, s[0], s[-1])
 
 
 def verify_localized_bounds_reference(ch: Characterization, members,

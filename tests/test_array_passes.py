@@ -14,11 +14,13 @@ import numpy as np
 import pytest
 
 import ridgeless as r
+import ridgeless.oracle as oracle
 from helpers import (
     characterize_reference,
     check_membership_reference,
     count_calls,
     from_knots_reference,
+    perturb_to_nonmember_reference,
     random_dataset,
     random_pl,
     sample_member_reference,
@@ -44,7 +46,8 @@ def mixed_dataset(rng: np.random.Generator, m: int) -> r.Dataset:
 
 
 def same_pl(f: r.PiecewiseLinear, g: r.PiecewiseLinear) -> bool:
-    return (f.anchor, f.left_slope, f.breakpoints) == (g.anchor, g.left_slope, g.breakpoints)
+    return ((f.anchor, f.left_slope, f.breakpoints, f.y.tolist())
+            == (g.anchor, g.left_slope, g.breakpoints, g.y.tolist()))
 
 
 KNOBS = (
@@ -100,6 +103,13 @@ class TestSample:
                 assert same_pl(r.sample_member(ch, seed, knobs),
                                sample_member_reference(ref, seed, knobs)), (seed, knobs)
 
+    def test_perturbation_matches_the_block_loop(self, cases):
+        # a member's kinks inside blocks, and f_D, which has none there
+        for seed, (_, ch, ref) in enumerate(cases):
+            for f in (r.sample_member(ch, seed), ch.f_D):
+                assert same_pl(r.perturb_to_nonmember(ch, f, seed),
+                               perturb_to_nonmember_reference(ref, f, seed)), seed
+
 
 class TestMembership:
     def test_matches_the_per_gap_loop(self, cases):
@@ -134,7 +144,7 @@ class TestLocalizedBounds:
 class TestNoPerGapCalls:
     """Scalar PL probes per call must not grow with m."""
 
-    names = ("evaluate", "breakpoints_in", "one_sided_slopes")
+    names = ("evaluate", "_window", "one_sided_slopes")
     modules = [importlib.import_module(f"ridgeless.{name}")
                for name in ("plfun", "characterize", "sample", "generalization")]
 
@@ -160,7 +170,10 @@ class TestNoPerGapCalls:
                 r.check_membership_against(ch, f)
             seen["check_membership_against"], before = tally() - before, tally()
             r.verify_localized_bounds(ch, members)
-            seen["verify_localized_bounds"] = tally() - before
+            seen["verify_localized_bounds"], before = tally() - before, tally()
+            for k, f in enumerate(members):
+                r.perturb_to_nonmember(ch, f, k)
+            seen["perturb_to_nonmember"] = tally() - before
         return seen
 
     def test_same_calls_at_m_100_and_1000(self, monkeypatch):
@@ -168,7 +181,7 @@ class TestNoPerGapCalls:
 
 
 class TestNoObjectLayer:
-    def test_library_paths_build_no_blocks_or_verdicts(self):
+    def test_library_paths_build_no_blocks_or_verdicts(self, monkeypatch):
         # slopes 0,1,2,3,2,1,0: a convex block, a curvature flip, a concave block
         d = r.make_dataset([(0, 0), (1, 0), (2, 1), (3, 3), (4, 6), (5, 8), (6, 9), (7, 9)])
         ch = r.characterize(d)
@@ -176,8 +189,23 @@ class TestNoObjectLayer:
         member = r.sample_member(ch, 0)
         # a member with kinks inside the blocks, and f_D, which has none
         outside = [r.perturb_to_nonmember(ch, f, 0) for f in (member, ch.f_D)]
-        for f in (member, ch.f_D, *outside):
+        functions = [member, ch.f_D, *outside]
+        for f in functions:
             r.check_membership_against(ch, f)
         r.verify_localized_bounds(ch, [member, *outside])
+        r.verify_lip_domination(ch, [member, *outside], r.lipschitz_norm(ch.f_D))
+        minimizers = []
+
+        def recording(*args):
+            minimizers.append(r.from_knots(*args))
+            return minimizers[-1]
+
+        monkeypatch.setattr(oracle, "from_knots", recording)
         r.certify(d, ch, grid_points_per_gap=8)
         assert "blocks" not in vars(ch) and "verdicts" not in vars(ch)
+        # nor the tuple view of any function's kinks, which perfbench's probes still count
+        functions += minimizers
+        assert len(minimizers) == 1
+        for f in functions:
+            assert "breakpoints" not in vars(f)
+            assert len(f.breakpoints) == f.x.size

@@ -5,10 +5,11 @@ import sys
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import ridgeless as r
-from helpers import count_calls
+from helpers import count_calls, random_dataset
 from ridgeless.cli import main
 from ridgeless.plfun import from_json, from_knots, structurally_equal, to_json
 
@@ -64,6 +65,16 @@ class TestCheckCommand:
         assert code == 3
         report = json.loads(out.splitlines()[0])
         assert any(v["tag"] == "block-envelope" for v in report["violations"])
+
+    def test_sampled_members_pass_at_m_1000(self, capsys, tmp_path):
+        data = tmp_path / "m1000.csv"
+        r.save_dataset(random_dataset(np.random.default_rng(1), 1000), data)
+        members = tmp_path / "members"
+        assert main(["sample", str(data), "--n", "20", "--seed", "0", "--out-dir", str(members)]) == 0
+        paths = sorted(members.glob("*.json"))
+        assert len(paths) == 20
+        codes = [run(capsys, ["check", str(data), str(p)])[0] for p in paths]
+        assert codes == [0] * 20
 
 
 class TestFileCommands:

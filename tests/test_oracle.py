@@ -17,7 +17,7 @@ import ridgeless.oracle
 from helpers import count_calls, grid_tv_minimize_reference, random_dataset
 from ridgeless.characterize import check_membership_against
 from ridgeless.oracle import OracleError, certify, grid_tv_minimize
-from ridgeless.plfun import breakpoint_arrays, evaluate, tv_of_derivative
+from ridgeless.plfun import evaluate, tv_of_derivative
 
 
 class TestGridTvMinimize:
@@ -144,7 +144,7 @@ class TestKinkForm:
             # every kink sits on the grid the grid-value LP builds with linspace
             grid = np.concatenate([np.linspace(d.xs[i], d.xs[i + 1], g + 1)
                                    for i in range(d.m - 1)])
-            assert np.isin(breakpoint_arrays(minimizer)[0], grid).all()
+            assert np.isin(minimizer.x, grid).all()
             rep = certify(d, ch, grid_points_per_gap=g)
             ref_rep = check_membership_against(ch, ref_minimizer, tol=1e-6)
             assert rep.passed

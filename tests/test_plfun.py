@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    breakpoints_between,
     breakpoints_in_reference,
     canonicalize,
     evaluate_by_slope_integration,
@@ -15,7 +16,7 @@ from helpers import (
 )
 from ridgeless.plfun import (
     PiecewiseLinear,
-    breakpoints_in,
+    _window,
     canonical,
     evaluate,
     from_json,
@@ -180,9 +181,9 @@ class TestCanonicalization:
 
     def test_rejects_noncanonical_direct_construction(self):
         with pytest.raises(ValueError):
-            PiecewiseLinear((0.0, 0.0), 0.0, ((1.0, 0.0),))
+            PiecewiseLinear((0.0, 0.0), 0.0, x=(1.0,), c=(0.0,), y=(0.0,))
         with pytest.raises(ValueError):
-            PiecewiseLinear((0.0, 0.0), 0.0, ((1.0, 1.0), (1.0, 1.0)))
+            PiecewiseLinear((0.0, 0.0), 0.0, x=(1.0, 1.0), c=(1.0, 1.0), y=(0.0, 0.0))
 
     def test_rejects_non_finite_breakpoints(self):
         # an infinite jump must not push every other jump under the drop threshold
@@ -250,7 +251,8 @@ class TestPieceSlopes:
             for lo in ends:
                 for hi in ends:
                     inside = breakpoints_in_reference(f, lo, hi)
-                    assert breakpoints_in(f, lo, hi) == inside
+                    assert list(f.breakpoints[_window(f, lo, hi)]) == inside
+                    assert breakpoints_between(f, lo, hi) == inside
                     if lo < hi:
                         starts = [lo, *(xi for xi, _ in inside)]
                         outgoing = [one_sided_slopes(f, x)[1] for x in starts]

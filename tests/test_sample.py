@@ -3,7 +3,15 @@ import pytest
 
 import ridgeless as r
 from helpers import random_dataset
-from ridgeless.plfun import canonical, evaluate, from_knots, structurally_equal, tv_of_derivative
+from ridgeless.plfun import (
+    canonical,
+    evaluate,
+    from_json,
+    from_knots,
+    structurally_equal,
+    to_json,
+    tv_of_derivative,
+)
 
 
 def prescribed(values):
@@ -86,6 +94,29 @@ class TestSampleMember:
             ch = r.characterize(random_dataset(rng))
             f = r.sample_member(ch, 11)
             assert tv_of_derivative(f) == pytest.approx(ch.minimal_tv, rel=1e-12, abs=1e-12)
+
+    def test_cost_and_tv_are_c_star_on_many_small_datasets(self):
+        # dataset 1234 member 1 once had TV 3e-11 above C*, from noise jumps at
+        # data points inside free blocks
+        rng = np.random.default_rng(5)
+        for _ in range(1500):
+            ch = r.characterize(random_dataset(rng))
+            for seed in range(3):
+                f = r.sample_member(ch, seed)
+                values = (r.cost(r.pl_to_network(f)), tv_of_derivative(f), ch.minimal_tv)
+                assert max(values) - min(values) <= 1e-12 * max(values)
+
+
+class TestLargeM:
+    def test_members_pass_both_routes_at_m_10_000(self):
+        # values are kept at the kinks and knots are dropped, not jumps, so
+        # neither the values nor the slopes drift with the number of kinks
+        ch = r.characterize(random_dataset(np.random.default_rng(1), 10**4))
+        for seed in range(5):
+            f = r.sample_member(ch, seed)
+            for g in (f, from_json(to_json(f))):
+                rep = r.check_membership_against(ch, g)
+                assert rep.direct_pass and rep.tv_pass, (seed, rep.violations[:3])
 
 
 class TestPerturbToNonmember:
