@@ -10,9 +10,10 @@ bytes.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
-from dataclasses import asdict
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -73,6 +74,15 @@ def _load(path: str, parse=plfun.from_json, noun: str = "piecewise-linear"):
         raise DatasetError(f"bad {noun} file {path}: {e}") from None
 
 
+def _as_dict(report) -> dict:
+    """``dataclasses.asdict`` of a flat report, in field order and without its deep copy."""
+    out = {f.name: getattr(report, f.name) for f in fields(report)}
+    if "violations" in out:
+        out["violations"] = [{"tag": v.tag, "location": v.location, "magnitude": v.magnitude}
+                             for v in report.violations]
+    return out
+
+
 def _write_or_print(text: str, out: str | None) -> None:
     if out:
         Path(out).write_text(text)
@@ -116,7 +126,7 @@ def cmd_check(args) -> int:
     d = load_dataset(args.data)
     f = _load(args.pl)
     report = check_membership_against(characterize(d), f, tol=args.tol)
-    print(json.dumps(asdict(report)))
+    print(json.dumps(_as_dict(report)))
     return 0 if report.is_member else 3
 
 
@@ -157,7 +167,7 @@ def cmd_certify(args) -> int:
     d = load_dataset(args.data)
     ch = characterize(d)
     report = certify(d, ch, tol=args.tol, grid_points_per_gap=args.grid)
-    print(json.dumps(asdict(report)))
+    print(json.dumps(_as_dict(report)))
     print(f"target: {fmt(report.target)} achieved: {fmt(report.achieved)} "
           f"residual: {fmt(report.residual)}")
     return 0 if report.passed else 4
@@ -174,11 +184,11 @@ def cmd_bound(args) -> int:
     members = [sample_member(ch, seed=args.seed + k) for k in range(args.members)]
     lip = verify_lip_domination(ch, members, gt.L)
     localized = verify_localized_bounds(ch, members)
-    out = {"lip_domination": asdict(lip), "localized": asdict(localized)}
+    out = {"lip_domination": _as_dict(lip), "localized": _as_dict(localized)}
     passed = lip.passed and localized.passed
     if is_uniform_design(d):
         sup = verify_sup_error(gt, d, members, grid=args.grid)
-        out["sup_error"] = asdict(sup)
+        out["sup_error"] = _as_dict(sup)
         passed = passed and sup.passed
     else:
         out["sup_error"] = {"skipped": "non-uniform design"}
@@ -196,34 +206,38 @@ def cmd_plot(args) -> int:
     return 0
 
 
-def _curve_points(f, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
-    xs = np.unique(np.concatenate(([lo, hi], f.x[plfun._window(f, lo, hi)])))
-    return xs, evaluate(f, xs)
-
-
 def render_svg(ch, members) -> str:
-    """Static picture of the data, chords, block envelopes and members."""
+    """Static picture of the data, chords, block envelopes and members.
+
+    Every block's support envelope is one row of a (blocks, 65) array, and
+    its chord one run of the points x_a, x_b and f_D's kinks between them;
+    each point is mapped to pixels and formatted once, and a block's ring
+    reuses its envelope's points, reversed.
+    """
     width, height = 800, 500  # pixels
     d = ch.dataset
     xs, ys = d.xs, d.ys
     pad = 0.08 * (xs[-1] - xs[0])
     lo, hi = float(xs[0] - pad), float(xs[-1] + pad)
+    curves = []
+    for f in (ch.f_D, *members):
+        x = np.unique(np.concatenate(([lo, hi], f.x[plfun._window(f, lo, hi)])))
+        curves.append((x, evaluate(f, x)))
 
-    curves = [_curve_points(ch.f_D, lo, hi)]
-    member_curves = [_curve_points(f, lo, hi) for f in members]
-    curves.extend(member_curves)
-    support_curves = []
-    for blk in ch.blocks:
-        a, b = blk.knot_range
-        xa, xb = float(xs[a - 1]), float(xs[b - 1])
-        grid = np.linspace(xa, xb, 65)
-        line = (np.maximum if blk.sign > 0 else np.minimum)(
-            blk.lower_support(grid), blk.upper_support(grid)
-        )
-        support_curves.append((grid, line))
-    curves.extend(support_curves)
+    a, b, s = ch._gaps.a, ch._gaps.b, ch.profile.slopes
+    xa, xb = xs[a - 1], xs[b - 1]
+    sx = np.linspace(xa, xb, 65, axis=1)
+    lower = (sx - xa[:, None]) * s[a - 2, None] + ys[a - 1, None]
+    upper = (sx - xb[:, None]) * s[b - 1, None] + ys[b - 1, None]
+    sy = np.where(ch._gaps.sign[:, None] > 0, np.maximum(lower, upper), np.minimum(lower, upper))
+    # chords: the block knots, less the interior ones that f_D drops as collinear
+    knot_x = xs[ch._gaps.knots - 1]
+    last = np.cumsum(b - a + 1) - 1  # of each block, in knot_x
+    keep = np.isin(knot_x, ch.f_D.x)
+    keep[last] = keep[last - (b - a)] = True  # x_a and x_b, kinks of f_D or not
+    cx, chord_end = knot_x[keep], np.cumsum(keep)[last].tolist()
 
-    all_y = np.concatenate([y for _, y in curves] + [ys])
+    all_y = np.concatenate([y for _, y in curves] + [sy.ravel(), ys])
     ymin, ymax = float(all_y.min()), float(all_y.max())
     if ymax - ymin < 1e-12:
         ymin, ymax = ymin - 1.0, ymax + 1.0
@@ -231,39 +245,32 @@ def render_svg(ch, members) -> str:
     ymin, ymax = ymin - ypad, ymax + ypad
     margin = 40.0
 
-    def pixels(template: str, x, y) -> map:
+    def pixels(x, y, template: str = "{:.3f},{:.3f}") -> list[str]:
         """``template`` formatted with each point mapped to pixel coordinates."""
         px = margin + (x - lo) / (hi - lo) * (width - 2 * margin)
         py = height - margin - (y - ymin) / (ymax - ymin) * (height - 2 * margin)
-        return map(template.format, px.tolist(), py.tolist())
+        return list(map(template.format, px.tolist(), py.tolist()))
 
-    def pts(curve) -> str:
-        return " ".join(pixels("{:.3f},{:.3f}", *curve))
+    def polyline(points: list[str], style: str) -> str:
+        return f'<polyline points="{" ".join(points)}" fill="none" {style}/>'
 
+    support = pixels(sx.ravel(), sy.ravel())
+    support = [support[i : i + 65] for i in range(0, len(support), 65)]
+    chord = pixels(cx, evaluate(ch.f_D, cx))
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
         f'width="{width}" height="{height}" viewBox="0 0 {width} {height}">',
         f"<metadata>{json.dumps({'minimal_tv': ch.minimal_tv})}</metadata>",
         f'<rect x="0" y="0" width="{width}" height="{height}" fill="white"/>',
     ]
-    for blk, (sx, sy) in zip(ch.blocks, support_curves):
-        a, b = blk.knot_range
-        cx, cy = _curve_points(ch.f_D, float(xs[a - 1]), float(xs[b - 1]))
-        ring = pts((np.concatenate((cx, sx[::-1])), np.concatenate((cy, sy[::-1]))))
-        parts.append(f'<polygon points="{ring}" fill="#cfe8ff" stroke="none" opacity="0.7"/>')
-    for curve in member_curves:
-        parts.append(
-            f'<polyline points="{pts(curve)}" fill="none" stroke="#999999" stroke-width="1"/>'
-        )
-    for sup in support_curves:
-        parts.append(
-            f'<polyline points="{pts(sup)}" fill="none" stroke="#2a7fff" '
-            f'stroke-width="1" stroke-dasharray="5,4"/>'
-        )
-    parts.append(
-        f'<polyline points="{pts(curves[0])}" fill="none" stroke="#d62728" stroke-width="2"/>'
-    )
-    parts.extend(pixels('<circle cx="{:.3f}" cy="{:.3f}" r="4" fill="black"/>', xs, ys))
+    parts += [f'<polygon points="{" ".join(chord[i:j] + sup[::-1])}" fill="#cfe8ff" '
+              f'stroke="none" opacity="0.7"/>'
+              for i, j, sup in zip([0, *chord_end], chord_end, support)]
+    parts += [polyline(pixels(*c), 'stroke="#999999" stroke-width="1"') for c in curves[1:]]
+    parts += [polyline(sup, 'stroke="#2a7fff" stroke-width="1" stroke-dasharray="5,4"')
+              for sup in support]
+    parts.append(polyline(pixels(*curves[0]), 'stroke="#d62728" stroke-width="2"'))
+    parts += pixels(xs, ys, '<circle cx="{:.3f}" cy="{:.3f}" r="4" fill="black"/>')
     parts.append(
         f'<text x="{margin:.0f}" y="{margin - 12:.0f}" font-family="monospace" '
         f'font-size="14">minimal TV = {fmt(ch.minimal_tv)}</text>'
@@ -272,6 +279,7 @@ def render_svg(ch, members) -> str:
     return "\n".join(parts)
 
 
+@functools.cache  # parse_args leaves the parser as it was, so one serves every call
 def build_parser() -> _Parser:
     p = _Parser(prog="ridgeless", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)

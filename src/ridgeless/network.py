@@ -88,8 +88,10 @@ def network_to_pl(net: ReluNetwork) -> PiecewiseLinear:
         if w1 < 0.0:
             left += w2 * w1
         bps.append((-b1 / w1, w2 * abs(w1)))
-    anchor = (0.0, evaluate_network(net, 0.0))
-    return canonical(anchor, left, bps)
+    # the network at 0, summed unit by unit in evaluate_network's order
+    w1, b1, w2 = np.array(net.units, dtype=float).reshape(-1, 3).T
+    terms = np.concatenate(([net.a * 0.0 + net.b], w2 * np.maximum(0.0, w1 * 0.0 + b1)))
+    return canonical((0.0, float(np.add.accumulate(terms)[-1])), left, bps)
 
 
 def to_json(net: ReluNetwork) -> str:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 import warnings
 from bisect import bisect_left, bisect_right
@@ -21,6 +22,7 @@ from ridgeless.characterize import (
     SupportLine,
     Violation,
 )
+from ridgeless.cli import fmt
 from ridgeless.dataset import CURVATURE_RTOL, SlopeProfile
 from ridgeless.generalization import GroundTruth, LocalizedBoundReport, make_dataset_from, sup_error
 from ridgeless.plfun import JUMP_MERGE_RTOL, evaluate, one_sided_slopes, tv_of_derivative
@@ -778,3 +780,78 @@ def grid_tv_minimize_reference(d: r.Dataset, grid_points_per_gap: int, tol: floa
     u = res.x[:n]
     left, right = (u[1] - u[0]) / h[0], (u[-1] - u[-2]) / h[-1]
     return float(res.fun), r.from_knots(list(zip(nodes.tolist(), u.tolist())), left, right)
+
+
+def _curve_points_reference(f: r.PiecewiseLinear, lo: float, hi: float):
+    xs = np.unique(np.concatenate(([lo, hi], f.x[r.plfun._window(f, lo, hi)])))
+    return xs, evaluate(f, xs)
+
+
+def render_svg_reference(ch: Characterization, members) -> str:
+    """The SVG of :func:`ridgeless.cli.render_svg`, built block by block from ``ch.blocks``."""
+    width, height = 800, 500  # pixels
+    d = ch.dataset
+    xs, ys = d.xs, d.ys
+    pad = 0.08 * (xs[-1] - xs[0])
+    lo, hi = float(xs[0] - pad), float(xs[-1] + pad)
+
+    curves = [_curve_points_reference(ch.f_D, lo, hi)]
+    member_curves = [_curve_points_reference(f, lo, hi) for f in members]
+    curves.extend(member_curves)
+    support_curves = []
+    for blk in ch.blocks:
+        a, b = blk.knot_range
+        xa, xb = float(xs[a - 1]), float(xs[b - 1])
+        grid = np.linspace(xa, xb, 65)
+        line = (np.maximum if blk.sign > 0 else np.minimum)(
+            blk.lower_support(grid), blk.upper_support(grid)
+        )
+        support_curves.append((grid, line))
+    curves.extend(support_curves)
+
+    all_y = np.concatenate([y for _, y in curves] + [ys])
+    ymin, ymax = float(all_y.min()), float(all_y.max())
+    if ymax - ymin < 1e-12:
+        ymin, ymax = ymin - 1.0, ymax + 1.0
+    ypad = 0.08 * (ymax - ymin)
+    ymin, ymax = ymin - ypad, ymax + ypad
+    margin = 40.0
+
+    def pixels(template: str, x, y) -> map:
+        px = margin + (x - lo) / (hi - lo) * (width - 2 * margin)
+        py = height - margin - (y - ymin) / (ymax - ymin) * (height - 2 * margin)
+        return map(template.format, px.tolist(), py.tolist())
+
+    def pts(curve) -> str:
+        return " ".join(pixels("{:.3f},{:.3f}", *curve))
+
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
+        f'width="{width}" height="{height}" viewBox="0 0 {width} {height}">',
+        f"<metadata>{json.dumps({'minimal_tv': ch.minimal_tv})}</metadata>",
+        f'<rect x="0" y="0" width="{width}" height="{height}" fill="white"/>',
+    ]
+    for blk, (sx, sy) in zip(ch.blocks, support_curves):
+        a, b = blk.knot_range
+        cx, cy = _curve_points_reference(ch.f_D, float(xs[a - 1]), float(xs[b - 1]))
+        ring = pts((np.concatenate((cx, sx[::-1])), np.concatenate((cy, sy[::-1]))))
+        parts.append(f'<polygon points="{ring}" fill="#cfe8ff" stroke="none" opacity="0.7"/>')
+    for curve in member_curves:
+        parts.append(
+            f'<polyline points="{pts(curve)}" fill="none" stroke="#999999" stroke-width="1"/>'
+        )
+    for sup in support_curves:
+        parts.append(
+            f'<polyline points="{pts(sup)}" fill="none" stroke="#2a7fff" '
+            f'stroke-width="1" stroke-dasharray="5,4"/>'
+        )
+    parts.append(
+        f'<polyline points="{pts(curves[0])}" fill="none" stroke="#d62728" stroke-width="2"/>'
+    )
+    parts.extend(pixels('<circle cx="{:.3f}" cy="{:.3f}" r="4" fill="black"/>', xs, ys))
+    parts.append(
+        f'<text x="{margin:.0f}" y="{margin - 12:.0f}" font-family="monospace" '
+        f'font-size="14">minimal TV = {fmt(ch.minimal_tv)}</text>'
+    )
+    parts.append("</svg>")
+    return "\n".join(parts)

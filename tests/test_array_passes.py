@@ -1,7 +1,7 @@
 """The array passes against the per-gap and per-knot loops they replaced.
 
-Characterization, sampling, membership and the localized bounds are
-computed with whole-array numpy passes; ``helpers`` keeps the loop
+Characterization, sampling, membership, the localized bounds and the SVG
+plot are computed with whole-array numpy passes; ``helpers`` keeps the loop
 versions.  Outputs must be equal, not close: the same float operations
 run in the same order, and C* is correctly rounded both ways.
 """
@@ -15,6 +15,7 @@ import pytest
 
 import ridgeless as r
 import ridgeless.oracle as oracle
+from ridgeless.cli import render_svg
 from helpers import (
     characterize_reference,
     check_membership_reference,
@@ -23,6 +24,7 @@ from helpers import (
     perturb_to_nonmember_reference,
     random_dataset,
     random_pl,
+    render_svg_reference,
     sample_member_reference,
     slope_profile_reference,
     tv_formula_pair,
@@ -42,6 +44,22 @@ def mixed_dataset(rng: np.random.Generator, m: int) -> r.Dataset:
     else:
         slopes = np.repeat(rng.uniform(-3.0, 3.0, size=m // 3 + 1), 3)[: m - 1]
     ys = np.concatenate([[rng.uniform(-1.0, 1.0)], slopes * gaps]).cumsum()
+    return r.make_dataset(zip(xs.tolist(), ys.tolist()))
+
+
+def near_collinear_dataset(rng: np.random.Generator, m: int) -> r.Dataset:
+    """Convex or concave runs of slopes about 1e-10 apart beside one slope of 1e3.
+
+    The steps are curvature, so the runs form free blocks, but they fall under
+    from_knots' drop threshold, so f_D leaves the data points inside them out
+    of its kinks.
+    """
+    gaps = rng.uniform(0.2, 1.5, size=m - 1)
+    xs = np.concatenate([[rng.uniform(-2.0, 2.0)], gaps]).cumsum()
+    steps = 1e-10 * rng.uniform(0.1, 1.0, size=m - 1) * rng.choice([-1.0, 1.0])
+    slopes = 1.0 + steps.cumsum()
+    slopes[rng.integers(m - 1)] = 1e3
+    ys = np.concatenate([[0.0], slopes * gaps]).cumsum()
     return r.make_dataset(zip(xs.tolist(), ys.tolist()))
 
 
@@ -141,6 +159,26 @@ class TestLocalizedBounds:
         assert (rep.worst_member, rep.worst_gap, rep.max_excess) == (0, 1, 0.0)
 
 
+class TestRenderSvg:
+    def test_matches_the_block_loop(self, dataset_zigzag, dataset_collinear):
+        rng = np.random.default_rng(2025)
+        sizes = [int(m) for m in rng.integers(2, 401, size=300)] + [10**4]
+        datasets = [dataset_zigzag, dataset_collinear] + [
+            (near_collinear_dataset if k % 5 == 0 and m > 2 else mixed_dataset)(rng, m)
+            for k, m in enumerate(sizes)
+        ]
+        seen = Counter()
+        for k, d in enumerate(datasets):
+            ch = r.characterize(d)
+            members = [r.sample_member(ch, k + j) for j in range((0, 1, 3, 8)[k % 4])]
+            assert render_svg(ch, members) == render_svg_reference(ch, members), (k, d.m)
+            blocks = ch._gaps.a.size
+            seen["no blocks"] += blocks == 0
+            seen["dropped block knots"] += not np.isin(d.xs[ch._gaps.knots - 1], ch.f_D.x).all()
+            seen[f"{len(members)} members"] += blocks > 0
+        assert min(seen.values()) > 10 and len(seen) == 6, seen
+
+
 class TestNoPerGapCalls:
     """Scalar PL probes per call must not grow with m."""
 
@@ -202,6 +240,7 @@ class TestNoObjectLayer:
 
         monkeypatch.setattr(oracle, "from_knots", recording)
         r.certify(d, ch, grid_points_per_gap=8)
+        render_svg(ch, [member])
         assert "blocks" not in vars(ch) and "verdicts" not in vars(ch)
         # nor the tuple view of any function's kinks, which perfbench's probes still count
         functions += minimizers

@@ -10,7 +10,7 @@ import pytest
 
 import ridgeless as r
 from helpers import count_calls, random_dataset
-from ridgeless.cli import main
+from ridgeless.cli import build_parser, main
 from ridgeless.plfun import from_json, from_knots, structurally_equal, to_json
 
 
@@ -166,6 +166,34 @@ class TestPlotCommand:
         assert root.tag.endswith("svg")
         meta = root.find("{http://www.w3.org/2000/svg}metadata")
         assert json.loads(meta.text)["minimal_tv"] == 2.0
+
+
+class TestCachedParser:
+    """One parser serves every ``main`` call in a process; the calls stay independent."""
+
+    def test_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_options_do_not_carry_over(self, capsys, data_a, fd_file, tmp_path):
+        f = from_json(Path(fd_file).read_text())
+        off = tmp_path / "off.json"  # f_D moved up by 1e-6: a member only at --tol 1e-3
+        off.write_text(to_json(r.canonical((f.anchor[0], f.anchor[1] + 1e-6), f.left_slope,
+                                           f.breakpoints)))
+        assert run(capsys, ["check", data_a, str(off), "--tol", "1e-3"])[0] == 0
+        assert run(capsys, ["check", data_a, str(off)])[0] == 3
+        seeded, default = tmp_path / "seeded", tmp_path / "default"
+        run(capsys, ["sample", data_a, "--n", "1", "--out-dir", str(seeded), "--seed", "0"])
+        run(capsys, ["sample", data_a, "--n", "1", "--seed", "5", "--out-dir", str(tmp_path)])
+        run(capsys, ["sample", data_a, "--n", "1", "--out-dir", str(default)])
+        member = "member-0000.json"
+        assert (default / member).read_text() == (seeded / member).read_text()
+        assert (default / member).read_text() != (tmp_path / member).read_text()
+
+    def test_valid_call_after_usage_error(self, capsys):
+        golden = json.loads((Path(__file__).parent / "data" / "cli_golden.json").read_text())
+        data = str(Path(__file__).parent / "data" / "A.csv")
+        assert run(capsys, ["plot", data, "--members", "-1"])[0] == 1
+        assert run(capsys, ["fd", data]) == (0, golden["A.csv"]["fd-print.stdout"], "")
 
 
 class TestErrorsAndDeterminism:

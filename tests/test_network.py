@@ -6,7 +6,7 @@ import pytest
 
 import ridgeless as r
 from helpers import random_dataset, random_pl
-from ridgeless.network import ReluNetwork, from_json, to_json
+from ridgeless.network import ReluNetwork, evaluate_network, from_json, to_json
 from ridgeless.plfun import canonical, evaluate, structurally_equal, tv_of_derivative
 
 
@@ -81,6 +81,27 @@ class TestExtraction:
             f = r.sample_member(ch, 5)
             back = r.network_to_pl(r.pl_to_network(f))
             assert structurally_equal(back, f, rtol=1e-12)
+
+
+class TestAnchor:
+    """network_to_pl's anchor value is the network at 0, bit for bit."""
+
+    @staticmethod
+    def random_net(rng, k: int) -> ReluNetwork:
+        w1 = rng.normal(size=k) * rng.choice([0.0, 1.0], size=k, p=[0.2, 0.8])  # dead units too
+        b1, w2 = rng.normal(size=k), rng.normal(size=k)
+        units = tuple(zip(w1.tolist(), b1.tolist(), w2.tolist()))
+        return ReluNetwork(a=float(rng.normal()), b=float(rng.normal()), units=units)
+
+    def test_equals_evaluate_network(self):
+        rng = np.random.default_rng(17)
+        nets = [self.random_net(rng, int(k)) for k in rng.integers(0, 20, size=300)]
+        nets += [self.random_net(rng, 10**4), ReluNetwork(a=-2.0, b=0.5, units=())]
+        signs = np.sign([w1 for net in nets for w1, _, _ in net.units])
+        assert {-1.0, 0.0, 1.0} <= set(signs.tolist())
+        for net in nets:
+            got = r.network_to_pl(net).anchor[1]
+            assert got.hex() == evaluate_network(net, 0.0).hex(), net.units
 
 
 class TestEvaluateNetwork:
