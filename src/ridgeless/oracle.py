@@ -33,6 +33,10 @@ Because the grid contains every data point, the chord interpolant is
 always feasible, so the grid minimum can never exceed its TV; and grid
 functions are interpolants, so it can never undercut the true minimum.
 Refining the grid only enlarges the feasible set.
+
+HiGHS is called through scipy's bundled bindings, not ``linprog``, whose
+wrapper loops in Python over every column to fill bound marginals that
+are never read here and cost more than the solve itself.
 """
 
 from __future__ import annotations
@@ -47,6 +51,9 @@ from .plfun import PiecewiseLinear, from_knots
 DEFAULT_GRID_POINTS_PER_GAP = 64
 DEFAULT_SOLVER_TOL = 1e-6
 DEFAULT_MAX_ITERS = 200_000
+# the allowance linprog gave the solution HiGHS returns: 10 * sqrt(tol) at
+# linprog's own default tol of 1e-9, not at the solver tolerance
+_CHECK_TOL = 10 * np.sqrt(1e-9)
 
 
 class OracleError(RuntimeError):
@@ -84,7 +91,7 @@ def _solve_grid_lp(
         raise ValueError("tol must be positive")
     # scipy is imported here, so that importing the package does not load it
     from scipy import sparse
-    from scipy.optimize import linprog
+    from scipy.optimize._highspy import _core
 
     xs, ys = d.xs, d.ys
     g = int(grid_points_per_gap)
@@ -111,35 +118,48 @@ def _solve_grid_lp(
          (np.concatenate([[0], row, row]), np.concatenate([[0], col, col + n - 2]))),
         shape=(d.m - 1, n_vars),
     )
-    cost = np.ones(n_vars)
-    cost[0] = 0.0
-    bounds = np.tile([0.0, np.inf], (n_vars, 1))
-    bounds[0, 0] = -np.inf
-    res = linprog(
-        cost,
-        A_eq=a_eq,
-        b_eq=np.concatenate([s[:1], np.diff(s)]),
-        bounds=bounds,
-        method="highs",
-        # presolve solves this LP outright in 0 iterations, where maxiter cannot bind
-        options={
-            "presolve": False,
-            "maxiter": int(max_iters),
-            "primal_feasibility_tolerance": tol,
-            "dual_feasibility_tolerance": tol,
-        },
-    )
-    if res.status != 0:
-        raise OracleError(
-            f"grid TV minimization did not converge (status {res.status}: {res.message}); "
-            f"objective so far {getattr(res, 'fun', None)!r}"
-        )
-    jumps = res.x[1 : n - 1] - res.x[n - 1 :]
-    slopes = res.x[0] + np.concatenate([[0.0], np.cumsum(jumps)])
+    b_eq = np.concatenate([s[:1], np.diff(s)])
+    cost, lower = np.ones(n_vars), np.zeros(n_vars)
+    cost[0], lower[0] = 0.0, -_core.kHighsInf
+    lp = _core.HighsLp()
+    lp.num_col_, lp.num_row_ = n_vars, d.m - 1
+    a = lp.a_matrix_
+    a.num_col_, a.num_row_, a.format_ = n_vars, d.m - 1, _core.MatrixFormat.kColwise
+    a.start_, a.index_, a.value_ = a_eq.indptr, a_eq.indices, a_eq.data
+    lp.col_cost_, lp.col_lower_, lp.col_upper_ = cost, lower, np.full(n_vars, _core.kHighsInf)
+    lp.row_lower_ = lp.row_upper_ = b_eq
+
+    options = _core.HighsOptions()
+    # presolve solves this LP outright in 0 iterations, where maxiter cannot bind
+    options.presolve = "off"
+    options.output_flag = options.log_to_console = False
+    options.simplex_strategy = _core.simplex_constants.SimplexStrategy.kSimplexStrategyDual
+    options.simplex_iteration_limit = options.ipm_iteration_limit = int(max_iters)
+    options.primal_feasibility_tolerance = options.dual_feasibility_tolerance = tol
+    highs = _core._Highs()
+    error = _core.HighsStatus.kError
+    if (highs.passOptions(options) == error or highs.passModel(lp) == error or highs.run() == error
+            or highs.getModelStatus() != _core.HighsModelStatus.kOptimal):
+        raise OracleError(f"grid TV minimization did not converge ({_status(highs)})")
+    x = np.array(highs.getSolution().col_value)
+    # linprog's check of what HiGHS returns (every upper bound is infinite)
+    if not (np.isfinite(x).all() and (x >= lower - _CHECK_TOL).all()
+            and (np.abs(b_eq - a_eq @ x) <= _CHECK_TOL).all()):
+        raise OracleError(f"grid LP solution misses its bounds or rows by more than "
+                          f"{_CHECK_TOL:.2e} ({_status(highs)})")
+    info = highs.getInfo()
+    jumps = x[1 : n - 1] - x[n - 1 :]
+    slopes = x[0] + np.concatenate([[0.0], np.cumsum(jumps)])
     u = ys[0] + np.concatenate([[0.0], np.cumsum(slopes * h)])
     left, right = (u[1] - u[0]) / h[0], (u[-1] - u[-2]) / h[-1]
     minimizer = from_knots(np.column_stack([nodes, u]), left, right)
-    return float(res.fun), minimizer, int(res.nit)
+    return float(info.objective_function_value), minimizer, int(info.simplex_iteration_count)
+
+
+def _status(highs) -> str:
+    status = highs.modelStatusToString(highs.getModelStatus())
+    primal = highs.solutionStatusToString(highs.getInfo().primal_solution_status)
+    return f"model status {status}; primal status {primal}"
 
 
 def certify(

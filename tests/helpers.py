@@ -782,6 +782,70 @@ def grid_tv_minimize_reference(d: r.Dataset, grid_points_per_gap: int, tol: floa
     return float(res.fun), r.from_knots(list(zip(nodes.tolist(), u.tolist())), left, right)
 
 
+def kink_lp_linprog_reference(d: r.Dataset, grid_points_per_gap: int, tol: float = 1e-6,
+                              max_iters: int = 200_000) -> tuple[float, r.PiecewiseLinear, int]:
+    """The kink-form grid LP of ``oracle._solve_grid_lp`` solved through ``linprog``:
+    the same model and HiGHS options; returns (min_tv, minimizer, iterations).
+    """
+    from scipy import sparse
+    from scipy.optimize import linprog
+
+    xs, ys = d.xs, d.ys
+    g = int(grid_points_per_gap)
+    w = np.diff(xs)
+    s = np.diff(ys) / w
+    # the same float operations as np.linspace(xs[i], xs[i + 1], g + 1)[:-1] on each gap
+    nodes = np.append(np.arange(g) * (w / g)[:, None] + xs[:-1, None], xs[-1])
+    n = nodes.size
+    h = np.diff(nodes)
+
+    # Unknowns: sigma_0, then p and q at the interior nodes 1..n-2.  Node k lies in
+    # gap j = k // g; it enters row j with the falling side of the hat at x_j (for
+    # j = 0, its weight in gap 0's mean slope) and row j + 1 with the rising side of
+    # the hat at x_{j+1}, which is 0 at a data node and has no row on the last gap.
+    k = np.arange(1, n - 1)
+    j, t = k // g, nodes[1:-1]
+    row, col = np.concatenate([j, j + 1]), np.concatenate([k, k])
+    coef = np.concatenate([(xs[j + 1] - t) / w[j], (t - xs[j]) / w[j]])
+    keep = (row < d.m - 1) & (coef != 0.0)
+    row, col, coef = row[keep], col[keep], coef[keep]
+    n_vars = 2 * n - 3
+    a_eq = sparse.csc_array(
+        (np.concatenate([[1.0], coef, -coef]),
+         (np.concatenate([[0], row, row]), np.concatenate([[0], col, col + n - 2]))),
+        shape=(d.m - 1, n_vars),
+    )
+    cost = np.ones(n_vars)
+    cost[0] = 0.0
+    bounds = np.tile([0.0, np.inf], (n_vars, 1))
+    bounds[0, 0] = -np.inf
+    res = linprog(
+        cost,
+        A_eq=a_eq,
+        b_eq=np.concatenate([s[:1], np.diff(s)]),
+        bounds=bounds,
+        method="highs",
+        # presolve solves this LP outright in 0 iterations, where maxiter cannot bind
+        options={
+            "presolve": False,
+            "maxiter": int(max_iters),
+            "primal_feasibility_tolerance": tol,
+            "dual_feasibility_tolerance": tol,
+        },
+    )
+    if res.status != 0:
+        raise r.OracleError(
+            f"grid TV minimization did not converge (status {res.status}: {res.message}); "
+            f"objective so far {getattr(res, 'fun', None)!r}"
+        )
+    jumps = res.x[1 : n - 1] - res.x[n - 1 :]
+    slopes = res.x[0] + np.concatenate([[0.0], np.cumsum(jumps)])
+    u = ys[0] + np.concatenate([[0.0], np.cumsum(slopes * h)])
+    left, right = (u[1] - u[0]) / h[0], (u[-1] - u[-2]) / h[-1]
+    minimizer = r.from_knots(np.column_stack([nodes, u]), left, right)
+    return float(res.fun), minimizer, int(res.nit)
+
+
 def _curve_points_reference(f: r.PiecewiseLinear, lo: float, hi: float):
     xs = np.unique(np.concatenate(([lo, hi], f.x[r.plfun._window(f, lo, hi)])))
     return xs, evaluate(f, xs)

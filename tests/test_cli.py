@@ -35,6 +35,16 @@ def run(capsys, argv):
     return code, out.out, out.err
 
 
+def run_child(argv):
+    """``python -m ridgeless *argv`` in a child process."""
+    # the child imports the same package as this process, installed or not
+    src = str(Path(r.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-m", "ridgeless", *argv],
+                          capture_output=True, text=True, env=env)
+
+
 class TestCharacterizeCommand:
     def test_prints_verdicts_and_tv(self, capsys, data_a):
         code, out, _ = run(capsys, ["characterize", data_a])
@@ -117,6 +127,14 @@ class TestCertifyCommand:
         assert "target: 2 " in out
         blob = json.loads(out.splitlines()[0])
         assert blob["passed"] is True and abs(blob["achieved"] - 2.0) < 1e-3
+
+    def test_solver_prints_nothing(self, capsys):
+        # HiGHS writes at the C level, past redirect_stdout and capsys: only a
+        # child's file descriptors see it
+        argv = ["certify", str(Path(__file__).parent / "data" / "m50.csv"), "--grid", "8"]
+        code, out, _ = run(capsys, argv)
+        proc = run_child(argv)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, "")
 
 
 class TestBoundCommand:
@@ -255,13 +273,6 @@ class TestErrorsAndDeterminism:
         assert contents == [(p.name, p.read_text()) for p in sorted(out_dir.iterdir())]
 
     def test_console_entry_point(self, data_a):
-        # the child imports the same package as this process, installed or not
-        src = str(Path(r.__file__).parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        proc = subprocess.run(
-            [sys.executable, "-m", "ridgeless", "characterize", data_a],
-            capture_output=True, text=True, env=env,
-        )
+        proc = run_child(["characterize", data_a])
         assert proc.returncode == 0
         assert "minimal TV: 2" in proc.stdout

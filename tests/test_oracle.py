@@ -9,12 +9,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.optimize
-import scipy.sparse
+from scipy.optimize._highspy import _core
 
 import ridgeless as r
 import ridgeless.oracle
-from helpers import count_calls, grid_tv_minimize_reference, random_dataset
+from helpers import (count_calls, grid_tv_minimize_reference, kink_lp_linprog_reference,
+                     random_dataset)
 from ridgeless.characterize import check_membership_against
 from ridgeless.oracle import OracleError, certify, grid_tv_minimize
 from ridgeless.plfun import evaluate, tv_of_derivative
@@ -109,8 +109,19 @@ class TestCertify:
 
     def test_nonconvergence_raises(self, dataset_a):
         ch = r.characterize(dataset_a)
-        with pytest.raises(OracleError):
+        with pytest.raises(OracleError, match="Iteration limit reached"):
             certify(dataset_a, ch, tol=1e-3, grid_points_per_gap=64, max_iters=1)
+
+    def test_solution_off_its_rows_raises(self, dataset_a, monkeypatch):
+        class Shifted(_core._Highs):
+            def getSolution(self):
+                solution = super().getSolution()
+                solution.col_value = np.array(solution.col_value) + 1e-3
+                return solution
+
+        monkeypatch.setattr(_core, "_Highs", Shifted)
+        with pytest.raises(OracleError, match="misses its bounds or rows.*model status Optimal"):
+            grid_tv_minimize(dataset_a, 8)
 
 
 def wide_range_dataset(rng: np.random.Generator, m: int) -> r.Dataset:
@@ -127,12 +138,15 @@ class TestKinkForm:
 
     grids = (1, 2, 3, 8, 16)
 
-    def test_matches_the_grid_value_lp(self):
+    def cases(self):
         rng = np.random.default_rng(60)
         # m cycles over 2..30 and the grid over `grids`, so every pair occurs
         cases = [(random_dataset(rng, 2 + i % 29), self.grids[i % 5]) for i in range(200)]
-        cases += [(wide_range_dataset(rng, 2 + i % 29), self.grids[i % 5]) for i in range(40)]
-        for d, g in cases:
+        return cases + [(wide_range_dataset(rng, 2 + i % 29), self.grids[i % 5])
+                        for i in range(40)]
+
+    def test_matches_the_grid_value_lp(self):
+        for d, g in self.cases():
             ch = r.characterize(d)
             achieved, minimizer = grid_tv_minimize(d, g)
             ref, ref_minimizer = grid_tv_minimize_reference(d, g)
@@ -151,21 +165,31 @@ class TestKinkForm:
             assert rep.minimizer_is_member == ref_rep.is_member
             assert rep.advisory_violations == len(ref_rep.violations)
 
+    def test_same_bits_as_linprog(self):
+        cases = self.cases() + [(random_dataset(np.random.default_rng(2), 200), 64)]
+        for d, g in cases:
+            achieved, minimizer, iters = ridgeless.oracle._solve_grid_lp(d, g, 1e-6, 200_000)
+            ref, ref_minimizer, ref_iters = kink_lp_linprog_reference(d, g)
+            assert achieved.hex() == ref.hex() and iters == ref_iters
+            for name in ("x", "y", "c"):
+                assert np.array_equal(getattr(minimizer, name), getattr(ref_minimizer, name))
+
     @pytest.mark.parametrize("m", [10, 40])
     def test_one_equality_row_per_gap(self, monkeypatch, m):
-        seen, linprog = [], scipy.optimize.linprog
+        seen = []
 
-        def recording(*args, **kwargs):
-            seen.append(kwargs)
-            return linprog(*args, **kwargs)
+        class Recording(_core._Highs):
+            def passModel(self, lp):
+                seen.append(lp)
+                return super().passModel(lp)
 
-        monkeypatch.setattr(scipy.optimize, "linprog", recording)
+        monkeypatch.setattr(_core, "_Highs", Recording)
         d = random_dataset(np.random.default_rng(m), m)
         grid_tv_minimize(d, 64)
         (lp,) = seen
-        assert lp["A_eq"].shape[0] == m - 1
-        assert lp.get("A_ub") is None
-        assert np.diff(scipy.sparse.csc_array(lp["A_eq"]).indptr).max() <= 2
+        assert lp.num_row_ == m - 1
+        assert np.array_equal(lp.row_lower_, lp.row_upper_)
+        assert np.diff(lp.a_matrix_.start_).max() <= 2
 
     def test_certifies_m_200(self):
         d = random_dataset(np.random.default_rng(2), 200)
