@@ -11,10 +11,7 @@ verifies the minimal TV value against a grid-based convex solver.
 
 from .characterize import (
     Characterization,
-    FreeBlock,
-    IntervalVerdict,
     MembershipReport,
-    SupportLine,
     Violation,
     characterize,
     check_membership,

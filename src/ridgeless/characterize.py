@@ -3,14 +3,15 @@
 Given a dataset, every gap between consecutive points is classified as
 either *forced* (the interpolant must follow the connect-the-dots chord
 there) or *free* (any convex-or-concave deviation between the chord and
-the tangent support lines is allowed).  The classification is driven by
-the discrete curvature signs:
+the tangent support lines is allowed).  ``characterize`` returns the
+classification as read-only arrays, ``ch.gaps`` and ``ch.blocks``.  It is
+driven by the discrete curvature signs, and each gap gets a class code:
 
-  - the two outermost gaps are always forced ("1a");
-  - a gap next to a point of zero curvature is forced ("1b");
-  - a gap whose endpoints disagree on curvature sign is forced ("1c");
-  - remaining gaps, where both endpoints share a strict curvature sign,
-    are free, and maximal runs of them form free blocks.
+  - END: the two outermost gaps are always forced ("1a");
+  - FLAT: a gap next to a point of zero curvature is forced ("1b");
+  - FLIP: a gap whose endpoints disagree on curvature sign is forced ("1c");
+  - FREE: remaining gaps, where both endpoints share a strict curvature
+    sign, are free, and maximal runs of them form free blocks.
 
 A function belongs to the family iff it interpolates, matches the chords
 on every forced gap, and on each free block stays convex (concave) between
@@ -28,9 +29,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import repeat
-from typing import NamedTuple
 
 import numpy as np
 
@@ -45,116 +44,70 @@ DIRECT_TAGS = frozenset(
      "block-monotone", "block-envelope", "block-boundary-slope"}
 )
 
-# Gap classes, as codes into _KINDS and _REASONS.
-_FREE, _END, _FLAT, _FLIP = 0, 1, 2, 3
-_KINDS = ("free", "forced", "forced", "forced")
-_REASONS = (None, "1a", "1b", "1c")
+# Gap classes, as codes into REASONS: why a gap of each class is forced.
+FREE, END, FLAT, FLIP = 0, 1, 2, 3
+REASONS = (None, "1a", "1b", "1c")
 
 
-@dataclass(frozen=True, slots=True)
-class SupportLine:
-    """Line through a data point; tangent bound for a free block."""
+@dataclass(frozen=True, eq=False)
+class Gaps:
+    """The class of every gap 1..m-1, and the forced and free gaps, as read-only arrays."""
 
-    through: tuple[float, float]
-    slope: float
-
-    def __call__(self, x):
-        x0, y0 = self.through
-        return (np.asarray(x, dtype=float) - x0) * self.slope + y0
+    code: np.ndarray
+    forced: np.ndarray
+    free: np.ndarray
 
 
-@dataclass(frozen=True, slots=True)
-class IntervalVerdict:
-    index: int
-    kind: str  # "forced" | "free"
-    reason: str | None = None  # "1a" | "1b" | "1c" for forced gaps
-    block_id: int | None = None
+@dataclass(frozen=True, eq=False)
+class Blocks:
+    """The free blocks as read-only arrays: block k spans knots a[k]..b[k]
+    (numbered from 1) and is convex for sign[k] = +1, concave for -1."""
 
-
-@dataclass(frozen=True, slots=True)
-class FreeBlock:
-    block_id: int
-    knot_range: tuple[int, int]  # 1-based point indices (a, b); spans (x_a, x_b)
-    sign: int  # +1 convex block, -1 concave block
-    lower_support: SupportLine  # incoming tangent, slope s_{a-1}
-    upper_support: SupportLine  # outgoing tangent, slope s_b
-
-    def to_dict(self) -> dict:
-        return {
-            "knot_range": list(self.knot_range),
-            "sign": self.sign,
-            "lower_support": {"through": list(self.lower_support.through),
-                              "slope": self.lower_support.slope},
-            "upper_support": {"through": list(self.upper_support.through),
-                              "slope": self.upper_support.slope},
-        }
-
-
-class _Gaps(NamedTuple):
-    """The gap classification as arrays; gaps and knots are numbered from 1."""
-
-    code: np.ndarray  # class of each gap 1..m-1
-    forced: np.ndarray  # the forced gaps
-    free: np.ndarray  # the free gaps
-    a: np.ndarray  # first knot of each block
-    b: np.ndarray  # last knot of each block
-    sign: np.ndarray  # curvature sign of each block
+    a: np.ndarray
+    b: np.ndarray
+    sign: np.ndarray
     knots: np.ndarray  # every block knot, block by block
+
+    def __len__(self) -> int:
+        return self.a.size
 
 
 @dataclass(frozen=True)
 class Characterization:
-    """The family of one dataset.
-
-    ``verdicts`` and ``blocks`` are built on first access from the gap
-    classification, which the sampler and the membership test read as
-    arrays.
-    """
+    """The family of one dataset; ``gaps`` and ``blocks`` classify its gaps."""
 
     dataset: Dataset
     profile: SlopeProfile
+    gaps: Gaps
+    blocks: Blocks
     inflection_set: tuple[int, ...]
     minimal_tv: float
     f_D: PiecewiseLinear
 
     def to_dict(self) -> dict:
+        code = self.gaps.code.tolist()
+        a, b = self.blocks.a, self.blocks.b
+        block = (a.searchsorted(np.arange(1, len(code) + 1), side="right") - 1).tolist()
+        xs, ys, s = self.dataset.xs, self.dataset.ys, self.profile.slopes
         return {
             "verdicts": [
-                {"index": v.index, "kind": v.kind, "reason": v.reason, "block": v.block_id}
-                for v in self.verdicts
+                {"index": j, "kind": "free" if c == FREE else "forced", "reason": REASONS[c],
+                 "block": k if c == FREE else None}
+                for j, c, k in zip(range(1, len(code) + 1), code, block)
             ],
-            "blocks": [b.to_dict() for b in self.blocks],
+            "blocks": [
+                {"knot_range": [ak, bk], "sign": sk,
+                 "lower_support": {"through": [xa, ya], "slope": sa},
+                 "upper_support": {"through": [xb, yb], "slope": sb}}
+                for ak, bk, sk, xa, ya, sa, xb, yb, sb in zip(
+                    a.tolist(), b.tolist(), self.blocks.sign.tolist(),
+                    xs[a - 1].tolist(), ys[a - 1].tolist(), s[a - 2].tolist(),
+                    xs[b - 1].tolist(), ys[b - 1].tolist(), s[b - 1].tolist(),
+                )
+            ],
             "inflection_set": list(self.inflection_set),
             "minimal_tv": self.minimal_tv,
         }
-
-    @cached_property
-    def verdicts(self) -> tuple[IntervalVerdict, ...]:
-        code = self._gaps.code
-        starts = np.zeros(code.size, dtype=int)
-        starts[self._gaps.a - 1] = 1
-        block_of = np.cumsum(starts) - 1  # the block id on free gaps
-        return tuple([
-            IntervalVerdict(j, _KINDS[c], _REASONS[c], k if c == _FREE else None)
-            for j, c, k in zip(range(1, code.size + 1), code.tolist(), block_of.tolist())
-        ])
-
-    @cached_property
-    def blocks(self) -> tuple[FreeBlock, ...]:
-        a, b = self._gaps.a, self._gaps.b
-        xs, ys, s = self.dataset.xs, self.dataset.ys, self.profile.slopes
-        return tuple([
-            FreeBlock(k, (ak, bk), sk, SupportLine((xa, ya), sa), SupportLine((xb, yb), sb))
-            for k, (ak, bk, sk, xa, ya, sa, xb, yb, sb) in enumerate(zip(
-                a.tolist(), b.tolist(), self._gaps.sign.tolist(),
-                xs[a - 1].tolist(), ys[a - 1].tolist(), s[a - 2].tolist(),
-                xs[b - 1].tolist(), ys[b - 1].tolist(), s[b - 1].tolist(),
-            ))
-        ])
-
-    @cached_property
-    def _gaps(self) -> _Gaps:
-        return _classify(self.profile.curvatures)
 
 
 @dataclass(frozen=True, slots=True)
@@ -190,7 +143,7 @@ def _inflection_indices(eps: np.ndarray) -> np.ndarray:
     return np.flatnonzero(mask) + 1
 
 
-def _classify(eps: np.ndarray) -> _Gaps:
+def _classify(eps: np.ndarray) -> tuple[Gaps, Blocks]:
     """Classify the gaps from the curvatures eps_2..eps_{m-1}; find the blocks.
 
     Gap j (2 <= j <= m-2) has curvatures eps_j and eps_{j+1} at its ends.
@@ -198,15 +151,19 @@ def _classify(eps: np.ndarray) -> _Gaps:
     a = j0 .. b = j1 + 1 and takes the sign of eps_a.
     """
     left, right = eps[:-1], eps[1:]
-    code = np.full(len(eps) + 1, _END)
-    code[1:-1] = np.where((left == 0) | (right == 0), _FLAT, np.where(left == right, _FREE, _FLIP))
-    is_free = code == _FREE
+    code = np.full(len(eps) + 1, END)
+    code[1:-1] = np.where((left == 0) | (right == 0), FLAT, np.where(left == right, FREE, FLIP))
+    is_free = code == FREE
     padded = np.concatenate(([False], is_free, [False]))
     edges = np.flatnonzero(padded[1:] != padded[:-1]) + 1
     a, b = edges[0::2], edges[1::2]
     knots = np.flatnonzero(padded[:-1] | padded[1:]) + 1  # knot j borders free gap j-1 or j
-    return _Gaps(code, np.flatnonzero(~is_free) + 1, np.flatnonzero(is_free) + 1,
-                 a, b, eps[a - 2], knots)
+    gaps = Gaps(code, np.flatnonzero(~is_free) + 1, np.flatnonzero(is_free) + 1)
+    blocks = Blocks(a, b, eps[a - 2], knots)
+    # read-only, since sampling and membership trust them
+    for array in (*vars(gaps).values(), *vars(blocks).values()):
+        array.flags.writeable = False
+    return gaps, blocks
 
 
 def _abs_differences(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
@@ -247,9 +204,12 @@ def characterize(d: Dataset) -> Characterization:
     if abs(disagreement) > 1e-9 * max(1.0, minimal_tv):
         warnings.warn("TV formulas disagree by %.3g on this dataset" % disagreement, RuntimeWarning)
 
+    gaps, blocks = _classify(prof.curvatures)
     return Characterization(
         dataset=d,
         profile=prof,
+        gaps=gaps,
+        blocks=blocks,
         inflection_set=tuple(inflection_set.tolist()),
         minimal_tv=minimal_tv,
         f_D=_chord_interpolant(d, prof),
@@ -323,11 +283,11 @@ def _forced_violations(ch: Characterization, f: PiecewiseLinear, tol: float) -> 
     kink in the gap, else a point inside it.
     """
     xs, m = ch.dataset.xs, ch.dataset.m
-    code, forced = ch._gaps.code, ch._gaps.forced
+    code, forced = ch.gaps.code, ch.gaps.forced
     loc = f.x
     left, right = xs.searchsorted(loc, side="left"), xs.searchsorted(loc, side="right")
     gap = np.minimum(np.maximum(right, 1), m - 1)  # of each kink, unless on an interior data point
-    kink = ((left == right) | (right == 1) | (right == m)) & (code[gap - 1] != _FREE)
+    kink = ((left == right) | (right == 1) | (right == m)) & (code[gap - 1] != FREE)
     gap, loc, size = gap[kink], loc[kink], np.abs(f.c[kink])
     mismatch = size > tol * np.maximum(1.0, size)
 
@@ -354,7 +314,7 @@ def _forced_violations(ch: Characterization, f: PiecewiseLinear, tol: float) -> 
         [3 * gap[mismatch], 3 * forced[bad_value] + 1, 3 * forced[bad_slope] + 2],
         [loc[mismatch], probe[bad_value], probe[bad_slope]],
         [size[mismatch], dv[bad_value], d_slope[bad_slope]],
-        lambda key: [f"forced-{_REASONS[c]}" for c in code[key // 3 - 1].tolist()],
+        lambda key: [f"forced-{REASONS[c]}" for c in code[key // 3 - 1].tolist()],
     )
 
 
@@ -365,13 +325,12 @@ def _block_violations(ch: Characterization, f: PiecewiseLinear, tol: float) -> l
     boundary slopes against the flanking chord slopes, then the envelope
     between the support lines and the chord.
     """
-    a, b, knots = ch._gaps.a, ch._gaps.b, ch._gaps.knots
+    a, b, knots = ch.blocks.a, ch.blocks.b, ch.blocks.knots
     if not a.size:
         return []
-    xs, ys = ch.dataset.xs, ch.dataset.ys
-    s = ch.profile.slopes
+    xs, s = ch.dataset.xs, ch.profile.slopes
     xa, xb = xs[a - 1], xs[b - 1]
-    sigma = ch._gaps.sign.astype(float)
+    sigma = ch.blocks.sign.astype(float)
 
     # slope monotonicity inside each block: non-decreasing for convex blocks
     loc = f.x
@@ -399,9 +358,7 @@ def _block_violations(ch: Characterization, f: PiecewiseLinear, tol: float) -> l
     pts = _insert_sorted(knot_x, at[off_knots], loc[off_knots])
     pb = xa.searchsorted(pts, side="right") - 1
     fv, cv = evaluate(f, pts), evaluate(ch.f_D, pts)
-    line_lo = (pts - xa[pb]) * s_enter[pb] + ys[a - 1][pb]
-    line_hi = (pts - xb[pb]) * s_exit[pb] + ys[b - 1][pb]
-    lv = np.where(sigma[pb] > 0, np.maximum(line_lo, line_hi), np.minimum(line_lo, line_hi))
+    lv = support_envelope(ch, pb, pts)
     below = sigma[pb] * (fv - lv)  # must be >= 0: above support lines (convex case)
     above = sigma[pb] * (cv - fv)  # must be >= 0: below the chord (convex case)
     worst = np.minimum(below, above)
@@ -415,6 +372,21 @@ def _block_violations(ch: Characterization, f: PiecewiseLinear, tol: float) -> l
         [-drop[bad_drop], -gap_in[bad_in], -gap_out[bad_out], -worst[bad_env]],
         lambda key: [tags[r] for r in (key % 4).tolist()],
     )
+
+
+def support_envelope(ch: Characterization, block: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The envelope of the two support lines of each ``block`` at ``x``.
+
+    Block k's support lines pass through its knots a and b with the
+    flanking chord slopes s_{a-1} and s_b; the envelope is the higher line
+    on a convex block and the lower on a concave one.  ``block`` holds
+    block ids and broadcasts against ``x``.
+    """
+    a, b = ch.blocks.a[block], ch.blocks.b[block]
+    xs, ys, s = ch.dataset.xs, ch.dataset.ys, ch.profile.slopes
+    lower = (x - xs[a - 1]) * s[a - 2] + ys[a - 1]
+    upper = (x - xs[b - 1]) * s[b - 1] + ys[b - 1]
+    return np.where(ch.blocks.sign[block] > 0, np.maximum(lower, upper), np.minimum(lower, upper))
 
 
 def localized_slope_bounds(ch: Characterization) -> np.ndarray:

@@ -20,7 +20,8 @@ import numpy as np
 
 from . import network as net_mod
 from . import plfun
-from .characterize import characterize, check_membership_against, connect_the_dots
+from .characterize import (FREE, REASONS, characterize, check_membership_against,
+                           connect_the_dots, support_envelope)
 from .dataset import DatasetError, load_dataset
 from .generalization import (
     GroundTruth,
@@ -94,21 +95,22 @@ def _write_or_print(text: str, out: str | None) -> None:
 def cmd_characterize(args) -> int:
     d = load_dataset(args.data)
     ch = characterize(d)
-    xs = d.xs
-    for v in ch.verdicts:
-        span = f"({fmt(xs[v.index - 1])}, {fmt(xs[v.index])})"
-        if v.kind == "forced":
-            print(f"interval {v.index} {span}: forced ({v.reason})")
-        else:
-            print(f"interval {v.index} {span}: free (block {v.block_id})")
-    for b in ch.blocks:
-        a, bb = b.knot_range
-        print(
-            f"block {b.block_id}: knots {a}..{bb} sign {b.sign:+d} "
-            f"support slopes {fmt(b.lower_support.slope)} {fmt(b.upper_support.slope)}"
-        )
-    print("inflection set:", " ".join(str(i) for i in ch.inflection_set))
-    print("minimal TV:", fmt(ch.minimal_tv))
+    x = list(map(fmt, d.xs.tolist()))
+    a, b, s = ch.blocks.a, ch.blocks.b, ch.profile.slopes
+    block = (a.searchsorted(np.arange(1, d.m), side="right") - 1).tolist()  # of each free gap
+    lines = [
+        f"interval {j} ({x[j - 1]}, {x[j]}): "
+        + (f"free (block {k})" if c == FREE else f"forced ({REASONS[c]})")
+        for j, c, k in zip(range(1, d.m), ch.gaps.code.tolist(), block)
+    ]
+    lines += [
+        f"block {k}: knots {ak}..{bk} sign {sk:+d} support slopes {fmt(sa)} {fmt(sb)}"
+        for k, (ak, bk, sk, sa, sb) in enumerate(zip(
+            a.tolist(), b.tolist(), ch.blocks.sign.tolist(), s[a - 2].tolist(), s[b - 1].tolist()))
+    ]
+    lines.append("inflection set: " + " ".join(map(str, ch.inflection_set)))
+    lines.append("minimal TV: " + fmt(ch.minimal_tv))
+    print("\n".join(lines))
     if args.json:
         Path(args.json).write_text(json.dumps(ch.to_dict()))
         print(f"wrote {args.json}")
@@ -224,14 +226,11 @@ def render_svg(ch, members) -> str:
         x = np.unique(np.concatenate(([lo, hi], f.x[plfun._window(f, lo, hi)])))
         curves.append((x, evaluate(f, x)))
 
-    a, b, s = ch._gaps.a, ch._gaps.b, ch.profile.slopes
-    xa, xb = xs[a - 1], xs[b - 1]
-    sx = np.linspace(xa, xb, 65, axis=1)
-    lower = (sx - xa[:, None]) * s[a - 2, None] + ys[a - 1, None]
-    upper = (sx - xb[:, None]) * s[b - 1, None] + ys[b - 1, None]
-    sy = np.where(ch._gaps.sign[:, None] > 0, np.maximum(lower, upper), np.minimum(lower, upper))
+    a, b = ch.blocks.a, ch.blocks.b
+    sx = np.linspace(xs[a - 1], xs[b - 1], 65, axis=1)
+    sy = support_envelope(ch, np.arange(a.size)[:, None], sx)
     # chords: the block knots, less the interior ones that f_D drops as collinear
-    knot_x = xs[ch._gaps.knots - 1]
+    knot_x = xs[ch.blocks.knots - 1]
     last = np.cumsum(b - a + 1) - 1  # of each block, in knot_x
     keep = np.isin(knot_x, ch.f_D.x)
     keep[last] = keep[last - (b - a)] = True  # x_a and x_b, kinks of f_D or not

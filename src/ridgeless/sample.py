@@ -18,7 +18,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .characterize import _FREE, Characterization, _insert_sorted
+from .characterize import FREE, Characterization, _insert_sorted
 from .plfun import PiecewiseLinear, evaluate, from_knots
 
 # draw(rng, knot_index, lo, hi) -> slope in [lo, hi]
@@ -55,7 +55,7 @@ def sample_member(
     if knobs.pin not in (None, "chord", "support"):
         raise ValueError(f"unknown pin mode {knobs.pin!r}")
     rng = np.random.default_rng(int(seed) % 2**64)
-    a, b, knot = ch._gaps.a, ch._gaps.b, ch._gaps.knots
+    a, b, knot = ch.blocks.a, ch.blocks.b, ch.blocks.knots
     if not a.size:
         return ch.f_D
     d = ch.dataset
@@ -82,7 +82,7 @@ def sample_member(
     # Free gap j runs from knot j to knot j+1.  The two tangents cross inside it
     # unless they are parallel or cross (numerically) at an end, where the
     # envelope is just the chord.
-    gap = ch._gaps.free
+    gap = ch.gaps.free
     xj, yj, tj = xs[gap - 1], ys[gap - 1], tangent[gap]
     xk, yk, tk = xs[gap], ys[gap], tangent[gap + 1]
     with np.errstate(all="ignore"):
@@ -126,10 +126,10 @@ def perturb_to_nonmember(
         knots = list(d.points) + [(xk, float(evaluate(ch.f_D, xk)))]
         return from_knots(knots, s[0], s[-1] + bump)
 
-    a, b, sign = ch._gaps.a, ch._gaps.b, ch._gaps.sign
+    a, b, sign = ch.blocks.a, ch.blocks.b, ch.blocks.sign
     # f's kinks strictly inside a free gap, which are those inside a block and off the data
     j = xs[1:-1].searchsorted(f.x, side="right")  # 0-based gap of each kink, ends clamped
-    inner = ((xs[j] < f.x) & (f.x < xs[j + 1]) & (ch._gaps.code[j] == _FREE)).nonzero()[0]
+    inner = ((xs[j] < f.x) & (f.x < xs[j + 1]) & (ch.gaps.code[j] == FREE)).nonzero()[0]
 
     def bumped(x: float, sigma: int) -> float:
         cv = float(evaluate(ch.f_D, x))

@@ -15,11 +15,10 @@ import numpy as np
 import ridgeless as r
 from ridgeless.characterize import (
     DIRECT_TAGS,
+    FREE,
+    REASONS,
     Characterization,
-    FreeBlock,
-    IntervalVerdict,
     MembershipReport,
-    SupportLine,
     Violation,
 )
 from ridgeless.cli import fmt
@@ -435,9 +434,48 @@ def from_knots_reference(knots, left_slope: float, right_slope: float) -> r.Piec
     return r.PiecewiseLinear((xs0, ys0), float(left_slope), xs, jumps, ys)
 
 
+@dataclass(frozen=True, slots=True)
+class SupportLine:
+    """Line through a data point; tangent bound for a free block."""
+
+    through: tuple[float, float]
+    slope: float
+
+    def __call__(self, x):
+        x0, y0 = self.through
+        return (np.asarray(x, dtype=float) - x0) * self.slope + y0
+
+
+@dataclass(frozen=True, slots=True)
+class IntervalVerdict:
+    index: int
+    kind: str  # "forced" | "free"
+    reason: str | None = None  # "1a" | "1b" | "1c" for forced gaps
+    block_id: int | None = None
+
+
+@dataclass(frozen=True, slots=True)
+class FreeBlock:
+    block_id: int
+    knot_range: tuple[int, int]  # 1-based point indices (a, b); spans (x_a, x_b)
+    sign: int  # +1 convex block, -1 concave block
+    lower_support: SupportLine  # incoming tangent, slope s_{a-1}
+    upper_support: SupportLine  # outgoing tangent, slope s_b
+
+    def to_dict(self) -> dict:
+        return {
+            "knot_range": list(self.knot_range),
+            "sign": self.sign,
+            "lower_support": {"through": list(self.lower_support.through),
+                              "slope": self.lower_support.slope},
+            "upper_support": {"through": list(self.upper_support.through),
+                              "slope": self.upper_support.slope},
+        }
+
+
 @dataclass(frozen=True)
 class CharacterizationReference:
-    """A characterization with its verdicts and blocks built eagerly, as fields."""
+    """A characterization with its verdicts and blocks built eagerly, as objects."""
 
     dataset: r.Dataset
     profile: SlopeProfile
@@ -447,7 +485,68 @@ class CharacterizationReference:
     minimal_tv: float
     f_D: r.PiecewiseLinear
 
-    to_dict = Characterization.to_dict
+    def to_dict(self) -> dict:
+        """:meth:`Characterization.to_dict`, built from the objects."""
+        return {
+            "verdicts": [
+                {"index": v.index, "kind": v.kind, "reason": v.reason, "block": v.block_id}
+                for v in self.verdicts
+            ],
+            "blocks": [b.to_dict() for b in self.blocks],
+            "inflection_set": list(self.inflection_set),
+            "minimal_tv": self.minimal_tv,
+        }
+
+
+def verdicts_of(ch) -> tuple[IntervalVerdict, ...]:
+    """One verdict object per gap: a reference's own, or rebuilt from ``ch.gaps``."""
+    if isinstance(ch, CharacterizationReference):
+        return ch.verdicts
+    code = ch.gaps.code
+    starts = np.zeros(code.size, dtype=int)
+    starts[ch.blocks.a - 1] = 1
+    block_of = np.cumsum(starts) - 1  # the block id on free gaps
+    return tuple(
+        IntervalVerdict(j, "free" if c == FREE else "forced", REASONS[c], k if c == FREE else None)
+        for j, c, k in zip(range(1, code.size + 1), code.tolist(), block_of.tolist())
+    )
+
+
+def blocks_of(ch) -> tuple[FreeBlock, ...]:
+    """One block object per free block: a reference's own, or rebuilt from ``ch.blocks``."""
+    if isinstance(ch, CharacterizationReference):
+        return ch.blocks
+    a, b = ch.blocks.a, ch.blocks.b
+    xs, ys, s = ch.dataset.xs, ch.dataset.ys, ch.profile.slopes
+    return tuple(
+        FreeBlock(k, (ak, bk), sk, SupportLine((xa, ya), sa), SupportLine((xb, yb), sb))
+        for k, (ak, bk, sk, xa, ya, sa, xb, yb, sb) in enumerate(zip(
+            a.tolist(), b.tolist(), ch.blocks.sign.tolist(),
+            xs[a - 1].tolist(), ys[a - 1].tolist(), s[a - 2].tolist(),
+            xs[b - 1].tolist(), ys[b - 1].tolist(), s[b - 1].tolist(),
+        ))
+    )
+
+
+def characterize_printout_reference(ch) -> str:
+    """The stdout of ``ridgeless characterize`` without ``--json``, built from the objects."""
+    xs = ch.dataset.xs
+    lines = []
+    for v in verdicts_of(ch):
+        span = f"({fmt(xs[v.index - 1])}, {fmt(xs[v.index])})"
+        if v.kind == "forced":
+            lines.append(f"interval {v.index} {span}: forced ({v.reason})")
+        else:
+            lines.append(f"interval {v.index} {span}: free (block {v.block_id})")
+    for b in blocks_of(ch):
+        a, bb = b.knot_range
+        lines.append(
+            f"block {b.block_id}: knots {a}..{bb} sign {b.sign:+d} "
+            f"support slopes {fmt(b.lower_support.slope)} {fmt(b.upper_support.slope)}"
+        )
+    lines.append(f"inflection set: {' '.join(str(i) for i in ch.inflection_set)}")
+    lines.append(f"minimal TV: {fmt(ch.minimal_tv)}")
+    return "".join(line + "\n" for line in lines)
 
 
 def characterize_reference(d: r.Dataset,
@@ -488,7 +587,7 @@ def characterize_reference(d: r.Dataset,
             FreeBlock(
                 block_id=len(blocks),
                 knot_range=(a, b),
-                sign=eps(a),
+                sign=int(eps(a)),
                 lower_support=SupportLine((float(xs[a - 1]), float(ys[a - 1])), s[a - 2]),
                 upper_support=SupportLine((float(xs[b - 1]), float(ys[b - 1])), s[b - 1]),
             )
@@ -532,7 +631,7 @@ def check_membership_reference(ch: Characterization, f: r.PiecewiseLinear,
             violations.append(Violation("interp", float(xs[i]), err))
     interp_ok = not violations
 
-    for v in ch.verdicts:
+    for v in verdicts_of(ch):
         if v.kind != "forced":
             continue
         lo = -math.inf if v.index == 1 else float(xs[v.index - 1])
@@ -540,7 +639,7 @@ def check_membership_reference(ch: Characterization, f: r.PiecewiseLinear,
         for loc, gap in restriction_mismatches(f, ch.f_D, (lo, hi), tol):
             violations.append(Violation(f"forced-{v.reason}", loc, gap))
 
-    for blk in ch.blocks:
+    for blk in blocks_of(ch):
         violations.extend(_block_violations_reference(ch, blk, f, tol))
 
     tv_value = tv_of_derivative(f)
@@ -607,12 +706,13 @@ def sample_member_reference(ch: Characterization, seed: int,
     d = ch.dataset
     s = ch.profile.slopes
     xs, ys = d.xs, d.ys
-    if not ch.blocks:
+    blocks = blocks_of(ch)
+    if not blocks:
         return ch.f_D
 
     knots: list[tuple[float, float]] = []
     crossed: set[int] = set()
-    for blk in ch.blocks:
+    for blk in blocks:
         a, b = blk.knot_range
         tangents: dict[int, float] = {}
         for j in range(a, b + 1):
@@ -663,7 +763,7 @@ def perturb_to_nonmember_reference(ch: Characterization, f: r.PiecewiseLinear,
         knots = list(d.points) + [(xk, float(evaluate(ch.f_D, xk)))]
         return from_knots_reference(knots, s[0], s[-1] + bump)
 
-    blocks = [(*blk.knot_range, blk.sign) for blk in ch.blocks]
+    blocks = [(*blk.knot_range, blk.sign) for blk in blocks_of(ch)]
     inner: list[tuple[float, float, int]] = []  # (xi, value, block sign)
     for a, b, sign in blocks:
         data_x = set(float(x) for x in xs[a - 1 : b])
@@ -852,7 +952,7 @@ def _curve_points_reference(f: r.PiecewiseLinear, lo: float, hi: float):
 
 
 def render_svg_reference(ch: Characterization, members) -> str:
-    """The SVG of :func:`ridgeless.cli.render_svg`, built block by block from ``ch.blocks``."""
+    """The SVG of :func:`ridgeless.cli.render_svg`, built block by block from the block objects."""
     width, height = 800, 500  # pixels
     d = ch.dataset
     xs, ys = d.xs, d.ys
@@ -863,7 +963,8 @@ def render_svg_reference(ch: Characterization, members) -> str:
     member_curves = [_curve_points_reference(f, lo, hi) for f in members]
     curves.extend(member_curves)
     support_curves = []
-    for blk in ch.blocks:
+    blocks = blocks_of(ch)
+    for blk in blocks:
         a, b = blk.knot_range
         xa, xb = float(xs[a - 1]), float(xs[b - 1])
         grid = np.linspace(xa, xb, 65)
@@ -895,7 +996,7 @@ def render_svg_reference(ch: Characterization, members) -> str:
         f"<metadata>{json.dumps({'minimal_tv': ch.minimal_tv})}</metadata>",
         f'<rect x="0" y="0" width="{width}" height="{height}" fill="white"/>',
     ]
-    for blk, (sx, sy) in zip(ch.blocks, support_curves):
+    for blk, (sx, sy) in zip(blocks, support_curves):
         a, b = blk.knot_range
         cx, cy = _curve_points_reference(ch.f_D, float(xs[a - 1]), float(xs[b - 1]))
         ring = pts((np.concatenate((cx, sx[::-1])), np.concatenate((cy, sy[::-1]))))

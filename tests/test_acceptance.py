@@ -12,10 +12,12 @@ import numpy as np
 
 import ridgeless as r
 from helpers import (
+    blocks_of,
     member_invariant_failures,
     random_dataset,
     random_unit_lipschitz_pl,
     tv_formula_pair,
+    verdicts_of,
 )
 from ridgeless.oracle import grid_tv_minimize
 from ridgeless.plfun import evaluate, structurally_equal, tv_of_derivative
@@ -65,13 +67,13 @@ class TestAcceptance:
             worst = max(worst, time.perf_counter() - t0)
 
         ch_a, ch_zig, ch_col = chs
-        ok = [(v.kind, v.reason) for v in ch_a.verdicts] == [
+        ok = [(v.kind, v.reason) for v in verdicts_of(ch_a)] == [
             ("forced", "1a"), ("free", None), ("forced", "1a")]
-        ok &= len(ch_a.blocks) == 1 and ch_a.blocks[0].sign == 1
+        ok &= len(blocks_of(ch_a)) == 1 and blocks_of(ch_a)[0].sign == 1
         ok &= ch_a.minimal_tv == 2.0
-        ok &= all(v.kind == "forced" for v in ch_zig.verdicts)
-        ok &= ch_zig.blocks == () and ch_zig.minimal_tv == 4.0
-        ok &= ch_col.minimal_tv == 0.0 and ch_col.blocks == ()
+        ok &= all(v.kind == "forced" for v in verdicts_of(ch_zig))
+        ok &= blocks_of(ch_zig) == () and ch_zig.minimal_tv == 4.0
+        ok &= ch_col.minimal_tv == 0.0 and blocks_of(ch_col) == ()
         # singleton family: the sampler can only return the chord interpolant
         ok &= all(
             structurally_equal(r.sample_member(ch_col, s), ch_col.f_D) for s in range(5)

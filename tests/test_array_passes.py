@@ -7,6 +7,7 @@ run in the same order, and C* is correctly rounded both ways.
 """
 
 import importlib
+import json
 from collections import Counter
 from dataclasses import asdict
 
@@ -15,8 +16,10 @@ import pytest
 
 import ridgeless as r
 import ridgeless.oracle as oracle
-from ridgeless.cli import render_svg
+from ridgeless.cli import main, render_svg
 from helpers import (
+    blocks_of,
+    characterize_printout_reference,
     characterize_reference,
     check_membership_reference,
     count_calls,
@@ -28,6 +31,7 @@ from helpers import (
     sample_member_reference,
     slope_profile_reference,
     tv_formula_pair,
+    verdicts_of,
     verify_localized_bounds_reference,
 )
 
@@ -95,8 +99,18 @@ class TestCharacterize:
             assert prof.slopes.tolist() == want.slopes.tolist()
             assert prof.curvatures.tolist() == want.curvatures.tolist()
             assert ch.to_dict() == ref.to_dict()
-            assert ch.verdicts == ref.verdicts and ch.blocks == ref.blocks
+            assert verdicts_of(ch) == ref.verdicts and blocks_of(ch) == ref.blocks
             assert same_pl(ch.f_D, ref.f_D)
+
+    def test_printout_matches_the_objects_at_m_10_4(self, cases, tmp_path, capsys):
+        d, ch, ref = cases[-1]
+        assert d.m == 10**4 and len(ch.blocks) > 0
+        data, blob = tmp_path / "data.csv", tmp_path / "ch.json"
+        r.save_dataset(d, data)
+        assert main(["characterize", str(data), "--json", str(blob)]) == 0
+        want = characterize_printout_reference(ref) + f"wrote {blob}\n"
+        assert capsys.readouterr().out.splitlines() == want.splitlines()
+        assert blob.read_text() == json.dumps(ref.to_dict())
 
     def test_minimal_tv_is_the_rounded_exact_sum(self, cases):
         for d, ch, _ in cases:
@@ -172,9 +186,9 @@ class TestRenderSvg:
             ch = r.characterize(d)
             members = [r.sample_member(ch, k + j) for j in range((0, 1, 3, 8)[k % 4])]
             assert render_svg(ch, members) == render_svg_reference(ch, members), (k, d.m)
-            blocks = ch._gaps.a.size
+            blocks = len(ch.blocks)
             seen["no blocks"] += blocks == 0
-            seen["dropped block knots"] += not np.isin(d.xs[ch._gaps.knots - 1], ch.f_D.x).all()
+            seen["dropped block knots"] += not np.isin(d.xs[ch.blocks.knots - 1], ch.f_D.x).all()
             seen[f"{len(members)} members"] += blocks > 0
         assert min(seen.values()) > 10 and len(seen) == 6, seen
 
@@ -220,10 +234,15 @@ class TestNoPerGapCalls:
 
 class TestNoObjectLayer:
     def test_library_paths_build_no_blocks_or_verdicts(self, monkeypatch):
+        # the classification is arrays only: no per-gap or per-block objects
+        module = importlib.import_module("ridgeless.characterize")
+        for name in ("IntervalVerdict", "FreeBlock", "SupportLine"):
+            assert not hasattr(r, name) and not hasattr(module, name)
+        assert not hasattr(r.Characterization, "verdicts")
         # slopes 0,1,2,3,2,1,0: a convex block, a curvature flip, a concave block
         d = r.make_dataset([(0, 0), (1, 0), (2, 1), (3, 3), (4, 6), (5, 8), (6, 9), (7, 9)])
         ch = r.characterize(d)
-        assert ch._gaps.a.size == 2
+        assert len(ch.blocks) == ch.blocks.a.size == 2
         member = r.sample_member(ch, 0)
         # a member with kinks inside the blocks, and f_D, which has none
         outside = [r.perturb_to_nonmember(ch, f, 0) for f in (member, ch.f_D)]
@@ -241,7 +260,7 @@ class TestNoObjectLayer:
         monkeypatch.setattr(oracle, "from_knots", recording)
         r.certify(d, ch, grid_points_per_gap=8)
         render_svg(ch, [member])
-        assert "blocks" not in vars(ch) and "verdicts" not in vars(ch)
+        assert not hasattr(ch, "verdicts")
         # nor the tuple view of any function's kinks, which perfbench's probes still count
         functions += minimizers
         assert len(minimizers) == 1

@@ -5,7 +5,14 @@ import numpy as np
 import pytest
 
 import ridgeless as r
-from helpers import count_calls, localized_slope_bounds_reference, random_dataset, tv_formula_pair
+from helpers import (
+    blocks_of,
+    count_calls,
+    localized_slope_bounds_reference,
+    random_dataset,
+    tv_formula_pair,
+    verdicts_of,
+)
 from ridgeless.plfun import evaluate, from_knots
 
 
@@ -30,11 +37,11 @@ class TestConnectTheDots:
 class TestCharacterizeFixtures:
     def test_convex_block_dataset(self, dataset_a):
         ch = r.characterize(dataset_a)
-        assert [(v.index, v.kind, v.reason) for v in ch.verdicts] == [
+        assert [(v.index, v.kind, v.reason) for v in verdicts_of(ch)] == [
             (1, "forced", "1a"), (2, "free", None), (3, "forced", "1a")]
         assert ch.minimal_tv == 2.0
         assert ch.inflection_set == (1, 3)
-        (blk,) = ch.blocks
+        (blk,) = blocks_of(ch)
         assert blk.knot_range == (2, 3) and blk.sign == 1
         assert blk.lower_support.through == (1.0, 0.0) and blk.lower_support.slope == 0.0
         assert blk.upper_support.through == (2.0, 1.0) and blk.upper_support.slope == 2.0
@@ -43,35 +50,45 @@ class TestCharacterizeFixtures:
 
     def test_zigzag_all_forced(self, dataset_zigzag):
         ch = r.characterize(dataset_zigzag)
-        assert [(v.kind, v.reason) for v in ch.verdicts] == [
+        assert [(v.kind, v.reason) for v in verdicts_of(ch)] == [
             ("forced", "1a"), ("forced", "1c"), ("forced", "1a")]
-        assert ch.blocks == ()
+        assert blocks_of(ch) == ()
         assert ch.minimal_tv == 4.0
         assert ch.inflection_set == (1, 2, 3)
 
     def test_collinear(self, dataset_collinear):
         ch = r.characterize(dataset_collinear)
-        assert all(v.kind == "forced" for v in ch.verdicts)
+        assert all(v.kind == "forced" for v in verdicts_of(ch))
         assert ch.minimal_tv == 0.0
 
     def test_zero_curvature_forces_neighbors(self):
         d = r.make_dataset([(0, 0), (1, 1), (2, 2), (3, 3), (4, 5)])
         ch = r.characterize(d)
-        assert [(v.index, v.reason) for v in ch.verdicts if v.kind == "forced"] == [
+        assert [(v.index, v.reason) for v in verdicts_of(ch) if v.kind == "forced"] == [
             (1, "1a"), (2, "1b"), (3, "1b"), (4, "1a")]
 
     def test_m2_and_m3_are_singletons(self):
         for pts in ([(0, 0), (1, 5)], [(0, 0), (1, 5), (2, -1)]):
             ch = r.characterize(r.make_dataset(pts))
-            assert ch.blocks == ()
+            assert blocks_of(ch) == ()
             assert r.check_membership(ch.dataset, ch.f_D).is_member
+
+    def test_gap_arrays_are_read_only(self):
+        # slopes 0,1,2,3,2,1,0: a convex block, a curvature flip, a concave block
+        d = r.make_dataset([(0, 0), (1, 0), (2, 1), (3, 3), (4, 6), (5, 8), (6, 9), (7, 9)])
+        ch = r.characterize(d)
+        arrays = {**vars(ch.gaps), **vars(ch.blocks)}
+        assert sorted(arrays) == ["a", "b", "code", "forced", "free", "knots", "sign"]
+        for name, array in arrays.items():
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = array[0]
 
     def test_multi_gap_block(self):
         d = r.make_dataset([(0, 0), (1, 0), (2, 1), (3, 3), (4, 6), (5, 10)])
         ch = r.characterize(d)
-        free = [v.index for v in ch.verdicts if v.kind == "free"]
+        free = [v.index for v in verdicts_of(ch) if v.kind == "free"]
         assert free == [2, 3, 4]
-        (blk,) = ch.blocks
+        (blk,) = blocks_of(ch)
         assert blk.knot_range == (2, 5)
 
     def test_free_rule_is_complement_of_forced_rules(self):
@@ -81,8 +98,8 @@ class TestCharacterizeFixtures:
             ch = r.characterize(d)
             eps = ch.profile.curvatures
             m = d.m
-            assert len(ch.verdicts) == m - 1  # one verdict per gap
-            for v in ch.verdicts:
+            assert len(verdicts_of(ch)) == m - 1  # one verdict per gap
+            for v in verdicts_of(ch):
                 j = v.index
                 if j in (1, m - 1):
                     assert (v.kind, v.reason) == ("forced", "1a")
@@ -100,8 +117,8 @@ class TestCharacterizeFixtures:
             ch = r.characterize(d)
             eps = ch.profile.curvatures
             s = ch.profile.slopes
-            kinds = {v.index: v.kind for v in ch.verdicts}
-            for blk in ch.blocks:
+            kinds = {v.index: v.kind for v in verdicts_of(ch)}
+            for blk in blocks_of(ch):
                 a, b = blk.knot_range
                 assert all(eps[i - 2] == blk.sign for i in range(a, b + 1))
                 assert kinds.get(a - 1, "edge") != "free"

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import ridgeless as r
-from helpers import member_invariant_failures, random_dataset
+from helpers import blocks_of, member_invariant_failures, random_dataset
 from ridgeless.plfun import evaluate, from_knots
 
 
@@ -56,7 +56,7 @@ def rich_member(ch, rng):
     s = ch.profile.slopes
     xs, ys = d.xs, d.ys
     knots = list(d.points)
-    for blk in ch.blocks:
+    for blk in blocks_of(ch):
         a, b = blk.knot_range
         sigma = blk.sign
         lines = []
@@ -78,7 +78,7 @@ class TestRichMembers:
         for _ in range(40):
             d = random_dataset(rng)
             ch = r.characterize(d)
-            if not ch.blocks:
+            if not blocks_of(ch):
                 continue
             for k in range(5):
                 f = rich_member(ch, rng)
@@ -93,7 +93,7 @@ class TestRichMembers:
         # member then has a genuine convex kink exactly at the middle knot
         d = r.make_dataset([(0, 0), (1, 0), (2, 1), (3, 3), (4, 6), (5, 10)])
         ch = r.characterize(d)
-        (blk,) = ch.blocks
+        (blk,) = blocks_of(ch)
         assert blk.knot_range == (2, 5)
         f = from_knots(
             [(0, 0), (1, 0), (2, 1), (3, 3), (3.5, 4.375), (4, 6), (5, 10)],
@@ -120,9 +120,9 @@ class TestMarginSweep:
         for _ in range(20):
             d = random_dataset(rng)
             ch = r.characterize(d)
-            if not ch.blocks:
+            if not blocks_of(ch):
                 continue
-            blk = ch.blocks[0]
+            blk = blocks_of(ch)[0]
             a, b = blk.knot_range
             j = a  # first gap of the block
             mid = 0.5 * (float(d.xs[j - 1]) + float(d.xs[j]))
@@ -141,9 +141,9 @@ class TestMarginSweep:
         for _ in range(20):
             d = random_dataset(rng)
             ch = r.characterize(d)
-            if not ch.blocks:
+            if not blocks_of(ch):
                 continue
-            blk = ch.blocks[0]
+            blk = blocks_of(ch)[0]
             j = blk.knot_range[0]
             mid = 0.5 * (float(d.xs[j - 1]) + float(d.xs[j]))
             g = from_knots(
