@@ -1,9 +1,10 @@
 """Dataset ingestion and the slope / discrete-curvature profile.
 
-A dataset is a sorted sequence of (x, y) pairs with strictly increasing x.
-Its chord slopes ``s_i`` and the signs ``eps_i`` of consecutive slope
-differences (the discrete curvature at each interior point) drive the
-whole interpolant characterization downstream.
+A dataset is two read-only arrays, the abscissae ``xs`` (strictly
+increasing) and the values ``ys``.  Its chord slopes ``s_i`` and the
+signs ``eps_i`` of consecutive slope differences (the discrete curvature
+at each interior point) drive the whole interpolant characterization
+downstream.
 """
 
 from __future__ import annotations
@@ -51,34 +52,40 @@ class TooFewPointsError(DatasetError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dataset:
-    points: tuple[tuple[float, float], ...]
+    """Points with strictly increasing ``xs``, as two read-only float arrays; ``==`` is identity."""
+
+    xs: np.ndarray
+    ys: np.ndarray
 
     def __post_init__(self) -> None:
-        if len(self.points) < 2:
+        xy = np.array((self.xs, self.ys), dtype=float)
+        if xy.ndim != 2:
+            raise DatasetError("xs and ys must be 1-D and of one length")
+        xy.flags.writeable = False
+        xs, ys = xy
+        object.__setattr__(self, "xs", xs)
+        object.__setattr__(self, "ys", ys)
+        if xs.size < 2:
             raise TooFewPointsError("a dataset needs at least two points")
-        prev = -math.inf
-        for x, y in self.points:
-            if not (math.isfinite(x) and math.isfinite(y)):
-                raise NonFiniteValueError(f"non-finite coordinate in point ({x!r}, {y!r})")
-            if x == prev:
-                raise DuplicateXError(x)
-            if x < prev:
-                raise DatasetError("points must be sorted by x; use make_dataset")
-            prev = x
+        if np.count_nonzero(np.isfinite(xy)) < xy.size:
+            i = int(np.argmin(np.isfinite(xy).all(axis=0)))  # the first point with one
+            raise NonFiniteValueError(f"non-finite coordinate in point ({xs[i].item()!r}, {ys[i].item()!r})")
+        if np.count_nonzero(xs[1:] <= xs[:-1]):
+            i = int(np.argmax(xs[1:] <= xs[:-1]))  # the first step that does not increase
+            if xs[i + 1] == xs[i]:
+                raise DuplicateXError(xs[i].item())
+            raise DatasetError("points must be sorted by x; use make_dataset")
 
     @property
     def m(self) -> int:
-        return len(self.points)
+        return self.xs.size
 
     @cached_property
-    def xs(self) -> np.ndarray:
-        return np.array([x for x, _ in self.points], dtype=float)
-
-    @cached_property
-    def ys(self) -> np.ndarray:
-        return np.array([y for _, y in self.points], dtype=float)
+    def points(self) -> tuple[tuple[float, float], ...]:
+        """The (x, y) pairs, built on first access."""
+        return tuple(zip(self.xs.tolist(), self.ys.tolist()))
 
 
 @dataclass(frozen=True, eq=False)
@@ -90,9 +97,10 @@ class SlopeProfile:
 
 
 def make_dataset(pairs: Iterable[tuple[float, float]]) -> Dataset:
-    """Sort the pairs by x and validate them into a Dataset."""
-    pts = sorted((float(x), float(y)) for x, y in pairs)
-    return Dataset(points=tuple(pts))
+    """Sort the pairs by x (stably) and validate them into a Dataset."""
+    x, y = np.array(list(pairs) or np.empty((0, 2)), dtype=float).T
+    order = x.argsort(kind="stable")
+    return Dataset(x[order], y[order])
 
 
 def slope_profile(d: Dataset) -> SlopeProfile:
@@ -165,29 +173,25 @@ def _parse_json(text: str) -> Dataset:
         raise MalformedRecordError('expected an object with a "points" array')
     if not isinstance(obj["points"], list):
         raise MalformedRecordError('"points" must be an array')
-    pairs = []
     for rec in obj["points"]:
-        if not isinstance(rec, (list, tuple)) or len(rec) != 2:
+        if not isinstance(rec, list) or len(rec) != 2:
             raise MalformedRecordError(f"expected [x, y], got {rec!r}")
         try:
             check_json_numbers(rec)
-            x, y = float(rec[0]), float(rec[1])
         except TypeError:
             raise MalformedRecordError(f"non-numeric coordinate in record {rec!r}") from None
-        except OverflowError:  # an integer literal beyond the float range
-            raise NonFiniteValueError(f"non-finite value in record {rec!r}") from None
-        if not (math.isfinite(x) and math.isfinite(y)):
-            raise NonFiniteValueError(f"non-finite value in record {rec!r}")
-        pairs.append((x, y))
-    return make_dataset(pairs)
+    try:
+        return make_dataset(obj["points"])
+    except OverflowError:  # an integer literal beyond the float range
+        raise NonFiniteValueError("non-finite value: an integer beyond the float range") from None
 
 
 def save_dataset(d: Dataset, target: Source, format: str = "csv") -> None:
     """Write csv or json that reloads bit-exactly (repr round-trips floats)."""
     if format == "csv":
-        text = "".join(f"{x!r},{y!r}\n" for x, y in d.points)
+        text = "".join(f"{x!r},{y!r}\n" for x, y in zip(d.xs.tolist(), d.ys.tolist()))
     elif format == "json":
-        text = json.dumps({"points": [[x, y] for x, y in d.points]})
+        text = json.dumps({"points": np.column_stack((d.xs, d.ys)).tolist()})
     else:
         raise ValueError(f"unknown dataset format {format!r}")
     if isinstance(target, (str, Path)):

@@ -55,16 +55,9 @@ def make_dataset_from(gt: GroundTruth, design) -> Dataset:
     An integer m means the uniform design x_i = i/m on [0, 1]; any other
     sequence is used as explicit abscissae.
     """
-    if isinstance(design, (int, np.integer)):
-        if design < 2:
-            raise ValueError("uniform design needs m >= 2")
-        xs = np.arange(1, int(design) + 1) / float(design)
-    else:
-        xs = np.asarray(list(design), dtype=float)
-        if xs.size < 2:
-            raise ValueError("need at least two abscissae")
-    ys = np.atleast_1d(evaluate(gt.f_star, xs))
-    return Dataset(points=tuple(zip(xs.tolist(), ys.tolist())))
+    uniform = isinstance(design, (int, np.integer))
+    xs = np.arange(1, int(design) + 1) / float(design) if uniform else np.asarray(list(design), dtype=float)
+    return Dataset(xs, evaluate(gt.f_star, xs))
 
 
 def is_uniform_design(d: Dataset) -> bool:

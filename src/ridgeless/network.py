@@ -20,41 +20,53 @@ import numpy as np
 from .plfun import PiecewiseLinear, canonical, check_json_numbers, evaluate
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ReluNetwork:
+    """The linear unit ``a*x + b`` and a read-only (k, 3) array of units (w1, b1, w2); ``==`` is identity."""
+
     a: float
     b: float
-    units: tuple[tuple[float, float, float], ...]  # (w1, b1, w2) per unit
+    units: np.ndarray
 
     def __post_init__(self) -> None:
-        vals = [self.a, self.b, *(v for u in self.units for v in u)]
-        if not all(math.isfinite(v) for v in vals):
+        units = np.array(self.units if len(self.units) else np.empty((0, 3)), dtype=float)
+        if units.ndim != 2 or units.shape[1] != 3:
+            raise ValueError("units must be rows (w1, b1, w2)")
+        units.flags.writeable = False
+        object.__setattr__(self, "units", units)
+        if not (math.isfinite(self.a) and math.isfinite(self.b) and np.isfinite(units).all()):
             raise ValueError("network parameters must be finite")
 
     def __call__(self, x):
         return evaluate_network(self, x)
 
     def to_dict(self) -> dict:
-        return {"a": self.a, "b": self.b, "units": [list(u) for u in self.units]}
+        return {"a": self.a, "b": self.b, "units": self.units.tolist()}
 
     @classmethod
     def from_dict(cls, d: dict) -> "ReluNetwork":
         check_json_numbers((d["a"], d["b"]), *d["units"])
-        units = tuple((float(w1), float(b1), float(w2)) for w1, b1, w2 in d["units"])
-        return cls(a=float(d["a"]), b=float(d["b"]), units=units)
+        return cls(a=float(d["a"]), b=float(d["b"]), units=d["units"])
 
 
 def cost(net: ReluNetwork) -> float:
     """Half the sum of squared neuron weights (biases and linear unit free)."""
-    return 0.5 * sum(w1 * w1 + w2 * w2 for w1, _, w2 in net.units)
+    w1, _, w2 = net.units.T
+    with np.errstate(over="ignore"):  # summed in unit order: np.sum would add pairwise
+        return 0.5 * float(np.add.accumulate(np.concatenate(([0.0], w1 * w1 + w2 * w2)))[-1])
 
 
 def evaluate_network(net: ReluNetwork, x):
+    """The network at a scalar or array of points, adding the units in unit order."""
     xs = np.asarray(x, dtype=float)
-    out = net.a * xs + net.b
-    for w1, b1, w2 in net.units:
-        out = out + w2 * np.maximum(0.0, w1 * xs + b1)
-    return float(out) if np.isscalar(x) or xs.ndim == 0 else out
+    flat = xs.reshape(-1)
+    step = max(1, 2**16 // max(1, flat.size))  # units per block, so a block is about 2**16 products
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = net.a * flat + net.b
+        for lo in range(0, len(net.units), step):
+            w1, b1, w2 = net.units[lo:lo + step].T[:, :, None]
+            out = np.add.accumulate(np.concatenate((out[None], w2 * np.maximum(0.0, w1 * flat + b1))), axis=0)[-1]
+    return float(out[0]) if xs.ndim == 0 else out.reshape(xs.shape)
 
 
 def pl_to_network(f: PiecewiseLinear) -> ReluNetwork:
@@ -65,12 +77,9 @@ def pl_to_network(f: PiecewiseLinear) -> ReluNetwork:
     balanced weights.  The linear unit carries the left tail.
     """
     r = np.sqrt(np.abs(f.c))
-    # via a list: tuple(zip(...)) resizes its result while filling it, and over many
-    # small calls that kept the resident memory growing
-    units = tuple(list(zip(r.tolist(), (-f.x * r).tolist(), np.copysign(r, f.c).tolist())))
     a = f.left_slope
     b = float(f.y[0] - a * f.x[0]) if f.x.size else evaluate(f, 0.0)
-    return ReluNetwork(a=a, b=b, units=units)
+    return ReluNetwork(a=a, b=b, units=np.column_stack((r, -f.x * r, np.copysign(r, f.c))))
 
 
 def network_to_pl(net: ReluNetwork) -> PiecewiseLinear:
@@ -80,18 +89,11 @@ def network_to_pl(net: ReluNetwork) -> PiecewiseLinear:
     the left-tail slope, dead units (w1 == 0) fold into the bias, and
     kinks at identical locations merge.
     """
-    left = net.a
-    bps = []
-    for w1, b1, w2 in net.units:
-        if w1 == 0.0:
-            continue  # constant contribution, captured by the anchor value
-        if w1 < 0.0:
-            left += w2 * w1
-        bps.append((-b1 / w1, w2 * abs(w1)))
-    # the network at 0, summed unit by unit in evaluate_network's order
-    w1, b1, w2 = np.array(net.units, dtype=float).reshape(-1, 3).T
-    terms = np.concatenate(([net.a * 0.0 + net.b], w2 * np.maximum(0.0, w1 * 0.0 + b1)))
-    return canonical((0.0, float(np.add.accumulate(terms)[-1])), left, bps)
+    w1, b1, w2 = net.units[net.units[:, 0] != 0.0].T  # a dead unit is constant: the anchor value has it
+    with np.errstate(over="ignore", invalid="ignore"):
+        left = float(np.add.accumulate(np.concatenate(([net.a], (w2 * w1)[w1 < 0.0])))[-1])
+        locs, jumps = -b1 / w1, w2 * np.abs(w1)
+    return canonical((0.0, evaluate_network(net, 0.0)), left, zip(locs.tolist(), jumps.tolist()))
 
 
 def to_json(net: ReluNetwork) -> str:

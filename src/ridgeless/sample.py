@@ -123,7 +123,7 @@ def perturb_to_nonmember(
     if d.m == 2:
         xk = float(xs[-1]) + 1.0
         bump = 1.0 + float(rng.uniform(0.5, 1.5))
-        knots = list(d.points) + [(xk, float(evaluate(ch.f_D, xk)))]
+        knots = np.column_stack((np.append(xs, xk), np.append(d.ys, evaluate(ch.f_D, xk))))
         return from_knots(knots, s[0], s[-1] + bump)
 
     a, b, sign = ch.blocks.a, ch.blocks.b, ch.blocks.sign

@@ -95,6 +95,15 @@ def evaluate_by_slope_integration(f: r.PiecewiseLinear, x: float) -> float:
     return v0 + sign * total
 
 
+def evaluate_network_reference(net: r.ReluNetwork, x):
+    """The network at ``x``, adding one unit at a time in unit order (the loop form)."""
+    xs = np.asarray(x, dtype=float)
+    out = net.a * xs + net.b
+    for w1, b1, w2 in net.units.tolist():
+        out = out + w2 * np.maximum(0.0, w1 * xs + b1)
+    return float(out) if xs.ndim == 0 else out
+
+
 def _slope_at_midpoint(f: r.PiecewiseLinear, a: float, b: float) -> float:
     mid = 0.5 * (a + b)
     slope = f.left_slope

@@ -7,6 +7,7 @@ run in the same order, and C* is correctly rounded both ways.
 """
 
 import importlib
+import io
 import json
 from collections import Counter
 from dataclasses import asdict
@@ -267,3 +268,12 @@ class TestNoObjectLayer:
         for f in functions:
             assert "breakpoints" not in vars(f)
             assert len(f.breakpoints) == f.x.size
+        # nor the dataset's tuple view of its points
+        assert "points" not in vars(d)
+        for fmt in ("csv", "json"):
+            r.save_dataset(d, io.StringIO(), format=fmt)
+        assert "points" not in vars(d)
+        pair = r.characterize(r.make_dataset([(0, 0), (1, 2)]))
+        r.perturb_to_nonmember(pair, pair.f_D, 0)
+        assert "points" not in vars(pair.dataset)
+        assert len(d.points) == d.m

@@ -79,6 +79,7 @@ class TestCharacterizeFixtures:
         ch = r.characterize(d)
         arrays = {**vars(ch.gaps), **vars(ch.blocks)}
         assert sorted(arrays) == ["a", "b", "code", "forced", "free", "knots", "sign"]
+        arrays.update(xs=ch.dataset.xs, ys=ch.dataset.ys)
         for name, array in arrays.items():
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = array[0]

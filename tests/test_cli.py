@@ -254,6 +254,8 @@ class TestErrorsAndDeterminism:
              "from-network"),
             ("inf.json", '{"a": 0, "b": 0, "units": [[1e200, 0, 1e200]]}', "finite",
              "from-network"),
+            ("pairs.json", '{"a": 0, "b": 0, "units": [[1, 2], [3, 4], [5, 6]]}', "bad network file",
+             "from-network"),
             ("rise.csv", "0,-1e308\n1e-300,1e308\n2,0\n", "non-finite", "characterize"),
             ("narrow.csv", "0,0\n1e-320,1\n2,0\n", "non-finite", "characterize"),
         ):

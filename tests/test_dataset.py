@@ -191,7 +191,7 @@ class TestValidation:
 
     def test_direct_construction_rejects_unsorted(self):
         with pytest.raises(r.DatasetError):
-            r.Dataset(points=((1.0, 0.0), (0.0, 0.0)))
+            r.Dataset(xs=(1.0, 0.0), ys=(0.0, 0.0))
 
     def test_non_finite_direct(self):
         with pytest.raises(NonFiniteValueError):

@@ -46,8 +46,9 @@ class TestMakeDataset:
         assert is_uniform_design(d) is False
 
     def test_m1_rejected(self):
-        with pytest.raises(ValueError):
-            r.make_dataset_from(r.GroundTruth.of(identity_pl()), 1)
+        for design in (1, 0, [0.5]):
+            with pytest.raises(ValueError):
+                r.make_dataset_from(r.GroundTruth.of(identity_pl()), design)
 
 
 class TestLipDomination:

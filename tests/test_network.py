@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import ridgeless as r
-from helpers import random_dataset, random_pl
+from helpers import evaluate_network_reference, random_dataset, random_pl
 from ridgeless.network import ReluNetwork, evaluate_network, from_json, to_json
 from ridgeless.plfun import canonical, evaluate, structurally_equal, tv_of_derivative
 
@@ -30,23 +30,28 @@ class TestSynthesis:
     def test_relu(self):
         relu = canonical((0.0, 0.0), 0.0, [(0.0, 1.0)])
         net = r.pl_to_network(relu)
-        assert net.units == ((1.0, 0.0, 1.0),)
+        assert net.units.tolist() == [[1.0, 0.0, 1.0]]
         assert net.a == 0.0 and net.b == 0.0
 
     def test_affine(self):
         line = canonical((0.0, 4.0), -3.0, [])
         net = r.pl_to_network(line)
-        assert net.units == () and net.a == -3.0 and net.b == 4.0
+        assert net.units.shape == (0, 3) and net.a == -3.0 and net.b == 4.0
 
     def test_fixture_units(self):
         net = fd_net()
-        assert net.units == ((1.0, -1.0, 1.0), (1.0, -2.0, 1.0))
+        assert net.units.tolist() == [[1.0, -1.0, 1.0], [1.0, -2.0, 1.0]]
         assert net.a == 0.0 and net.b == 0.0
 
     def test_negative_jump_unit_sign(self):
         f = canonical((0.0, 0.0), 1.0, [(2.0, -4.0)])
         ((w1, b1, w2),) = r.pl_to_network(f).units
         assert w1 == 2.0 and b1 == -4.0 and w2 == -2.0
+
+    def test_units_are_read_only(self):
+        units = r.pl_to_network(canonical((0.0, 0.0), 1.0, [(2.0, -4.0)])).units
+        with pytest.raises(ValueError, match="read-only"):
+            units[0, 0] = 5.0
 
 
 class TestExtraction:
@@ -84,7 +89,7 @@ class TestExtraction:
 
 
 class TestAnchor:
-    """network_to_pl's anchor value is the network at 0, bit for bit."""
+    """network_to_pl's anchor value and evaluate_network are the unit-by-unit sum, bit for bit."""
 
     @staticmethod
     def random_net(rng, k: int) -> ReluNetwork:
@@ -99,9 +104,15 @@ class TestAnchor:
         nets += [self.random_net(rng, 10**4), ReluNetwork(a=-2.0, b=0.5, units=())]
         signs = np.sign([w1 for net in nets for w1, _, _ in net.units])
         assert {-1.0, 0.0, 1.0} <= set(signs.tolist())
+        grid = np.linspace(-3.0, 3.0, 257)
         for net in nets:
-            got = r.network_to_pl(net).anchor[1]
-            assert got.hex() == evaluate_network(net, 0.0).hex(), net.units
+            at0 = evaluate_network_reference(net, 0.0)
+            assert r.network_to_pl(net).anchor[1].hex() == at0.hex(), net.units
+            for x in (0.0, -0.7, np.array(1.3)):
+                assert evaluate_network(net, x).hex() == evaluate_network_reference(net, x).hex()
+            got, want = evaluate_network(net, grid), evaluate_network_reference(net, grid)
+            assert got.shape == want.shape == grid.shape
+            assert list(map(float.hex, got.tolist())) == list(map(float.hex, want.tolist()))
 
 
 class TestEvaluateNetwork:
@@ -177,7 +188,7 @@ class TestJson:
     def test_round_trip(self):
         net = fd_net()
         again = from_json(to_json(net))
-        assert again == net
+        assert (again.a, again.b) == (net.a, net.b) and np.array_equal(again.units, net.units)
 
     def test_wire_format(self):
         net = ReluNetwork(a=1.0, b=-2.0, units=((0.5, 0.25, -4.0),))
@@ -186,7 +197,7 @@ class TestJson:
 
     def test_imports_negative_w1(self):
         net = from_json('{"a": 0, "b": 0, "units": [[-2, 1, 3]]}')
-        assert net.units == ((-2.0, 1.0, 3.0),)
+        assert net.units.tolist() == [[-2.0, 1.0, 3.0]]
         assert r.evaluate_network(net, 0.0) == 3.0
 
     def test_rejects_non_finite(self):
