@@ -20,8 +20,8 @@ import numpy as np
 
 from . import network as net_mod
 from . import plfun
-from .characterize import (FREE, REASONS, characterize, check_membership_against,
-                           connect_the_dots, support_envelope)
+from .characterize import (DEFAULT_MEMBERSHIP_RTOL, FREE, REASONS, characterize,
+                           check_membership_against, connect_the_dots, support_envelope)
 from .dataset import DatasetError, load_dataset
 from .generalization import (
     GroundTruth,
@@ -31,7 +31,7 @@ from .generalization import (
     verify_localized_bounds,
     verify_sup_error,
 )
-from .oracle import OracleError, certify
+from .oracle import DEFAULT_CERTIFY_TOL, DEFAULT_GRID_POINTS_PER_GAP, OracleError, certify
 from .plfun import evaluate, tv_of_derivative
 from .sample import sample_member
 
@@ -118,8 +118,7 @@ def cmd_characterize(args) -> int:
 
 
 def cmd_fd(args) -> int:
-    d = load_dataset(args.data)
-    f = connect_the_dots(d)
+    f = connect_the_dots(load_dataset(args.data))
     _write_or_print(plfun.to_json(f), args.out)
     return 0
 
@@ -177,11 +176,8 @@ def cmd_certify(args) -> int:
 
 def cmd_bound(args) -> int:
     gt = GroundTruth.of(_load(args.fstar))
-    if args.m is not None:
-        d = make_dataset_from(gt, args.m)
-    else:
-        base = load_dataset(args.data)
-        d = make_dataset_from(gt, base.xs)  # data file supplies the design
+    # --m gives the uniform design; without it the data file supplies the design
+    d = make_dataset_from(gt, args.m if args.m is not None else load_dataset(args.data).xs)
     ch = characterize(d)
     members = [sample_member(ch, seed=args.seed + k) for k in range(args.members)]
     lip = verify_lip_domination(ch, members, gt.L)
@@ -202,8 +198,7 @@ def cmd_plot(args) -> int:
     d = load_dataset(args.data)
     ch = characterize(d)
     members = [sample_member(ch, seed=args.seed + k) for k in range(args.members)]
-    svg = render_svg(ch, members)
-    Path(args.out).write_text(svg)
+    Path(args.out).write_text(render_svg(ch, members))
     print(f"wrote {args.out}")
     return 0
 
@@ -296,7 +291,7 @@ def build_parser() -> _Parser:
     sp = sub.add_parser("check", help="membership test for a PL function")
     sp.add_argument("data")
     sp.add_argument("pl")
-    sp.add_argument("--tol", type=_at_least(float, 0), default=1e-9)
+    sp.add_argument("--tol", type=_at_least(float, 0), default=DEFAULT_MEMBERSHIP_RTOL)
     sp.set_defaults(func=cmd_check)
 
     sp = sub.add_parser("sample", help="emit random family members")
@@ -322,8 +317,8 @@ def build_parser() -> _Parser:
 
     sp = sub.add_parser("certify", help="independent grid minimization of the TV")
     sp.add_argument("data")
-    sp.add_argument("--grid", type=_at_least(int, 1), default=64)
-    sp.add_argument("--tol", type=_at_least(float, 0), default=1e-3)
+    sp.add_argument("--grid", type=_at_least(int, 1), default=DEFAULT_GRID_POINTS_PER_GAP)
+    sp.add_argument("--tol", type=_at_least(float, 0), default=DEFAULT_CERTIFY_TOL)
     sp.set_defaults(func=cmd_certify)
 
     sp = sub.add_parser("bound", help="generalization bound reports")

@@ -9,7 +9,6 @@ downstream.
 
 from __future__ import annotations
 
-import io
 import json
 import math
 from dataclasses import dataclass
@@ -19,7 +18,7 @@ from typing import IO, Iterable, Union
 
 import numpy as np
 
-from .plfun import check_json_numbers
+from .plfun import check_json_numbers, float_rows
 
 # eps_i is declared zero when |s_i - s_{i-1}| <= tol * max(1, |s_i|, |s_{i-1}|).
 CURVATURE_RTOL = 1e-12
@@ -60,7 +59,10 @@ class Dataset:
     ys: np.ndarray
 
     def __post_init__(self) -> None:
-        xy = np.array((self.xs, self.ys), dtype=float)
+        try:
+            xy = np.array((self.xs, self.ys), dtype=float)
+        except ValueError as e:  # of two lengths, or a value that does not convert
+            raise DatasetError("xs and ys must be 1-D and of one length") from e
         if xy.ndim != 2:
             raise DatasetError("xs and ys must be 1-D and of one length")
         xy.flags.writeable = False
@@ -98,7 +100,7 @@ class SlopeProfile:
 
 def make_dataset(pairs: Iterable[tuple[float, float]]) -> Dataset:
     """Sort the pairs by x (stably) and validate them into a Dataset."""
-    x, y = np.array(list(pairs) or np.empty((0, 2)), dtype=float).T
+    x, y = float_rows(list(pairs), 2, "points must be (x, y) pairs").T
     order = x.argsort(kind="stable")
     return Dataset(x[order], y[order])
 
@@ -198,7 +200,3 @@ def save_dataset(d: Dataset, target: Source, format: str = "csv") -> None:
         Path(target).write_text(text)
     else:
         target.write(text)
-
-
-def loads_dataset(text: str, format: str = "csv") -> Dataset:
-    return load_dataset(io.StringIO(text), format=format)

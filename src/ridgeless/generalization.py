@@ -123,23 +123,20 @@ def verify_sup_error(
     dense = np.linspace(0.0, 1.0, grid * m + 1)
     star_dense = np.atleast_1d(evaluate(gt.f_star, dense))
 
-    exact_max = 0.0
-    grid_max = 0.0
-    worst = -1
+    exact_max, grid_max, worst = 0.0, 0.0, -1
     for k, f in enumerate(members):
         err = sup_error(f, gt.f_star, 0.0, 1.0)
         if err > exact_max:
             exact_max, worst = err, k
         gerr = float(np.max(np.abs(np.atleast_1d(evaluate(f, dense)) - star_dense)))
         grid_max = max(grid_max, gerr)
-    passed = exact_max <= bound + BOUND_TOL
     return SupErrorReport(
         bound=bound,
         exact_max=exact_max,
         grid_max=grid_max,
         slack=bound - exact_max,
         worst_member=worst,
-        passed=passed,
+        passed=exact_max <= bound + BOUND_TOL,
     )
 
 

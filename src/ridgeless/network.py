@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .plfun import PiecewiseLinear, canonical, check_json_numbers, evaluate
+from .plfun import PiecewiseLinear, canonical, check_json_numbers, evaluate, float_rows
 
 
 @dataclass(frozen=True, eq=False)
@@ -29,9 +29,7 @@ class ReluNetwork:
     units: np.ndarray
 
     def __post_init__(self) -> None:
-        units = np.array(self.units if len(self.units) else np.empty((0, 3)), dtype=float)
-        if units.ndim != 2 or units.shape[1] != 3:
-            raise ValueError("units must be rows (w1, b1, w2)")
+        units = float_rows(self.units, 3, "units must be rows (w1, b1, w2)")
         units.flags.writeable = False
         object.__setattr__(self, "units", units)
         if not (math.isfinite(self.a) and math.isfinite(self.b) and np.isfinite(units).all()):
@@ -93,7 +91,7 @@ def network_to_pl(net: ReluNetwork) -> PiecewiseLinear:
     with np.errstate(over="ignore", invalid="ignore"):
         left = float(np.add.accumulate(np.concatenate(([net.a], (w2 * w1)[w1 < 0.0])))[-1])
         locs, jumps = -b1 / w1, w2 * np.abs(w1)
-    return canonical((0.0, evaluate_network(net, 0.0)), left, zip(locs.tolist(), jumps.tolist()))
+    return canonical((0.0, evaluate_network(net, 0.0)), left, np.column_stack((locs, jumps)))
 
 
 def to_json(net: ReluNetwork) -> str:

@@ -51,6 +51,7 @@ from .plfun import PiecewiseLinear, from_knots
 DEFAULT_GRID_POINTS_PER_GAP = 64
 DEFAULT_SOLVER_TOL = 1e-6
 DEFAULT_MAX_ITERS = 200_000
+DEFAULT_CERTIFY_TOL = 1e-3  # certify passes when |achieved - target| <= tol * max(1, target)
 # the allowance linprog gave the solution HiGHS returns: 10 * sqrt(tol) at
 # linprog's own default tol of 1e-9, not at the solver tolerance
 _CHECK_TOL = 10 * np.sqrt(1e-9)
@@ -71,24 +72,17 @@ class CertificateReport:
     advisory_violations: int
 
 
-def grid_tv_minimize(
-    d: Dataset,
-    grid_points_per_gap: int = DEFAULT_GRID_POINTS_PER_GAP,
-    tol: float = DEFAULT_SOLVER_TOL,
-    max_iters: int = DEFAULT_MAX_ITERS,
-) -> tuple[float, PiecewiseLinear]:
+def grid_tv_minimize(d: Dataset,
+                     grid_points_per_gap: int = DEFAULT_GRID_POINTS_PER_GAP) -> tuple[float, PiecewiseLinear]:
     """Minimize TV(Df) over grid PL interpolants; returns (min_tv, minimizer)."""
-    min_tv, minimizer, _ = _solve_grid_lp(d, grid_points_per_gap, tol, max_iters)
+    min_tv, minimizer, _ = _solve_grid_lp(d, grid_points_per_gap)
     return min_tv, minimizer
 
 
-def _solve_grid_lp(
-    d: Dataset, grid_points_per_gap: int, tol: float, max_iters: int
-) -> tuple[float, PiecewiseLinear, int]:
+def _solve_grid_lp(d: Dataset, grid_points_per_gap: int) -> tuple[float, PiecewiseLinear, int]:
+    """The grid LP at DEFAULT_SOLVER_TOL and DEFAULT_MAX_ITERS, read at call time."""
     if grid_points_per_gap < 1:
         raise ValueError("grid too coarse: need at least one grid point per data gap")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     # scipy is imported here, so that importing the package does not load it
     from scipy import sparse
     from scipy.optimize._highspy import _core
@@ -134,8 +128,8 @@ def _solve_grid_lp(
     options.presolve = "off"
     options.output_flag = options.log_to_console = False
     options.simplex_strategy = _core.simplex_constants.SimplexStrategy.kSimplexStrategyDual
-    options.simplex_iteration_limit = options.ipm_iteration_limit = int(max_iters)
-    options.primal_feasibility_tolerance = options.dual_feasibility_tolerance = tol
+    options.simplex_iteration_limit = options.ipm_iteration_limit = DEFAULT_MAX_ITERS
+    options.primal_feasibility_tolerance = options.dual_feasibility_tolerance = DEFAULT_SOLVER_TOL
     highs = _core._Highs()
     error = _core.HighsStatus.kError
     if (highs.passOptions(options) == error or highs.passModel(lp) == error or highs.run() == error
@@ -165,12 +159,11 @@ def _status(highs) -> str:
 def certify(
     d: Dataset,
     ch,
-    tol: float = 1e-3,
+    tol: float = DEFAULT_CERTIFY_TOL,
     grid_points_per_gap: int = DEFAULT_GRID_POINTS_PER_GAP,
-    max_iters: int = DEFAULT_MAX_ITERS,
 ) -> CertificateReport:
     """Compare the independently solved grid minimum against ch.minimal_tv."""
-    achieved, minimizer, iters = _solve_grid_lp(d, grid_points_per_gap, DEFAULT_SOLVER_TOL, max_iters)
+    achieved, minimizer, iters = _solve_grid_lp(d, grid_points_per_gap)
     target = float(ch.minimal_tv)
     residual = abs(achieved - target)
     passed = residual <= tol * max(1.0, target)

@@ -26,12 +26,12 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 # canonical drops each jump, and from_knots each knot with its jump, where
-# |c| <= JUMP_MERGE_RTOL * (1 + max |c|).
+# |c| <= JUMP_MERGE_RTOL * (1 + max |c|) (see _kept).
 JUMP_MERGE_RTOL = 1e-12
 
 
@@ -96,14 +96,24 @@ class PiecewiseLinear:
     def from_dict(cls, d: dict) -> "PiecewiseLinear":
         check_json_numbers(d["anchor"], (d["left_slope"],), *d["breakpoints"])
         anchor = (float(d["anchor"][0]), float(d["anchor"][1]))
-        bps = [(float(xi), float(c)) for xi, c in d["breakpoints"]]
-        return canonical(anchor, float(d["left_slope"]), bps)
+        return canonical(anchor, float(d["left_slope"]), d["breakpoints"])
 
 
 def check_json_numbers(*rows) -> None:
     """Raise TypeError unless each value in the rows is a JSON number (int or float, not bool)."""
     if not {int, float}.issuperset(map(type, chain.from_iterable(rows))):
         raise TypeError("expected only JSON numbers (ints or floats) as values")
+
+
+def float_rows(rows, width: int, message: str) -> np.ndarray:
+    """``rows`` (an array or a sequence of rows) as a new (n, width) float array, else ValueError."""
+    try:
+        a = np.array(rows if len(rows) else np.empty((0, width)), dtype=float)
+    except ValueError as e:  # ragged rows, or a value that does not convert
+        raise ValueError(message) from e
+    if a.ndim != 2 or a.shape[1] != width:
+        raise ValueError(message)
+    return a
 
 
 def evaluate(f: PiecewiseLinear, x):
@@ -148,12 +158,14 @@ def lipschitz_norm(f: PiecewiseLinear) -> float:
 def canonical(
     anchor: tuple[float, float],
     left_slope: float,
-    breakpoints: Iterable[tuple[float, float]],
+    breakpoints: Sequence[tuple[float, float]] | np.ndarray,
 ) -> PiecewiseLinear:
     """Build a canonical PL function from possibly unsorted/degenerate jumps.
 
-    Breakpoints are sorted, jumps at identical locations are summed, and
-    jumps that are negligible relative to the largest one are dropped.
+    ``breakpoints`` is an (n, 2) array or a sequence of (location, jump)
+    pairs.  They are sorted stably, jumps at one location are summed in
+    input order (at the first one's location, sign of zero included), and
+    jumps negligible relative to the largest one are dropped.
     The drop threshold carries a 1e-12 absolute floor so that slope
     dither on near-affine data reads as affine; data whose genuine slope
     jumps all sit below that floor should be rescaled first.  A
@@ -163,14 +175,17 @@ def canonical(
     the piece slopes, and those slopes by compensated prefix sums of the
     jumps.
     """
-    merged: dict[float, float] = {}
-    for xi, c in breakpoints:
-        merged[xi] = merged.get(xi, 0.0) + c
-    if not (all(map(math.isfinite, merged)) and all(map(math.isfinite, merged.values()))):
-        raise ValueError("breakpoint locations and jumps must be finite")
-    tol = JUMP_MERGE_RTOL * (1.0 + max(map(abs, merged.values()), default=0.0))
-    locs = sorted(xi for xi, c in merged.items() if abs(c) > tol)
-    x, c = np.array(locs, dtype=float), np.array([merged[xi] for xi in locs], dtype=float)
+    rows = float_rows(breakpoints, 2, "breakpoints must be (location, jump) rows")
+    x, c = rows[:, 0], rows[:, 1]
+    if np.count_nonzero(x[1:] <= x[:-1]):  # unsorted, or rows that share a location
+        locs, jumps = rows[x.argsort(kind="stable")].T
+        first = np.concatenate(([True], locs[1:] != locs[:-1]))  # the first row at each location
+        x, c = locs[first], jumps[first]
+        if x.size < locs.size:  # the other rows, added in input order: add.at takes them in turn
+            with np.errstate(over="ignore", invalid="ignore"):
+                np.add.at(c, np.cumsum(first)[~first] - 1, jumps[~first])
+    keep = _kept(x, c)
+    x, c = x[keep], c[keep]
     x0, v0 = float(anchor[0]), float(anchor[1])
     y = x
     if x.size:
@@ -181,6 +196,14 @@ def canonical(
         ref = max(i - 1, 0)
         y = rel + (v0 - (rel[ref] + s[i] * (x0 - x[ref])))
     return PiecewiseLinear((x0, v0), float(left_slope), x, c, y)
+
+
+def _kept(x: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Mask of the kinks kept, |c| > JUMP_MERGE_RTOL * (1 + max |c|); ValueError if one is not finite."""
+    if np.count_nonzero(np.isfinite(x)) + np.count_nonzero(np.isfinite(c)) < x.size + c.size:
+        raise ValueError("breakpoint locations and jumps must be finite")
+    size = np.abs(c)
+    return size > JUMP_MERGE_RTOL * (1.0 + size.max(initial=0.0))
 
 
 def _prefix_sums(a: np.ndarray) -> np.ndarray:
@@ -218,23 +241,19 @@ def from_knots(
     from their values, until no jump is under the threshold; so no later
     slope absorbs a dropped jump.
     """
-    if len(knots) < 1:
+    x, y = float_rows(knots, 2, "knots must be (x, y) rows").T
+    if not x.size:
         raise ValueError("need at least one knot")
-    k = np.asarray(knots, dtype=float)
-    x, y = k[:, 0], k[:, 1]
     if np.count_nonzero(x[1:] <= x[:-1]):
         raise ValueError("knot abscissae must be strictly increasing")
     c = _knot_jumps(x, y, left_slope, right_slope)
-    if np.count_nonzero(np.isfinite(x)) + np.count_nonzero(np.isfinite(c)) < 2 * x.size:
-        raise ValueError("breakpoint locations and jumps must be finite")
     anchor = (float(x[0]), float(y[0]))
     while True:
-        size = np.abs(c)
-        keep = size > JUMP_MERGE_RTOL * (1.0 + size.max())
+        keep = _kept(x, c)
         if np.count_nonzero(keep) == keep.size:
             break
-        x, y, c = x[keep], y[keep], c[keep]
-        if not (x.size and np.count_nonzero(size[~keep])):
+        x, y, c, dropped = x[keep], y[keep], c[keep], c[~keep]
+        if not (x.size and np.count_nonzero(dropped)):
             break  # affine, or only zero jumps dropped, which no other jump absorbs
         c = _knot_jumps(x, y, left_slope, right_slope)
     return PiecewiseLinear(anchor, float(left_slope), x, c, y)

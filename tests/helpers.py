@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import io
 import json
 import math
 import warnings
@@ -24,7 +25,7 @@ from ridgeless.characterize import (
 from ridgeless.cli import fmt
 from ridgeless.dataset import CURVATURE_RTOL, SlopeProfile
 from ridgeless.generalization import GroundTruth, LocalizedBoundReport, make_dataset_from, sup_error
-from ridgeless.plfun import JUMP_MERGE_RTOL, evaluate, one_sided_slopes, tv_of_derivative
+from ridgeless.plfun import JUMP_MERGE_RTOL, _prefix_sums, evaluate, one_sided_slopes, tv_of_derivative
 
 
 _location = itemgetter(0)  # of a (location, jump) breakpoint
@@ -48,7 +49,12 @@ def random_pl(rng: np.random.Generator, max_breaks: int = 8) -> r.PiecewiseLinea
     locs = np.sort(rng.uniform(-5.0, 5.0, size=k))
     jumps = rng.uniform(0.2, 3.0, size=k) * rng.choice([-1.0, 1.0], size=k)
     anchor = (float(rng.uniform(-5, 5)), float(rng.uniform(-5, 5)))
-    return r.canonical(anchor, float(rng.uniform(-3, 3)), zip(locs.tolist(), jumps.tolist()))
+    return r.canonical(anchor, float(rng.uniform(-3, 3)), np.column_stack((locs, jumps)))
+
+
+def loads_dataset(text: str, format: str = "csv") -> r.Dataset:
+    """A dataset parsed from ``text``, as ``load_dataset`` reads a stream."""
+    return r.load_dataset(io.StringIO(text), format=format)
 
 
 def random_unit_lipschitz_pl(rng: np.random.Generator, max_kinks: int = 6) -> r.PiecewiseLinear:
@@ -441,6 +447,33 @@ def from_knots_reference(knots, left_slope: float, right_slope: float) -> r.Piec
         if not dropped_nonzero:
             break
     return r.PiecewiseLinear((xs0, ys0), float(left_slope), xs, jumps, ys)
+
+
+def canonical_reference(anchor, left_slope: float, breakpoints) -> r.PiecewiseLinear:
+    """``canonical`` by a dict merge over the (location, jump) pairs.
+
+    A location's jumps add in input order from 0.0 under the first row's key
+    (so -0.0 and 0.0 merge under whichever came first); then the finite
+    check, the drop threshold, and the values as ``canonical`` takes them.
+    """
+    merged: dict[float, float] = {}
+    for xi, c in breakpoints:
+        merged[xi] = merged.get(xi, 0.0) + c
+    if not (all(map(math.isfinite, merged)) and all(map(math.isfinite, merged.values()))):
+        raise ValueError("breakpoint locations and jumps must be finite")
+    tol = JUMP_MERGE_RTOL * (1.0 + max(map(abs, merged.values()), default=0.0))
+    locs = sorted(xi for xi, c in merged.items() if abs(c) > tol)
+    x, c = np.array(locs, dtype=float), np.array([merged[xi] for xi in locs], dtype=float)
+    x0, v0 = float(anchor[0]), float(anchor[1])
+    y = x
+    if x.size:
+        # values by prefix sums from the first kink, then shifted through the anchor
+        s = _prefix_sums(np.concatenate(([left_slope], c)))  # slope on each piece
+        rel = np.add.accumulate(np.concatenate(([0.0], s[1:-1] * (x[1:] - x[:-1]))))
+        i = int(x.searchsorted(x0, side="right"))
+        ref = max(i - 1, 0)
+        y = rel + (v0 - (rel[ref] + s[i] * (x0 - x[ref])))
+    return r.PiecewiseLinear((x0, v0), float(left_slope), x, c, y)
 
 
 @dataclass(frozen=True, slots=True)

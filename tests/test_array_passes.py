@@ -16,10 +16,13 @@ import numpy as np
 import pytest
 
 import ridgeless as r
+import ridgeless.network as network
 import ridgeless.oracle as oracle
+import ridgeless.plfun as plfun
 from ridgeless.cli import main, render_svg
 from helpers import (
     blocks_of,
+    canonical_reference,
     characterize_printout_reference,
     characterize_reference,
     check_membership_reference,
@@ -127,6 +130,111 @@ class TestCharacterize:
             left, right = float(rng.integers(-2, 3)), float(rng.uniform(-2, 2))
             assert same_pl(r.from_knots(knots, left, right),
                            from_knots_reference(knots, left, right))
+
+
+def same_bits(f: r.PiecewiseLinear, g: r.PiecewiseLinear) -> bool:
+    """Equal bit for bit: anchor, left slope and the x, c and y arrays, signs of zero included."""
+    return ([v.hex() for v in (*f.anchor, f.left_slope)] == [v.hex() for v in (*g.anchor, g.left_slope)]
+            and all(getattr(f, a).tobytes() == getattr(g, a).tobytes() for a in "xcy"))
+
+
+def random_rows(rng: np.random.Generator) -> np.ndarray:
+    """Shuffled (location, jump) rows: runs of up to 5 rows at one location, -0.0 and 0.0
+    locations, and zero, sub-threshold, unit and 1e5-sized jumps."""
+    k = int(rng.integers(0, 12))
+    pool = np.concatenate((rng.integers(-6, 7, size=k) / 4.0, [-0.0, 0.0]))
+    locs = np.repeat(rng.choice(pool, size=k), rng.integers(1, 6, size=k))
+    size = rng.choice([0.0, 1e-13, 1e-12, 1.0, 1e5], size=locs.size) * rng.uniform(0.5, 2.0, size=locs.size)
+    jumps = rng.choice([-1.0, 1.0], size=locs.size) * size
+    return rng.permutation(np.column_stack((locs, jumps)))
+
+
+def canonical_calls(monkeypatch, module) -> list:
+    """The arguments of every call ``module`` makes to ``canonical``."""
+    seen = []
+
+    def recording(anchor, left_slope, breakpoints):
+        seen.append((anchor, left_slope, breakpoints))
+        return r.canonical(anchor, left_slope, breakpoints)
+
+    monkeypatch.setattr(module, "canonical", recording)
+    return seen
+
+
+class TestCanonical:
+    """The sort-and-merge ``canonical`` against the dict merge it replaced."""
+
+    def test_matches_the_dict_merge(self):
+        rng = np.random.default_rng(13)
+        runs = 0
+        for _ in range(2500):
+            rows = random_rows(rng)
+            # also sorted, and sorted with one row per location, which skips the sort
+            srt = rows[rows[:, 0].argsort(kind="stable")]
+            anchor, left = (float(rng.uniform(-2, 2)), float(rng.uniform(-2, 2))), float(rng.uniform(-3, 3))
+            for case in (rows, srt, srt[np.unique(srt[:, 0], return_index=True)[1]]):
+                want = canonical_reference(anchor, left, case.tolist())
+                for form in (case, case.tolist(), list(map(tuple, case.tolist()))):
+                    f = r.canonical(anchor, left, form)
+                    assert same_bits(f, want)
+                    assert np.signbit(f.x).tolist() == np.signbit(want.x).tolist()
+            runs += np.unique(rows[:, 0], return_counts=True)[1].max(initial=0) >= 3
+        assert runs >= 1000
+
+    def test_signed_zero_locations_keep_the_first(self):
+        for first, second in ((-0.0, 0.0), (0.0, -0.0)):
+            f = r.canonical((0.0, 0.0), 0.0, [(1.0, 1.0), (first, 1.0), (second, 2.0)])
+            assert f.x.tolist() == [0.0, 1.0] and f.c.tolist() == [3.0, 1.0]
+            assert np.signbit(f.x[0]) == np.signbit(first)
+
+    def test_non_finite_sums_raise_in_both(self):
+        for rows in ([(0.0, 1e308), (0.0, 1e308)], [(1.0, 1e308), (1.0, 1e308), (1.0, -1e308)],
+                     [(0.0, np.inf), (0.0, -np.inf)], [(np.nan, 1.0), (np.nan, 1.0)]):
+            for build in (r.canonical, canonical_reference):
+                with pytest.raises(ValueError, match="finite"):
+                    build((0.0, 0.0), 0.0, rows)
+
+    def test_refuses_rows_not_of_two(self):
+        for rows in ([[1.0, 2.0, 3.0]], [[1.0, 2.0, 3.0, 4.0]], [[1.0, 2.0], [3.0]], [1.0, 2.0],
+                     np.zeros((2, 3))):
+            with pytest.raises(ValueError, match="breakpoints must be"):
+                r.canonical((0.0, 0.0), 0.0, rows)
+        for rows in ([[1.0, 2.0, 3.0]], [[1.0, 2.0, 3.0, 4.0]]):
+            with pytest.raises(ValueError, match="breakpoints must be"):
+                r.PiecewiseLinear.from_dict({"anchor": [0, 0], "left_slope": 0, "breakpoints": rows})
+
+    def test_network_to_pl_matches_the_dict_merge(self, monkeypatch):
+        seen = canonical_calls(monkeypatch, network)
+        rng = np.random.default_rng(14)
+        shared = 0
+        for _ in range(300):
+            k = int(rng.integers(0, 20))
+            # dyadic locations and power-of-two weights, so -b1 / w1 is the location
+            # exactly and units share it; some w1 negative, some zero
+            w1 = rng.choice([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 4.0], size=k)
+            b1 = -w1 * rng.integers(-4, 5, size=k) / 2.0
+            if rng.uniform() < 0.3:
+                b1 = rng.uniform(-3.0, 3.0, size=k)
+            w2 = rng.choice([-1.0, 1.0], size=k) * rng.choice([0.0, 1e-14, 1.0, 1e5], size=k)
+            net = r.ReluNetwork(float(rng.uniform(-1, 1)), float(rng.uniform(-1, 1)),
+                                np.column_stack((w1, b1, w2)))
+            f = r.network_to_pl(net)
+            anchor, left, rows = seen.pop()
+            assert same_bits(f, canonical_reference(anchor, left, rows.tolist()))
+            shared += np.unique(rows[:, 0]).size < len(rows)
+        assert shared >= 100
+
+    def test_the_m_10_5_member_round_trips(self, monkeypatch):
+        d = random_dataset(np.random.default_rng(1), 10**5)
+        f = r.sample_member(r.characterize(d), 0)
+        assert f.x.size > 10**5
+        loaded, extracted = canonical_calls(monkeypatch, plfun), canonical_calls(monkeypatch, network)
+        g = plfun.from_json(plfun.to_json(f))
+        assert same_bits(g, canonical_reference(*loaded.pop()))
+        h = r.network_to_pl(r.pl_to_network(f))
+        anchor, left, rows = extracted.pop()
+        assert same_bits(h, canonical_reference(anchor, left, rows.tolist()))
+        assert g.x.tobytes() == f.x.tobytes() and h.x.size == f.x.size
 
 
 class TestSample:

@@ -249,6 +249,10 @@ class TestErrorsAndDeterminism:
             ("deep.json", deep, "invalid json", "characterize"),
             ("deep.json", deep, "bad piecewise-linear file", "to-network"),
             ("big.json", pl, "bad piecewise-linear file", "tv"),
+            ("three.json", '{"anchor": [0, 0], "left_slope": 0, "breakpoints": [[1.0, 2.0, 3.0]]}',
+             "bad piecewise-linear file", "tv"),
+            ("four.json", '{"anchor": [0, 0], "left_slope": 0, "breakpoints": [[1.0, 2.0, 3.0, 4.0]]}',
+             "bad piecewise-linear file", "tv"),
             ("big.json", pl, "bad piecewise-linear file", "bound", "x.csv", "--m", "4", "--fstar"),
             ("big.json", '{"a": %s, "b": 0, "units": []}' % big, "bad network file",
              "from-network"),

@@ -11,8 +11,8 @@ from ridgeless.dataset import (
     MalformedRecordError,
     NonFiniteValueError,
     TooFewPointsError,
-    loads_dataset,
 )
+from helpers import loads_dataset
 
 
 class TestCsvLoading:
@@ -196,3 +196,14 @@ class TestValidation:
     def test_non_finite_direct(self):
         with pytest.raises(NonFiniteValueError):
             r.make_dataset([(0, math.nan), (1, 0)])
+
+    def test_pairs_not_of_two_rejected(self):
+        for pairs in ([(0, 1), (2,)], [(0, 1, 3), (2, 4, 5)], [1.0, 2.0]):
+            with pytest.raises(ValueError, match=r"points must be \(x, y\) pairs"):
+                r.make_dataset(pairs)
+
+    def test_ragged_direct_construction_rejected(self):
+        for xs, ys in (([1.0, 2.0], [1.0]), ([[0.0, 1.0], [2.0, 3.0]], [[0.0, 1.0], [2.0, 3.0]]),
+                       (1.0, 2.0)):
+            with pytest.raises(r.DatasetError, match="xs and ys must be 1-D and of one length"):
+                r.Dataset(xs, ys)

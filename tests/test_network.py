@@ -48,6 +48,11 @@ class TestSynthesis:
         ((w1, b1, w2),) = r.pl_to_network(f).units
         assert w1 == 2.0 and b1 == -4.0 and w2 == -2.0
 
+    def test_ragged_units_rejected(self):
+        for units in ([[1, 2, 3], [1, 2]], [[1, 2]], [[1, 2, 3, 4]], [1, 2, 3]):
+            with pytest.raises(ValueError, match=r"units must be rows \(w1, b1, w2\)"):
+                ReluNetwork(0.0, 0.0, units)
+
     def test_units_are_read_only(self):
         units = r.pl_to_network(canonical((0.0, 0.0), 1.0, [(2.0, -4.0)])).units
         with pytest.raises(ValueError, match="read-only"):

@@ -22,37 +22,33 @@ from ridgeless.plfun import evaluate, tv_of_derivative
 
 class TestGridTvMinimize:
     def test_collinear_reaches_zero(self, dataset_collinear):
-        min_tv, minimizer = grid_tv_minimize(dataset_collinear, 16, 1e-6, 200000)
+        min_tv, minimizer = grid_tv_minimize(dataset_collinear, 16)
         assert min_tv == pytest.approx(0.0, abs=1e-8)
         assert tv_of_derivative(minimizer) <= 1e-8
         assert evaluate(minimizer, 0.5) == pytest.approx(2.0, abs=1e-7)
 
     def test_convex_fixture(self, dataset_a):
-        min_tv, minimizer = grid_tv_minimize(dataset_a, 64, 1e-6, 200000)
+        min_tv, minimizer = grid_tv_minimize(dataset_a, 64)
         assert abs(min_tv - 2.0) <= 1e-3
         assert np.allclose(evaluate(minimizer, dataset_a.xs), dataset_a.ys, atol=1e-7)
 
     def test_zigzag_fixture(self, dataset_zigzag):
-        min_tv, _ = grid_tv_minimize(dataset_zigzag, 64, 1e-6, 200000)
+        min_tv, _ = grid_tv_minimize(dataset_zigzag, 64)
         assert abs(min_tv - 4.0) <= 1e-3
 
     def test_minimizer_objective_consistent(self, dataset_a):
-        min_tv, minimizer = grid_tv_minimize(dataset_a, 32, 1e-6, 200000)
+        min_tv, minimizer = grid_tv_minimize(dataset_a, 32)
         assert tv_of_derivative(minimizer) == pytest.approx(min_tv, abs=1e-7)
 
     def test_two_point_dataset(self):
         d = r.make_dataset([(0, 0), (2, 1)])
-        min_tv, minimizer = grid_tv_minimize(d, 4, 1e-6, 1000)
+        min_tv, minimizer = grid_tv_minimize(d, 4)
         assert min_tv == pytest.approx(0.0, abs=1e-9)
         assert minimizer.breakpoints == ()
 
     def test_rejects_coarse_grid(self, dataset_a):
         with pytest.raises(ValueError):
-            grid_tv_minimize(dataset_a, 0, 1e-6, 1000)
-
-    def test_rejects_bad_tol(self, dataset_a):
-        with pytest.raises(ValueError):
-            grid_tv_minimize(dataset_a, 8, 0.0, 1000)
+            grid_tv_minimize(dataset_a, 0)
 
     def test_bracketed_by_cstar_and_fd(self):
         rng = np.random.default_rng(10)
@@ -60,7 +56,7 @@ class TestGridTvMinimize:
             d = random_dataset(rng, m=8)
             ch = r.characterize(d)
             fd_tv = tv_of_derivative(ch.f_D)
-            min_tv, _ = grid_tv_minimize(d, 32, 1e-6, 200000)
+            min_tv, _ = grid_tv_minimize(d, 32)
             slack = 1e-7 * max(1.0, ch.minimal_tv)
             assert ch.minimal_tv - slack <= min_tv <= fd_tv + slack
 
@@ -68,8 +64,8 @@ class TestGridTvMinimize:
         rng = np.random.default_rng(20)
         for _ in range(8):
             d = random_dataset(rng, m=6)
-            coarse, _ = grid_tv_minimize(d, 16, 1e-6, 200000)
-            fine, _ = grid_tv_minimize(d, 32, 1e-6, 200000)
+            coarse, _ = grid_tv_minimize(d, 16)
+            fine, _ = grid_tv_minimize(d, 32)
             slack = 1e-7 * max(1.0, coarse)
             assert fine <= coarse + slack
 
@@ -107,10 +103,11 @@ class TestCertify:
         rep = certify(dataset_a, ch, tol=1e-3, grid_points_per_gap=8)
         assert rep.minimizer_is_member and calls == []
 
-    def test_nonconvergence_raises(self, dataset_a):
+    def test_nonconvergence_raises(self, dataset_a, monkeypatch):
         ch = r.characterize(dataset_a)
+        monkeypatch.setattr(ridgeless.oracle, "DEFAULT_MAX_ITERS", 1)
         with pytest.raises(OracleError, match="Iteration limit reached"):
-            certify(dataset_a, ch, tol=1e-3, grid_points_per_gap=64, max_iters=1)
+            certify(dataset_a, ch, tol=1e-3, grid_points_per_gap=64)
 
     def test_solution_off_its_rows_raises(self, dataset_a, monkeypatch):
         class Shifted(_core._Highs):
@@ -168,7 +165,7 @@ class TestKinkForm:
     def test_same_bits_as_linprog(self):
         cases = self.cases() + [(random_dataset(np.random.default_rng(2), 200), 64)]
         for d, g in cases:
-            achieved, minimizer, iters = ridgeless.oracle._solve_grid_lp(d, g, 1e-6, 200_000)
+            achieved, minimizer, iters = ridgeless.oracle._solve_grid_lp(d, g)
             ref, ref_minimizer, ref_iters = kink_lp_linprog_reference(d, g)
             assert achieved.hex() == ref.hex() and iters == ref_iters
             for name in ("x", "y", "c"):
