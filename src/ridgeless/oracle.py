@@ -36,7 +36,9 @@ Refining the grid only enlarges the feasible set.
 
 HiGHS is called through scipy's bundled bindings, not ``linprog``, whose
 wrapper loops in Python over every column to fill bound marginals that
-are never read here and cost more than the solve itself.
+are never read here and cost more than the solve itself.  The model goes
+in as numpy arrays in one ``passModel`` call, the matrix built column by
+column, since ``HighsLp``'s attribute setters convert one float at a time.
 """
 
 from __future__ import annotations
@@ -84,7 +86,6 @@ def _solve_grid_lp(d: Dataset, grid_points_per_gap: int) -> tuple[float, Piecewi
     if grid_points_per_gap < 1:
         raise ValueError("grid too coarse: need at least one grid point per data gap")
     # scipy is imported here, so that importing the package does not load it
-    from scipy import sparse
     from scipy.optimize._highspy import _core
 
     xs, ys = d.xs, d.ys
@@ -100,28 +101,23 @@ def _solve_grid_lp(d: Dataset, grid_points_per_gap: int) -> tuple[float, Piecewi
     # gap j = k // g; it enters row j with the falling side of the hat at x_j (for
     # j = 0, its weight in gap 0's mean slope) and row j + 1 with the rising side of
     # the hat at x_{j+1}, which is 0 at a data node and has no row on the last gap.
+    # The matrix is built column by column: sigma_0 in row 0, then the kept entries
+    # of each node, row j before row j + 1, as column k (p) and negated as column
+    # k + n - 2 (q).
     k = np.arange(1, n - 1)
     j, t = k // g, nodes[1:-1]
-    row, col = np.concatenate([j, j + 1]), np.concatenate([k, k])
-    coef = np.concatenate([(xs[j + 1] - t) / w[j], (t - xs[j]) / w[j]])
+    row = np.column_stack([j, j + 1])
+    coef = np.column_stack([(xs[j + 1] - t) / w[j], (t - xs[j]) / w[j]])
     keep = (row < d.m - 1) & (coef != 0.0)
-    row, col, coef = row[keep], col[keep], coef[keep]
+    row, col, coef = row[keep], np.nonzero(keep)[0] + 1, coef[keep]
     n_vars = 2 * n - 3
-    a_eq = sparse.csc_array(
-        (np.concatenate([[1.0], coef, -coef]),
-         (np.concatenate([[0], row, row]), np.concatenate([[0], col, col + n - 2]))),
-        shape=(d.m - 1, n_vars),
-    )
+    index = np.concatenate([[0], row, row]).astype(np.int32)
+    col = np.concatenate([[0], col, col + n - 2])
+    start = np.concatenate([[0], np.cumsum(np.bincount(col, minlength=n_vars))]).astype(np.int32)
+    value = np.concatenate([[1.0], coef, -coef])
     b_eq = np.concatenate([s[:1], np.diff(s)])
-    cost, lower = np.ones(n_vars), np.zeros(n_vars)
+    cost, lower, upper = np.ones(n_vars), np.zeros(n_vars), np.full(n_vars, _core.kHighsInf)
     cost[0], lower[0] = 0.0, -_core.kHighsInf
-    lp = _core.HighsLp()
-    lp.num_col_, lp.num_row_ = n_vars, d.m - 1
-    a = lp.a_matrix_
-    a.num_col_, a.num_row_, a.format_ = n_vars, d.m - 1, _core.MatrixFormat.kColwise
-    a.start_, a.index_, a.value_ = a_eq.indptr, a_eq.indices, a_eq.data
-    lp.col_cost_, lp.col_lower_, lp.col_upper_ = cost, lower, np.full(n_vars, _core.kHighsInf)
-    lp.row_lower_ = lp.row_upper_ = b_eq
 
     options = _core.HighsOptions()
     # presolve solves this LP outright in 0 iterations, where maxiter cannot bind
@@ -132,13 +128,17 @@ def _solve_grid_lp(d: Dataset, grid_points_per_gap: int) -> tuple[float, Piecewi
     options.primal_feasibility_tolerance = options.dual_feasibility_tolerance = DEFAULT_SOLVER_TOL
     highs = _core._Highs()
     error = _core.HighsStatus.kError
-    if (highs.passOptions(options) == error or highs.passModel(lp) == error or highs.run() == error
+    # every variable continuous: HiGHS reads n_vars integrality entries, so none may be missing
+    lp = (n_vars, d.m - 1, value.size, _core.MatrixFormat.kColwise, _core.ObjSense.kMinimize,
+          0.0, cost, lower, upper, b_eq, b_eq, start, index, value, np.zeros(n_vars, np.int32))
+    if (highs.passOptions(options) == error or highs.passModel(*lp) == error or highs.run() == error
             or highs.getModelStatus() != _core.HighsModelStatus.kOptimal):
         raise OracleError(f"grid TV minimization did not converge ({_status(highs)})")
     x = np.array(highs.getSolution().col_value)
-    # linprog's check of what HiGHS returns (every upper bound is infinite)
+    # linprog's check of what HiGHS returns (every upper bound is infinite); bincount
+    # adds each row's products in column order, as scipy's csc_matvec does
     if not (np.isfinite(x).all() and (x >= lower - _CHECK_TOL).all()
-            and (np.abs(b_eq - a_eq @ x) <= _CHECK_TOL).all()):
+            and (np.abs(b_eq - np.bincount(index, value * x[col], d.m - 1)) <= _CHECK_TOL).all()):
         raise OracleError(f"grid LP solution misses its bounds or rows by more than "
                           f"{_CHECK_TOL:.2e} ({_status(highs)})")
     info = highs.getInfo()

@@ -57,9 +57,8 @@ class PiecewiseLinear:
             raise ValueError("anchor and left slope must be finite")
         # one read-only block whose rows are x, c and y; count_nonzero is the
         # cheapest reduction at a handful of kinks
-        xcy = np.array((self.x, self.c, self.y), dtype=float)
-        if xcy.ndim != 2:
-            raise ValueError("kink locations, jumps and values must be 1-D and of one length")
+        xcy = float_rows((self.x, self.c, self.y), np.size(self.x),
+                         "kink locations, jumps and values must be 1-D and of one length")
         xcy.flags.writeable = False
         x, c = xcy[0], xcy[1]
         object.__setattr__(self, "x", x)

@@ -924,22 +924,19 @@ def grid_tv_minimize_reference(d: r.Dataset, grid_points_per_gap: int, tol: floa
     return float(res.fun), r.from_knots(list(zip(nodes.tolist(), u.tolist())), left, right)
 
 
-def kink_lp_linprog_reference(d: r.Dataset, grid_points_per_gap: int, tol: float = 1e-6,
-                              max_iters: int = 200_000) -> tuple[float, r.PiecewiseLinear, int]:
-    """The kink-form grid LP of ``oracle._solve_grid_lp`` solved through ``linprog``:
-    the same model and HiGHS options; returns (min_tv, minimizer, iterations).
+def kink_lp_matrix_reference(d: r.Dataset, grid_points_per_gap: int):
+    """The grid nodes and the equality matrix of the kink-form grid LP, built from COO
+    triplets through ``scipy.sparse.csc_array``: ``oracle._solve_grid_lp``'s former
+    build, which its CSC arrays must equal bit for bit; returns (nodes, a_eq).
     """
     from scipy import sparse
-    from scipy.optimize import linprog
 
-    xs, ys = d.xs, d.ys
+    xs = d.xs
     g = int(grid_points_per_gap)
     w = np.diff(xs)
-    s = np.diff(ys) / w
     # the same float operations as np.linspace(xs[i], xs[i + 1], g + 1)[:-1] on each gap
     nodes = np.append(np.arange(g) * (w / g)[:, None] + xs[:-1, None], xs[-1])
     n = nodes.size
-    h = np.diff(nodes)
 
     # Unknowns: sigma_0, then p and q at the interior nodes 1..n-2.  Node k lies in
     # gap j = k // g; it enters row j with the falling side of the hat at x_j (for
@@ -951,12 +948,26 @@ def kink_lp_linprog_reference(d: r.Dataset, grid_points_per_gap: int, tol: float
     coef = np.concatenate([(xs[j + 1] - t) / w[j], (t - xs[j]) / w[j]])
     keep = (row < d.m - 1) & (coef != 0.0)
     row, col, coef = row[keep], col[keep], coef[keep]
-    n_vars = 2 * n - 3
     a_eq = sparse.csc_array(
         (np.concatenate([[1.0], coef, -coef]),
          (np.concatenate([[0], row, row]), np.concatenate([[0], col, col + n - 2]))),
-        shape=(d.m - 1, n_vars),
+        shape=(d.m - 1, 2 * n - 3),
     )
+    return nodes, a_eq
+
+
+def kink_lp_linprog_reference(d: r.Dataset, grid_points_per_gap: int, tol: float = 1e-6,
+                              max_iters: int = 200_000) -> tuple[float, r.PiecewiseLinear, int]:
+    """The kink-form grid LP of ``oracle._solve_grid_lp`` solved through ``linprog``:
+    the same model and HiGHS options; returns (min_tv, minimizer, iterations).
+    """
+    from scipy.optimize import linprog
+
+    ys = d.ys
+    s = np.diff(ys) / np.diff(d.xs)
+    nodes, a_eq = kink_lp_matrix_reference(d, grid_points_per_gap)
+    n, n_vars = nodes.size, a_eq.shape[1]
+    h = np.diff(nodes)
     cost = np.ones(n_vars)
     cost[0] = 0.0
     bounds = np.tile([0.0, np.inf], (n_vars, 1))

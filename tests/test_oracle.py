@@ -14,7 +14,7 @@ from scipy.optimize._highspy import _core
 import ridgeless as r
 import ridgeless.oracle
 from helpers import (count_calls, grid_tv_minimize_reference, kink_lp_linprog_reference,
-                     random_dataset)
+                     kink_lp_matrix_reference, random_dataset)
 from ridgeless.characterize import check_membership_against
 from ridgeless.oracle import OracleError, certify, grid_tv_minimize
 from ridgeless.plfun import evaluate, tv_of_derivative
@@ -121,6 +121,26 @@ class TestCertify:
             grid_tv_minimize(dataset_a, 8)
 
 
+MODEL_FIELDS = ("num_col", "num_row", "num_nz", "a_format", "sense", "offset", "col_cost",
+                "col_lower", "col_upper", "row_lower", "row_upper", "a_start", "a_index", "a_value",
+                "integrality")
+_HIGHS = _core._Highs  # as imported, before any test patches it
+
+
+def recorded_models(monkeypatch, d: r.Dataset, g: int) -> list[dict]:
+    """The arguments each solve of ``grid_tv_minimize(d, g)`` hands to ``passModel``, by name."""
+    seen = []
+
+    class Recording(_HIGHS):
+        def passModel(self, *args):
+            seen.append(dict(zip(MODEL_FIELDS, args, strict=True)))
+            return super().passModel(*args)
+
+    monkeypatch.setattr(_core, "_Highs", Recording)
+    grid_tv_minimize(d, g)
+    return seen
+
+
 def wide_range_dataset(rng: np.random.Generator, m: int) -> r.Dataset:
     """Gaps spread over 1e-3..1e2 and chord slopes of either sign over 1e-3..1e3."""
     gaps = 10.0 ** rng.uniform(-3.0, 2.0, size=m - 1)
@@ -173,20 +193,42 @@ class TestKinkForm:
 
     @pytest.mark.parametrize("m", [10, 40])
     def test_one_equality_row_per_gap(self, monkeypatch, m):
-        seen = []
-
-        class Recording(_core._Highs):
-            def passModel(self, lp):
-                seen.append(lp)
-                return super().passModel(lp)
-
-        monkeypatch.setattr(_core, "_Highs", Recording)
         d = random_dataset(np.random.default_rng(m), m)
-        grid_tv_minimize(d, 64)
-        (lp,) = seen
-        assert lp.num_row_ == m - 1
-        assert np.array_equal(lp.row_lower_, lp.row_upper_)
-        assert np.diff(lp.a_matrix_.start_).max() <= 2
+        (model,) = recorded_models(monkeypatch, d, 64)
+        assert model["num_row"] == m - 1
+        assert np.array_equal(model["row_lower"], model["row_upper"])
+        assert np.diff(model["a_start"]).max() <= 2
+        assert np.array_equal(model["integrality"], np.zeros(model["num_col"], np.int32))
+
+    def test_csc_arrays_match_the_coo_build(self, monkeypatch):
+        cases = self.cases() + [(random_dataset(np.random.default_rng(2), 200), 64)]
+        for d, g in cases:
+            (model,) = recorded_models(monkeypatch, d, g)
+            _, a_eq = kink_lp_matrix_reference(d, g)
+            assert (model["num_row"], model["num_col"]) == a_eq.shape
+            assert model["num_nz"] == a_eq.nnz
+            for name, ref in (("a_start", a_eq.indptr), ("a_index", a_eq.indices)):
+                assert model[name].dtype == np.int32
+                assert np.array_equal(model[name], ref)
+            assert model["a_value"].tobytes() == a_eq.data.tobytes()
+
+    @pytest.mark.parametrize("shift, raises", [(1e-3, True), (1e-5, False)])
+    def test_row_check_follows_columns(self, dataset_a, monkeypatch, shift, raises):
+        # sigma_0, column 0, enters row 0 alone, with coefficient 1
+        class ShiftedSigma0(_core._Highs):
+            def getSolution(self):
+                solution = super().getSolution()
+                col_value = np.array(solution.col_value)
+                col_value[0] += shift
+                solution.col_value = col_value
+                return solution
+
+        monkeypatch.setattr(_core, "_Highs", ShiftedSigma0)
+        if raises:
+            with pytest.raises(OracleError, match="misses its bounds or rows"):
+                grid_tv_minimize(dataset_a, 8)
+        else:
+            grid_tv_minimize(dataset_a, 8)
 
     def test_certifies_m_200(self):
         d = random_dataset(np.random.default_rng(2), 200)

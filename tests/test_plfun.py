@@ -185,6 +185,16 @@ class TestCanonicalization:
         with pytest.raises(ValueError):
             PiecewiseLinear((0.0, 0.0), 0.0, x=(1.0, 1.0), c=(1.0, 1.0), y=(0.0, 0.0))
 
+    @pytest.mark.parametrize("x, c, y", [
+        ([1.0, 2.0], [1.0], [0.0]),  # of two lengths
+        ([1.0], [1.0], [0.0, 1.0]),
+        (1.0, 1.0, 0.0),  # not 1-D
+        ([[1.0]], [[1.0]], [[0.0]]),
+    ])
+    def test_rejects_arrays_of_other_shapes(self, x, c, y):
+        with pytest.raises(ValueError, match="must be 1-D and of one length"):
+            PiecewiseLinear((0.0, 0.0), 0.0, x=x, c=c, y=y)
+
     def test_rejects_non_finite_breakpoints(self):
         # an infinite jump must not push every other jump under the drop threshold
         for bps in ([(0.0, math.inf), (1.0, 1.0)], [(0.0, math.nan)], [(math.inf, 1e-20)],
