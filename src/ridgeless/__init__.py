@@ -55,6 +55,6 @@ from .plfun import (
     structurally_equal,
     tv_of_derivative,
 )
-from .sample import SampleKnobs, perturb_to_nonmember, sample_member
+from .sample import perturb_to_nonmember, sample_member
 
 __version__ = "0.1.0"

@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from pathlib import Path
 from typing import IO, Iterable, Union
 
@@ -83,11 +82,6 @@ class Dataset:
     @property
     def m(self) -> int:
         return self.xs.size
-
-    @cached_property
-    def points(self) -> tuple[tuple[float, float], ...]:
-        """The (x, y) pairs, built on first access."""
-        return tuple(zip(self.xs.tolist(), self.ys.tolist()))
 
 
 @dataclass(frozen=True, eq=False)

@@ -5,7 +5,7 @@ knot from its admissible bracket and taking, on every subinterval, the
 upper (convex block) or lower (concave block) envelope of the two knot
 tangents.  The construction stays inside the family by design, spans the
 chord and the support-line extremes, and is deterministic in
-(seed, knobs, dataset).
+(seed, dataset).
 
 No distribution on the family is canonical; the uniform-on-bracket draw
 here is an artifact choice, not a derived fact.
@@ -13,84 +13,65 @@ here is an artifact choice, not a derived fact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Optional
-
 import numpy as np
 
 from .characterize import FREE, Characterization, _insert_sorted
 from .plfun import PiecewiseLinear, evaluate, from_knots
 
-# draw(rng, knot_index, lo, hi) -> slope in [lo, hi]
-TangentDraw = Callable[[np.random.Generator, int, float, float], float]
-
 # relative margin below which a tangent crossing collapses onto the chord
 _CROSSING_MARGIN = 1e-12
 
 
-@dataclass(frozen=True)
-class SampleKnobs:
-    """Sampling controls.
-
-    ``pin="chord"`` forces every tangent to its chord-side bracket end and
-    reproduces the connect-the-dots interpolant; ``pin="support"`` pins the
-    block-edge tangents to the support-line slopes (for a single-gap block
-    this is exactly the support-line envelope member).  ``tangent_draw``
-    replaces the default uniform draw on the closed bracket.
-    """
-
-    pin: Optional[str] = None
-    tangent_draw: Optional[TangentDraw] = None
-
-
-def sample_member(
-    ch: Characterization, seed: int, knobs: SampleKnobs = SampleKnobs()
-) -> PiecewiseLinear:
+def sample_member(ch: Characterization, seed: int) -> PiecewiseLinear:
     """Draw one member of the family characterized by ``ch``.
 
-    The default draw takes every tangent of the dataset from one
-    ``rng.uniform`` call, in knot order; a custom ``tangent_draw`` is
-    called once per knot, in the same order.
+    Every tangent of the dataset comes from one ``rng.uniform`` call, in
+    knot order.
     """
-    if knobs.pin not in (None, "chord", "support"):
-        raise ValueError(f"unknown pin mode {knobs.pin!r}")
-    rng = np.random.default_rng(int(seed) % 2**64)
-    a, b, knot = ch.blocks.a, ch.blocks.b, ch.blocks.knots
-    if not a.size:
+    knot = ch.blocks.knots
+    if not knot.size:
         return ch.f_D
+    rng = np.random.default_rng(int(seed) % 2**64)
+    s = ch.profile.slopes
+    s_in, s_out = s[knot - 2], s[knot - 1]
+    swap = s_out < s_in
+    lo, hi = np.where(swap, s_out, s_in), np.where(swap, s_in, s_out)
+    t = rng.uniform(lo, hi)
+    t = np.where(lo > t, lo, t)  # min(max(t, lo), hi)
+    return _member(ch, np.where(hi < t, hi, t))
+
+
+def _member(ch: Characterization, t: np.ndarray) -> PiecewiseLinear:
+    """The member whose tangent at knot ``ch.blocks.knots[k]`` has slope ``t[k]``.
+
+    Each tangent must lie in its knot's bracket, between the chord slopes
+    of the two gaps that meet there.  Every tangent at its outgoing chord
+    slope gives the chord; the same with each block's first tangent at
+    its incoming chord slope gives the support-line envelope.
+    """
     d = ch.dataset
     xs, ys = d.xs, d.ys
     s = ch.profile.slopes
-    s_in, s_out = s[knot - 2], s[knot - 1]
-    if knobs.pin is None:
-        swap = s_out < s_in
-        lo, hi = np.where(swap, s_out, s_in), np.where(swap, s_in, s_out)
-        if knobs.tangent_draw is None:
-            t = rng.uniform(lo, hi)
-        else:
-            t = np.array([knobs.tangent_draw(rng, j, l, h)
-                          for j, l, h in zip(knot.tolist(), lo.tolist(), hi.tolist())], dtype=float)
-        t = np.where(lo > t, lo, t)  # min(max(t, lo), hi)
-        t = np.where(hi < t, hi, t)
-    else:
-        t = s_out
     tangent = np.empty(d.m + 1)
-    tangent[knot] = t
-    if knobs.pin == "support":
-        tangent[a], tangent[b] = s[a - 2], s[b - 1]
+    tangent[ch.blocks.knots] = t
 
     # Free gap j runs from knot j to knot j+1.  The two tangents cross inside it
     # unless they are parallel or cross (numerically) at an end, where the
-    # envelope is just the chord.
+    # envelope is just the chord.  A tangent equal to the gap's chord slope
+    # crosses the other one exactly at a data point: share, the crossing's
+    # fraction of the way across the gap, is then exactly 0 or 1, while the
+    # rounded xi can land just inside the gap.
     gap = ch.gaps.free
     xj, yj, tj = xs[gap - 1], ys[gap - 1], tangent[gap]
     xk, yk, tk = xs[gap], ys[gap], tangent[gap + 1]
     with np.errstate(all="ignore"):
         denom = tj - tk
         xi = ((yk - yj) + tj * xj - tk * xk) / denom
+        share = (s[gap - 1] - tk) / denom
         margin = _CROSSING_MARGIN * (xk - xj)
         flat = np.abs(denom) <= _CROSSING_MARGIN * np.maximum(1.0, np.maximum(np.abs(tj), np.abs(tk)))
-        keep = ~(flat | (xi <= xj + margin) | (xi >= xk - margin))
+        keep = ~(flat | (xi <= xj + margin) | (xi >= xk - margin)
+                 | (share <= _CROSSING_MARGIN) | (share >= 1.0 - _CROSSING_MARGIN))
         yi = yj + tj * (xi - xj)
     # The crossing of gap j goes between data points j and j+1.  A data point
     # between two crossed gaps lies on the one tangent both its pieces follow,

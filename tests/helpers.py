@@ -57,6 +57,33 @@ def loads_dataset(text: str, format: str = "csv") -> r.Dataset:
     return r.load_dataset(io.StringIO(text), format=format)
 
 
+def points_of(d: r.Dataset) -> tuple[tuple[float, float], ...]:
+    """The dataset's (x, y) pairs as Python floats."""
+    return tuple(zip(d.xs.tolist(), d.ys.tolist()))
+
+
+def tangent_brackets(ch: Characterization) -> tuple[np.ndarray, np.ndarray]:
+    """Each block knot's tangent bracket (lo, hi): the chord slopes of the two
+    gaps that meet there, in order."""
+    s, knots = ch.profile.slopes, ch.blocks.knots
+    return np.minimum(s[knots - 2], s[knots - 1]), np.maximum(s[knots - 2], s[knots - 1])
+
+
+def chord_tangents(ch: Characterization) -> np.ndarray:
+    """One tangent per block knot, each at its outgoing chord slope: ``_member``
+    then builds the chord."""
+    return ch.profile.slopes[ch.blocks.knots - 1]
+
+
+def support_tangents(ch: Characterization) -> np.ndarray:
+    """``chord_tangents`` with each block's first tangent at its incoming chord
+    slope: ``_member`` then builds the support-line envelope."""
+    knots, t = ch.blocks.knots, chord_tangents(ch)
+    first = knots.searchsorted(ch.blocks.a)
+    t[first] = ch.profile.slopes[ch.blocks.a - 2]
+    return t
+
+
 def random_unit_lipschitz_pl(rng: np.random.Generator, max_kinks: int = 6) -> r.PiecewiseLinear:
     """Random PL function on [0,1] whose Lipschitz norm is exactly 1.
 
@@ -653,7 +680,7 @@ def characterize_reference(d: r.Dataset,
         blocks=tuple(blocks),
         inflection_set=tuple(inflection_set),
         minimal_tv=float(adjacent),
-        f_D=from_knots_reference(d.points, s[0], s[-1]),
+        f_D=from_knots_reference(points_of(d), s[0], s[-1]),
     )
 
 
@@ -740,11 +767,18 @@ def _block_violations_reference(ch, blk, f, tol) -> list[Violation]:
     return out
 
 
-def sample_member_reference(ch: Characterization, seed: int,
-                            knobs: r.SampleKnobs = r.SampleKnobs()) -> r.PiecewiseLinear:
-    """The sampler as a loop over blocks and knots, one scalar draw per knot."""
+def sample_member_reference(ch: Characterization, seed: int, pin: str | None = None,
+                            draw=None) -> r.PiecewiseLinear:
+    """The sampler as a loop over blocks and knots, one scalar draw per knot.
+
+    ``pin="chord"`` puts every tangent at its outgoing chord slope (the
+    chord); ``pin="support"`` also puts each block's first tangent at its
+    incoming chord slope (the support-line envelope).  Otherwise
+    ``draw(rng, knot, lo, hi)`` gives each tangent, clipped to [lo, hi];
+    the default is ``rng.uniform(lo, hi)``.
+    """
     rng = np.random.default_rng(int(seed) % 2**64)
-    draw = knobs.tangent_draw or (lambda rng, knot, lo, hi: float(rng.uniform(lo, hi)))
+    draw = draw or (lambda rng, knot, lo, hi: float(rng.uniform(lo, hi)))
     d = ch.dataset
     s = ch.profile.slopes
     xs, ys = d.xs, d.ys
@@ -759,34 +793,37 @@ def sample_member_reference(ch: Characterization, seed: int,
         tangents: dict[int, float] = {}
         for j in range(a, b + 1):
             lo, hi = sorted((s[j - 2], s[j - 1]))
-            if knobs.pin == "chord":
+            if pin == "chord":
                 t = s[j - 1]
-            elif knobs.pin == "support":
-                t = s[a - 2] if j == a else (s[b - 1] if j == b else s[j - 1])
+            elif pin == "support":
+                t = s[a - 2] if j == a else s[j - 1]
             else:
                 t = min(max(draw(rng, j, lo, hi), lo), hi)
             tangents[j] = t
         for j in range(a, b):
             knot = _tangent_crossing_reference(
                 float(xs[j - 1]), float(ys[j - 1]), tangents[j],
-                float(xs[j]), float(ys[j]), tangents[j + 1],
+                float(xs[j]), float(ys[j]), tangents[j + 1], s[j - 1],
             )
             if knot is not None:
                 knots.append(knot)
                 crossed.add(j)
     # data point i lies between gaps i-1 and i; on two crossed gaps it is no kink
-    knots += [p for i, p in enumerate(d.points, start=1) if not {i - 1, i} <= crossed]
+    knots += [p for i, p in enumerate(points_of(d), start=1) if not {i - 1, i} <= crossed]
     knots.sort()
     return from_knots_reference(knots, s[0], s[-1])
 
 
-def _tangent_crossing_reference(xj, yj, tj, xk, yk, tk):
+def _tangent_crossing_reference(xj, yj, tj, xk, yk, tk, chord):
+    """Where the tangents at (xj, yj) and (xk, yk) cross strictly inside the gap,
+    or None; a tangent equal to the gap's chord slope crosses at a data point."""
     denom = tj - tk
     if abs(denom) <= 1e-12 * max(1.0, abs(tj), abs(tk)):
         return None
     xi = ((yk - yj) + tj * xj - tk * xk) / denom
+    share = (chord - tk) / denom
     margin = 1e-12 * (xk - xj)
-    if xi <= xj + margin or xi >= xk - margin:
+    if xi <= xj + margin or xi >= xk - margin or share <= 1e-12 or share >= 1.0 - 1e-12:
         return None
     return (xi, yj + tj * (xi - xj))
 
@@ -802,7 +839,7 @@ def perturb_to_nonmember_reference(ch: Characterization, f: r.PiecewiseLinear,
     if d.m == 2:
         xk = float(xs[-1]) + 1.0
         bump = 1.0 + float(rng.uniform(0.5, 1.5))
-        knots = list(d.points) + [(xk, float(evaluate(ch.f_D, xk)))]
+        knots = list(points_of(d)) + [(xk, float(evaluate(ch.f_D, xk)))]
         return from_knots_reference(knots, s[0], s[-1] + bump)
 
     blocks = [(*blk.knot_range, blk.sign) for blk in blocks_of(ch)]
@@ -820,19 +857,19 @@ def perturb_to_nonmember_reference(ch: Characterization, f: r.PiecewiseLinear,
 
     if inner:
         pick = int(rng.integers(len(inner)))
-        knots = list(d.points)
+        knots = list(points_of(d))
         for k, (xi, v, sigma) in enumerate(inner):
             knots.append(bumped(xi, sigma) if k == pick else (xi, v))
     elif blocks:
         a, b, sign = blocks[int(rng.integers(len(blocks)))]
         j = int(rng.integers(a, b))
         mid = 0.5 * (float(xs[j - 1]) + float(xs[j]))
-        knots = list(d.points) + [bumped(mid, sign)]
+        knots = list(points_of(d)) + [bumped(mid, sign)]
     else:
         j = int(rng.integers(1, d.m))
         mid = 0.5 * (float(xs[j - 1]) + float(xs[j]))
         sigma = 1 if rng.uniform() < 0.5 else -1
-        knots = list(d.points) + [bumped(mid, sigma)]
+        knots = list(points_of(d)) + [bumped(mid, sigma)]
     knots.sort()
     return from_knots_reference(knots, s[0], s[-1])
 

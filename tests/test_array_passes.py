@@ -7,7 +7,7 @@ run in the same order, and C* is correctly rounded both ways.
 """
 
 import importlib
-import io
+import inspect
 import json
 from collections import Counter
 from dataclasses import asdict
@@ -20,20 +20,25 @@ import ridgeless.network as network
 import ridgeless.oracle as oracle
 import ridgeless.plfun as plfun
 from ridgeless.cli import main, render_svg
+from ridgeless.sample import _member
 from helpers import (
     blocks_of,
     canonical_reference,
     characterize_printout_reference,
     characterize_reference,
     check_membership_reference,
+    chord_tangents,
     count_calls,
     from_knots_reference,
     perturb_to_nonmember_reference,
+    points_of,
     random_dataset,
     random_pl,
     render_svg_reference,
     sample_member_reference,
     slope_profile_reference,
+    support_tangents,
+    tangent_brackets,
     tv_formula_pair,
     verdicts_of,
     verify_localized_bounds_reference,
@@ -76,11 +81,23 @@ def same_pl(f: r.PiecewiseLinear, g: r.PiecewiseLinear) -> bool:
             == (g.anchor, g.left_slope, g.breakpoints, g.y.tolist()))
 
 
-KNOBS = (
-    r.SampleKnobs(),
-    r.SampleKnobs(pin="chord"),
-    r.SampleKnobs(pin="support"),
-    r.SampleKnobs(tangent_draw=lambda rng, j, lo, hi: lo + (hi - lo) * rng.uniform() ** 2),
+def skewed(lo, hi, u):
+    """A tangent in [lo, hi] drawn towards lo, for scalars or arrays alike."""
+    return lo + (hi - lo) * (u * u)
+
+
+def skewed_tangents(ch: r.Characterization, seed: int) -> np.ndarray:
+    """``skewed`` at every block knot, one uniform per knot in knot order, clipped."""
+    lo, hi = tangent_brackets(ch)
+    u = np.random.default_rng(seed % 2**64).uniform(size=lo.size)
+    return np.clip(skewed(lo, hi, u), lo, hi)
+
+
+# tangents for _member, and the reference sampler's matching pin or draw
+TANGENTS = (
+    (lambda ch, seed: chord_tangents(ch), {"pin": "chord"}),
+    (lambda ch, seed: support_tangents(ch), {"pin": "support"}),
+    (skewed_tangents, {"draw": lambda rng, j, lo, hi: skewed(lo, hi, rng.uniform())}),
 )
 
 
@@ -240,9 +257,10 @@ class TestCanonical:
 class TestSample:
     def test_matches_the_scalar_sampler(self, cases):
         for seed, (_, ch, ref) in enumerate(cases):
-            for knobs in KNOBS:
-                assert same_pl(r.sample_member(ch, seed, knobs),
-                               sample_member_reference(ref, seed, knobs)), (seed, knobs)
+            assert same_pl(r.sample_member(ch, seed), sample_member_reference(ref, seed)), seed
+            for tangents, mode in TANGENTS:
+                assert same_pl(_member(ch, tangents(ch, seed)),
+                               sample_member_reference(ref, seed, **mode)), (seed, mode)
 
     def test_perturbation_matches_the_block_loop(self, cases):
         # a member's kinks inside blocks, and f_D, which has none there
@@ -260,7 +278,7 @@ class TestMembership:
             functions = [member, r.perturb_to_nonmember(ch, member, seed), ch.f_D]
             if seed % 4 == 0:  # off the data, with wrong tails; anything at all
                 functions.append(r.from_knots(
-                    [(x, y + 1e-6 * rng.standard_normal()) for x, y in d.points], 0.5, -0.5))
+                    [(x, y + 1e-6 * rng.standard_normal()) for x, y in points_of(d)], 0.5, -0.5))
                 functions.append(random_pl(rng, 20))
             for f in functions:
                 assert asdict(r.check_membership_against(ch, f)) == \
@@ -376,12 +394,11 @@ class TestNoObjectLayer:
         for f in functions:
             assert "breakpoints" not in vars(f)
             assert len(f.breakpoints) == f.x.size
-        # nor the dataset's tuple view of its points
-        assert "points" not in vars(d)
-        for fmt in ("csv", "json"):
-            r.save_dataset(d, io.StringIO(), format=fmt)
-        assert "points" not in vars(d)
-        pair = r.characterize(r.make_dataset([(0, 0), (1, 2)]))
-        r.perturb_to_nonmember(pair, pair.f_D, 0)
-        assert "points" not in vars(pair.dataset)
-        assert len(d.points) == d.m
+
+    def test_one_sampler_and_no_point_tuples(self):
+        # the family's extremes are tangent arrays handed to sample._member,
+        # and a dataset is its two arrays only
+        assert not hasattr(r, "SampleKnobs")
+        assert list(inspect.signature(r.sample_member).parameters) == ["ch", "seed"]
+        assert not hasattr(r.Dataset, "points")
+        assert not hasattr(r.make_dataset([(0, 0), (1, 2)]), "points")

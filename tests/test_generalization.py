@@ -3,6 +3,7 @@ import pytest
 
 import ridgeless as r
 from helpers import (
+    points_of,
     random_dataset,
     random_design_probe,
     random_unit_lipschitz_pl,
@@ -29,20 +30,20 @@ class TestGroundTruth:
 class TestMakeDataset:
     def test_uniform_identity(self):
         d = r.make_dataset_from(r.GroundTruth.of(identity_pl()), 4)
-        assert d.points == ((0.25, 0.25), (0.5, 0.5), (0.75, 0.75), (1.0, 1.0))
+        assert points_of(d) == ((0.25, 0.25), (0.5, 0.5), (0.75, 0.75), (1.0, 1.0))
 
     def test_uniform_vee(self):
         vee = from_knots([(0.0, 0.5), (0.5, 0.0), (1.0, 0.5)], -1.0, 1.0)
         d = r.make_dataset_from(r.GroundTruth.of(vee), 3)
-        xs = [p[0] for p in d.points]
-        ys = [p[1] for p in d.points]
+        xs = [p[0] for p in points_of(d)]
+        ys = [p[1] for p in points_of(d)]
         assert xs == pytest.approx([1 / 3, 2 / 3, 1.0], abs=0)
         assert ys == pytest.approx([1 / 6, 1 / 6, 1 / 2], abs=1e-15)
 
     def test_explicit_abscissae_pass_through(self):
         gt = r.GroundTruth.of(identity_pl())
         d = r.make_dataset_from(gt, [0.1, 0.4, 0.9])
-        assert [p[0] for p in d.points] == [0.1, 0.4, 0.9]
+        assert [p[0] for p in points_of(d)] == [0.1, 0.4, 0.9]
         assert is_uniform_design(d) is False
 
     def test_m1_rejected(self):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import ridgeless as r
-from helpers import blocks_of, member_invariant_failures, random_dataset
+from helpers import blocks_of, member_invariant_failures, points_of, random_dataset
 from ridgeless.plfun import evaluate, from_knots
 
 
@@ -55,7 +55,7 @@ def rich_member(ch, rng):
     d = ch.dataset
     s = ch.profile.slopes
     xs, ys = d.xs, d.ys
-    knots = list(d.points)
+    knots = list(points_of(d))
     for blk in blocks_of(ch):
         a, b = blk.knot_range
         sigma = blk.sign
@@ -127,7 +127,7 @@ class TestMarginSweep:
             j = a  # first gap of the block
             mid = 0.5 * (float(d.xs[j - 1]) + float(d.xs[j]))
             g = from_knots(
-                sorted(list(d.points) + [(mid, evaluate(ch.f_D, mid) + blk.sign * delta)]),
+                sorted(list(points_of(d)) + [(mid, evaluate(ch.f_D, mid) + blk.sign * delta)]),
                 ch.profile.slopes[0], ch.profile.slopes[-1])
             rep = r.check_membership_against(ch, g)
             assert not rep.direct_pass and not rep.tv_pass, (delta, rep.violations[:3])
@@ -147,7 +147,7 @@ class TestMarginSweep:
             j = blk.knot_range[0]
             mid = 0.5 * (float(d.xs[j - 1]) + float(d.xs[j]))
             g = from_knots(
-                sorted(list(d.points) + [(mid, evaluate(ch.f_D, mid) + blk.sign * 1e-13)]),
+                sorted(list(points_of(d)) + [(mid, evaluate(ch.f_D, mid) + blk.sign * 1e-13)]),
                 ch.profile.slopes[0], ch.profile.slopes[-1])
             rep = r.check_membership_against(ch, g)
             assert rep.direct_pass and rep.tv_pass, rep.violations[:3]

@@ -2,7 +2,13 @@ import numpy as np
 import pytest
 
 import ridgeless as r
-from helpers import random_dataset
+from helpers import (
+    chord_tangents,
+    random_dataset,
+    sample_member_reference,
+    support_tangents,
+    tangent_brackets,
+)
 from ridgeless.plfun import (
     canonical,
     evaluate,
@@ -12,11 +18,18 @@ from ridgeless.plfun import (
     to_json,
     tv_of_derivative,
 )
+from ridgeless.sample import _member
 
 
-def prescribed(values):
-    """Tangent draw that returns fixed slopes keyed by knot index."""
-    return lambda rng, j, lo, hi: values[j]
+def prescribed(ch, values):
+    """Tangents for ``_member``: fixed slopes keyed by knot index."""
+    return np.array([values[j] for j in ch.blocks.knots.tolist()])
+
+
+def small_and_large(rng):
+    """20 datasets with m in 4..12, then 20 with m in 100..400 (sizes drawn first)."""
+    for m in [None] * 20 + rng.integers(100, 401, size=20).tolist():
+        yield random_dataset(rng, m)
 
 
 class TestSampleMember:
@@ -28,41 +41,48 @@ class TestSampleMember:
 
     def test_prescribed_tangents_hit_hand_member(self, dataset_a):
         ch = r.characterize(dataset_a)
-        knobs = r.SampleKnobs(tangent_draw=prescribed({2: 0.5, 3: 1.5}))
-        f = r.sample_member(ch, seed=0, knobs=knobs)
+        f = _member(ch, prescribed(ch, {2: 0.5, 3: 1.5}))
         expected = from_knots([(0, 0), (1, 0), (1.5, 0.25), (2, 1), (3, 3)], 0.0, 2.0)
         assert structurally_equal(f, expected)
 
     def test_degenerate_tangents_reproduce_chord(self, dataset_a):
         ch = r.characterize(dataset_a)
-        knobs = r.SampleKnobs(tangent_draw=prescribed({2: 1.0, 3: 1.0}))
-        assert structurally_equal(r.sample_member(ch, 0, knobs), ch.f_D)
+        assert structurally_equal(_member(ch, prescribed(ch, {2: 1.0, 3: 1.0})), ch.f_D)
 
     def test_chord_pin_gives_fd(self):
-        rng = np.random.default_rng(31)
-        for _ in range(20):
-            ch = r.characterize(random_dataset(rng))
-            f = r.sample_member(ch, seed=7, knobs=r.SampleKnobs(pin="chord"))
-            assert structurally_equal(f, ch.f_D)
+        for d in small_and_large(np.random.default_rng(31)):
+            ch = r.characterize(d)
+            f = _member(ch, chord_tangents(ch))
+            assert structurally_equal(f, ch.f_D), d.m
 
     def test_support_pin_is_support_envelope_on_single_gap_block(self, dataset_a):
         ch = r.characterize(dataset_a)
-        f = r.sample_member(ch, 0, r.SampleKnobs(pin="support"))
+        f = _member(ch, support_tangents(ch))
         # max of the two support lines: flat until they cross at 1.5, then slope 2
         expected = canonical((1.0, 0.0), 0.0, [(1.5, 2.0)])
         assert structurally_equal(f, expected)
 
     def test_support_pin_is_member(self):
-        rng = np.random.default_rng(13)
-        for _ in range(20):
-            d = random_dataset(rng)
+        for d in small_and_large(np.random.default_rng(13)):
             ch = r.characterize(d)
-            f = r.sample_member(ch, 3, r.SampleKnobs(pin="support"))
-            assert r.check_membership_against(ch, f).is_member
+            f = _member(ch, support_tangents(ch))
+            assert r.check_membership_against(ch, f).is_member, d.m
 
-    def test_unknown_pin_rejected(self, dataset_a):
-        with pytest.raises(ValueError):
-            r.sample_member(r.characterize(dataset_a), 0, r.SampleKnobs(pin="envelope"))
+    def test_bracket_end_tangents_give_members(self):
+        # a tangent equal to a chord slope crosses its neighbour exactly at a
+        # data point, where the rounded crossing must not leave a sliver piece
+        rng = np.random.default_rng(29)
+        for d in small_and_large(rng):
+            ch = r.characterize(d)
+            lo, hi = tangent_brackets(ch)
+            upper = rng.uniform(size=lo.size) < 0.5
+            f = _member(ch, np.where(upper, hi, lo))
+            rep = r.check_membership_against(ch, f)
+            assert rep.direct_pass and rep.tv_pass, (d.m, rep.violations[:3])
+            end = dict(zip(ch.blocks.knots.tolist(), upper.tolist()))
+            g = sample_member_reference(ch, 0, draw=lambda rng, j, lo, hi: hi if end[j] else lo)
+            assert ((f.anchor, f.left_slope, f.x.tolist(), f.c.tolist(), f.y.tolist())
+                    == (g.anchor, g.left_slope, g.x.tolist(), g.c.tolist(), g.y.tolist())), d.m
 
     def test_deterministic_in_seed(self):
         rng = np.random.default_rng(17)
