@@ -34,9 +34,10 @@ from itertools import repeat
 import numpy as np
 
 from .dataset import Dataset, SlopeProfile, slope_profile
-from .plfun import PiecewiseLinear, evaluate, from_knots, one_sided_slopes, tv_of_derivative
+from .plfun import PiecewiseLinear, allowance, evaluate, from_knots, one_sided_slopes, tv_of_derivative
 
 DEFAULT_MEMBERSHIP_RTOL = 1e-9
+TV_FORMULA_RTOL = 1e-9  # characterize warns when its two TV sums differ by more than this, relatively
 
 # Tags of conditions checked by the direct (geometric) membership test.
 DIRECT_TAGS = frozenset(
@@ -201,7 +202,7 @@ def characterize(d: Dataset) -> Characterization:
     # differ by a few ulps, which is expected; anything larger is a real
     # inconsistency.  The adjacent-gap sum is the true TV of the chord
     # interpolant either way.
-    if abs(disagreement) > 1e-9 * max(1.0, minimal_tv):
+    if abs(disagreement) > allowance(TV_FORMULA_RTOL, minimal_tv):
         warnings.warn("TV formulas disagree by %.3g on this dataset" % disagreement, RuntimeWarning)
 
     gaps, blocks = _classify(prof.curvatures)
@@ -237,7 +238,7 @@ def check_membership_against(
     xs, ys = ch.dataset.xs, ch.dataset.ys
 
     err = np.abs(evaluate(f, xs) - ys)
-    bad = err > tol * np.maximum(1.0, np.abs(ys))
+    bad = err > allowance(tol, ys)
     violations = list(map(Violation, repeat("interp"), xs[bad].tolist(), err[bad].tolist()))
     interp_ok = not violations
     violations += _forced_violations(ch, f, tol)
@@ -245,7 +246,7 @@ def check_membership_against(
 
     tv_value = tv_of_derivative(f)
     tv_gap = abs(tv_value - ch.minimal_tv)
-    tv_close = tv_gap <= tol * max(1.0, ch.minimal_tv)
+    tv_close = bool(tv_gap <= allowance(tol, ch.minimal_tv))
     if not tv_close:
         violations.append(Violation("tv-mismatch", None, tv_gap))
 
@@ -289,7 +290,7 @@ def _forced_violations(ch: Characterization, f: PiecewiseLinear, tol: float) -> 
     gap = np.minimum(np.maximum(right, 1), m - 1)  # of each kink, unless on an interior data point
     kink = ((left == right) | (right == 1) | (right == m)) & (code[gap - 1] != FREE)
     gap, loc, size = gap[kink], loc[kink], np.abs(f.c[kink])
-    mismatch = size > tol * np.maximum(1.0, size)
+    mismatch = size > allowance(tol, size)
 
     lo, hi = xs[forced - 1], xs[forced]
     probe = 0.5 * (lo + hi)
@@ -302,10 +303,10 @@ def _forced_violations(ch: Characterization, f: PiecewiseLinear, tol: float) -> 
 
     fv, gv = evaluate(f, probe), evaluate(ch.f_D, probe)
     dv = np.abs(fv - gv)
-    bad_value = dv > tol * np.maximum(1.0, np.abs(gv))
+    bad_value = dv > allowance(tol, gv)
     (fi, fo), (gi, go) = one_sided_slopes(f, probe), one_sided_slopes(ch.f_D, probe)
     d_in, d_out = np.abs(fi - gi), np.abs(fo - go)
-    scale = tol * np.maximum(1.0, np.maximum(np.abs(gi), np.abs(go)))
+    scale = allowance(tol, gi, go)
     bad_in = d_in > scale
     bad_slope = bad_in | (d_out > scale)
     d_slope = np.where(bad_in, d_in, d_out)
@@ -339,15 +340,15 @@ def _block_violations(ch: Characterization, f: PiecewiseLinear, tol: float) -> l
     blk, loc = blk[inside], loc[inside]
     s_before, s_after = one_sided_slopes(f, loc)
     drop = sigma[blk] * (s_after - s_before)
-    bad_drop = drop < -tol * np.maximum(1.0, np.maximum(np.abs(s_before), np.abs(s_after)))
+    bad_drop = drop < -allowance(tol, s_before, s_after)
 
     # boundary slopes must respect the flanking chord slopes
     s_first, s_last = one_sided_slopes(f, xa)[1], one_sided_slopes(f, xb)[0]
     s_enter, s_exit = s[a - 2], s[b - 1]
     gap_in = sigma * (s_first - s_enter)
-    bad_in = gap_in < -tol * np.maximum(1.0, np.maximum(np.abs(s_first), np.abs(s_enter)))
+    bad_in = gap_in < -allowance(tol, s_first, s_enter)
     gap_out = sigma * (s_exit - s_last)
-    bad_out = gap_out < -tol * np.maximum(1.0, np.maximum(np.abs(s_last), np.abs(s_exit)))
+    bad_out = gap_out < -allowance(tol, s_last, s_exit)
 
     # envelope: between the support lines and the chord.  PL-vs-PL bounds are
     # decided at the union of kinks, so checking f's breakpoints and the block
@@ -362,7 +363,7 @@ def _block_violations(ch: Characterization, f: PiecewiseLinear, tol: float) -> l
     below = sigma[pb] * (fv - lv)  # must be >= 0: above support lines (convex case)
     above = sigma[pb] * (cv - fv)  # must be >= 0: below the chord (convex case)
     worst = np.minimum(below, above)
-    bad_env = worst < -tol * np.maximum(1.0, np.maximum(np.abs(cv), np.abs(lv)))
+    bad_env = worst < -allowance(tol, cv, lv)
 
     ids = np.arange(a.size)
     tags = ("block-monotone", "block-boundary-slope", "block-boundary-slope", "block-envelope")

@@ -84,7 +84,7 @@ def _as_dict(report) -> dict:
     return out
 
 
-def _write_or_print(text: str, out: str | None) -> None:
+def _write_or_print(text: str, out: str | Path | None) -> None:
     if out:
         Path(out).write_text(text)
         print(f"wrote {out}")
@@ -112,8 +112,7 @@ def cmd_characterize(args) -> int:
     lines.append("minimal TV: " + fmt(ch.minimal_tv))
     print("\n".join(lines))
     if args.json:
-        Path(args.json).write_text(json.dumps(ch.to_dict()))
-        print(f"wrote {args.json}")
+        _write_or_print(json.dumps(ch.to_dict()), args.json)
     return 0
 
 
@@ -138,9 +137,7 @@ def cmd_sample(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     for k in range(args.n):
         f = sample_member(ch, seed=args.seed + k)
-        path = out_dir / f"member-{k:04d}.json"
-        path.write_text(plfun.to_json(f))
-        print(f"wrote {path}")
+        _write_or_print(plfun.to_json(f), out_dir / f"member-{k:04d}.json")
     return 0
 
 
@@ -175,7 +172,7 @@ def cmd_certify(args) -> int:
 
 
 def cmd_bound(args) -> int:
-    gt = GroundTruth.of(_load(args.fstar))
+    gt = GroundTruth(_load(args.fstar))
     # --m gives the uniform design; without it the data file supplies the design
     d = make_dataset_from(gt, args.m if args.m is not None else load_dataset(args.data).xs)
     ch = characterize(d)
@@ -198,8 +195,7 @@ def cmd_plot(args) -> int:
     d = load_dataset(args.data)
     ch = characterize(d)
     members = [sample_member(ch, seed=args.seed + k) for k in range(args.members)]
-    Path(args.out).write_text(render_svg(ch, members))
-    print(f"wrote {args.out}")
+    _write_or_print(render_svg(ch, members), args.out)
     return 0
 
 

@@ -17,9 +17,9 @@ from typing import IO, Iterable, Union
 
 import numpy as np
 
-from .plfun import check_json_numbers, float_rows
+from .plfun import allowance, check_json_numbers, float_rows
 
-# eps_i is declared zero when |s_i - s_{i-1}| <= tol * max(1, |s_i|, |s_{i-1}|).
+# eps_i is declared zero when |s_i - s_{i-1}| <= allowance(CURVATURE_RTOL, s_i, s_{i-1}).
 CURVATURE_RTOL = 1e-12
 
 Source = Union[str, Path, IO]
@@ -111,9 +111,8 @@ def slope_profile(d: Dataset) -> SlopeProfile:
         delta = s[1:] - s[:-1]
     if not (np.isfinite(s).all() and np.isfinite(delta).all()):
         raise NonFiniteValueError("non-finite chord slope or slope difference")
-    tol = CURVATURE_RTOL * np.maximum(1.0, np.maximum(np.abs(s[1:]), np.abs(s[:-1])))
     eps = np.sign(delta).astype(int)
-    eps[np.abs(delta) <= tol] = 0
+    eps[np.abs(delta) <= allowance(CURVATURE_RTOL, s[1:], s[:-1])] = 0
     s.flags.writeable = eps.flags.writeable = False
     return SlopeProfile(slopes=s, curvatures=eps)
 

@@ -15,16 +15,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
 from .characterize import Characterization, _insert_sorted, localized_slope_bounds
 from .dataset import Dataset
-from .plfun import PiecewiseLinear, _window, evaluate, lipschitz_norm, one_sided_slopes
+from .plfun import PiecewiseLinear, _window, allowance, evaluate, lipschitz_norm, one_sided_slopes
 
 
-# slack of every bound check: relative to max(1, size) for the norms, absolute for the sup error
+# slack of every bound check: allowance(BOUND_TOL, size) for the norms, absolute for the sup error
 BOUND_TOL = 1e-9
 # largest |x_i - i/m| of a design that counts as uniform
 UNIFORM_DESIGN_TOL = 1e-12
@@ -37,16 +38,10 @@ class NonUniformDesignError(ValueError):
 @dataclass(frozen=True)
 class GroundTruth:
     f_star: PiecewiseLinear
-    L: float
 
-    def __post_init__(self) -> None:
-        actual = lipschitz_norm(self.f_star)
-        if abs(self.L - actual) > 1e-12 * max(1.0, actual):
-            raise ValueError(f"declared L={self.L} but the function's norm is {actual}")
-
-    @classmethod
-    def of(cls, f_star: PiecewiseLinear) -> "GroundTruth":
-        return cls(f_star=f_star, L=lipschitz_norm(f_star))
+    @cached_property
+    def L(self) -> float:
+        return lipschitz_norm(self.f_star)
 
 
 def make_dataset_from(gt: GroundTruth, design) -> Dataset:
@@ -83,7 +78,7 @@ def verify_lip_domination(
     norms = [lipschitz_norm(f) for f in members]
     worst = int(np.argmax(norms)) if norms else -1
     members_max = max(norms) if norms else 0.0
-    passed = members_max <= fd_norm + BOUND_TOL * max(1.0, fd_norm) and fd_norm <= L + BOUND_TOL * max(1.0, L)
+    passed = bool(members_max <= fd_norm + allowance(BOUND_TOL, fd_norm) and fd_norm <= L + allowance(BOUND_TOL, L))
     return LipDominationReport(
         fd_norm=fd_norm,
         members_max_norm=members_max,
@@ -165,7 +160,7 @@ def verify_localized_bounds(
     member and gap by gap.
     """
     bounds = localized_slope_bounds(ch)
-    limit = BOUND_TOL * np.maximum(1.0, bounds)
+    limit = allowance(BOUND_TOL, bounds)
     fd_norm = lipschitz_norm(ch.f_D)
     xs = ch.dataset.xs
     s = ch.profile.slopes
@@ -193,7 +188,7 @@ def verify_localized_bounds(
         norm = lipschitz_norm(f)
         ratio = norm / fd_norm if fd_norm > 0 else 0.0
         lip_ratio = max(lip_ratio, ratio)
-        if norm > 7.0 * fd_norm + BOUND_TOL * max(1.0, fd_norm):
+        if norm > 7.0 * fd_norm + allowance(BOUND_TOL, fd_norm):
             ok = False
     return LocalizedBoundReport(
         gap_bounds=tuple(bounds.tolist()),

@@ -48,12 +48,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import Dataset
-from .plfun import PiecewiseLinear, from_knots
+from .plfun import PiecewiseLinear, allowance, from_knots
 
 DEFAULT_GRID_POINTS_PER_GAP = 64
 DEFAULT_SOLVER_TOL = 1e-6
 DEFAULT_MAX_ITERS = 200_000
-DEFAULT_CERTIFY_TOL = 1e-3  # certify passes when |achieved - target| <= tol * max(1, target)
+DEFAULT_CERTIFY_TOL = 1e-3  # certify passes when |achieved - target| <= allowance(tol, target)
 # the allowance linprog gave the solution HiGHS returns: 10 * sqrt(tol) at
 # linprog's own default tol of 1e-9, not at the solver tolerance
 _CHECK_TOL = 10 * np.sqrt(1e-9)
@@ -166,7 +166,7 @@ def certify(
     achieved, minimizer, iters = _solve_grid_lp(d, grid_points_per_gap)
     target = float(ch.minimal_tv)
     residual = abs(achieved - target)
-    passed = residual <= tol * max(1.0, target)
+    passed = bool(residual <= allowance(tol, target))
 
     # Advisory only: the LP vertex is expected to be a member up to grid and
     # solver resolution, but may sit exactly on an envelope boundary.  The

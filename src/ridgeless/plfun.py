@@ -24,7 +24,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import chain
 from typing import Sequence
 
@@ -258,6 +258,14 @@ def from_knots(
     return PiecewiseLinear(anchor, float(left_slope), x, c, y)
 
 
+def allowance(rtol: float, *scales):
+    """``rtol * max(1, |scale|, ...)`` elementwise, the slack of every floored relative test.
+
+    Scalar scales give a numpy scalar, so a flag compared against it needs ``bool``.
+    """
+    return rtol * reduce(np.maximum, map(np.abs, scales), 1.0)
+
+
 def structurally_equal(f: PiecewiseLinear, g: PiecewiseLinear, rtol: float = 1e-12) -> bool:
     """Whole-line structural equality of two canonical PL functions."""
     if f.x.size != g.x.size:
@@ -265,7 +273,7 @@ def structurally_equal(f: PiecewiseLinear, g: PiecewiseLinear, rtol: float = 1e-
     x0 = f.anchor[0]
     a = np.concatenate(([f.left_slope, evaluate(f, x0)], f.x, f.c))
     b = np.concatenate(([g.left_slope, evaluate(g, x0)], g.x, g.c))
-    return not np.count_nonzero(np.abs(a - b) > rtol * np.maximum(1.0, np.maximum(np.abs(a), np.abs(b))))
+    return not np.count_nonzero(np.abs(a - b) > allowance(rtol, a, b))
 
 
 def to_json(f: PiecewiseLinear) -> str:

@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from .characterize import FREE, Characterization, _insert_sorted
-from .plfun import PiecewiseLinear, evaluate, from_knots
+from .plfun import PiecewiseLinear, allowance, evaluate, from_knots
 
 # relative margin below which a tangent crossing collapses onto the chord
 _CROSSING_MARGIN = 1e-12
@@ -69,7 +69,7 @@ def _member(ch: Characterization, t: np.ndarray) -> PiecewiseLinear:
         xi = ((yk - yj) + tj * xj - tk * xk) / denom
         share = (s[gap - 1] - tk) / denom
         margin = _CROSSING_MARGIN * (xk - xj)
-        flat = np.abs(denom) <= _CROSSING_MARGIN * np.maximum(1.0, np.maximum(np.abs(tj), np.abs(tk)))
+        flat = np.abs(denom) <= allowance(_CROSSING_MARGIN, tj, tk)
         keep = ~(flat | (xi <= xj + margin) | (xi >= xk - margin)
                  | (share <= _CROSSING_MARGIN) | (share >= 1.0 - _CROSSING_MARGIN))
         yi = yj + tj * (xi - xj)

@@ -157,7 +157,7 @@ class TestAcceptance:
     def test_criterion_6_generalization(self):
         t0 = time.perf_counter()
         rng = np.random.default_rng(BATCH_SEED + 1)
-        gt = r.GroundTruth.of(random_unit_lipschitz_pl(rng))
+        gt = r.GroundTruth(random_unit_lipschitz_pl(rng))
         assert gt.L == 1.0
         ok = True
         details = []

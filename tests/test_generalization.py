@@ -19,29 +19,31 @@ def identity_pl():
 
 class TestGroundTruth:
     def test_norm_computed(self):
-        gt = r.GroundTruth.of(identity_pl())
+        gt = r.GroundTruth(identity_pl())
         assert gt.L == 1.0
-
-    def test_mismatched_norm_rejected(self):
-        with pytest.raises(ValueError):
-            r.GroundTruth(f_star=identity_pl(), L=2.0)
+        rng = np.random.default_rng(5)
+        for _ in range(20):
+            f = random_unit_lipschitz_pl(rng)
+            assert r.GroundTruth(f).L == lipschitz_norm(f)
+        with pytest.raises(TypeError):
+            r.GroundTruth(identity_pl(), 2.0)
 
 
 class TestMakeDataset:
     def test_uniform_identity(self):
-        d = r.make_dataset_from(r.GroundTruth.of(identity_pl()), 4)
+        d = r.make_dataset_from(r.GroundTruth(identity_pl()), 4)
         assert points_of(d) == ((0.25, 0.25), (0.5, 0.5), (0.75, 0.75), (1.0, 1.0))
 
     def test_uniform_vee(self):
         vee = from_knots([(0.0, 0.5), (0.5, 0.0), (1.0, 0.5)], -1.0, 1.0)
-        d = r.make_dataset_from(r.GroundTruth.of(vee), 3)
+        d = r.make_dataset_from(r.GroundTruth(vee), 3)
         xs = [p[0] for p in points_of(d)]
         ys = [p[1] for p in points_of(d)]
         assert xs == pytest.approx([1 / 3, 2 / 3, 1.0], abs=0)
         assert ys == pytest.approx([1 / 6, 1 / 6, 1 / 2], abs=1e-15)
 
     def test_explicit_abscissae_pass_through(self):
-        gt = r.GroundTruth.of(identity_pl())
+        gt = r.GroundTruth(identity_pl())
         d = r.make_dataset_from(gt, [0.1, 0.4, 0.9])
         assert [p[0] for p in points_of(d)] == [0.1, 0.4, 0.9]
         assert is_uniform_design(d) is False
@@ -49,13 +51,13 @@ class TestMakeDataset:
     def test_m1_rejected(self):
         for design in (1, 0, [0.5]):
             with pytest.raises(ValueError):
-                r.make_dataset_from(r.GroundTruth.of(identity_pl()), design)
+                r.make_dataset_from(r.GroundTruth(identity_pl()), design)
 
 
 class TestLipDomination:
     def test_collinear_exact(self):
         line = canonical((0.0, 1.0), 2.0, [])
-        gt = r.GroundTruth.of(line)
+        gt = r.GroundTruth(line)
         d = r.make_dataset_from(gt, [0.0, 0.5, 1.0])
         ch = r.characterize(d)
         members = [r.sample_member(ch, s) for s in range(5)]
@@ -80,7 +82,7 @@ class TestLipDomination:
 
 class TestSupError:
     def test_affine_truth_zero_error(self):
-        gt = r.GroundTruth.of(identity_pl())
+        gt = r.GroundTruth(identity_pl())
         d = r.make_dataset_from(gt, 5)
         ch = r.characterize(d)
         members = [r.sample_member(ch, s) for s in range(5)]
@@ -89,7 +91,7 @@ class TestSupError:
 
     def test_random_truth_m10(self):
         rng = np.random.default_rng(44)
-        gt = r.GroundTruth.of(random_unit_lipschitz_pl(rng))
+        gt = r.GroundTruth(random_unit_lipschitz_pl(rng))
         d = r.make_dataset_from(gt, 10)
         ch = r.characterize(d)
         members = [r.sample_member(ch, s) for s in range(100)]
@@ -100,7 +102,7 @@ class TestSupError:
 
     def test_larger_m_tightens_bound(self):
         rng = np.random.default_rng(45)
-        gt = r.GroundTruth.of(random_unit_lipschitz_pl(rng))
+        gt = r.GroundTruth(random_unit_lipschitz_pl(rng))
         for m in (10, 100):
             d = r.make_dataset_from(gt, m)
             ch = r.characterize(d)
@@ -109,7 +111,7 @@ class TestSupError:
             assert rep.passed and rep.bound == pytest.approx(2.0 / m)
 
     def test_non_uniform_design_rejected(self):
-        gt = r.GroundTruth.of(identity_pl())
+        gt = r.GroundTruth(identity_pl())
         d = r.make_dataset_from(gt, [0.1, 0.5, 1.0])
         with pytest.raises(NonUniformDesignError):
             r.verify_sup_error(gt, d, [])
@@ -143,7 +145,7 @@ class TestLocalizedBounds:
     def test_sharp_bound_implies_localized(self):
         """Anything within 2L/m is automatically within 14L/m."""
         rng = np.random.default_rng(47)
-        gt = r.GroundTruth.of(random_unit_lipschitz_pl(rng))
+        gt = r.GroundTruth(random_unit_lipschitz_pl(rng))
         d = r.make_dataset_from(gt, 10)
         ch = r.characterize(d)
         members = [r.sample_member(ch, s) for s in range(50)]
@@ -170,7 +172,7 @@ class TestSlopeWindow:
 class TestRandomDesignProbe:
     def test_reports_without_threshold(self):
         rng = np.random.default_rng(49)
-        gt = r.GroundTruth.of(random_unit_lipschitz_pl(rng))
+        gt = r.GroundTruth(random_unit_lipschitz_pl(rng))
         out = random_design_probe(gt, m=30, seed=5, n_members=10)
         assert out["m"] == 30
         assert out["measured_sup_error"] >= 0.0

@@ -1,4 +1,7 @@
+import json
 import math
+from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,9 +17,11 @@ from helpers import (
     random_pl,
     restriction_equal,
 )
+import ridgeless as r
 from ridgeless.plfun import (
     PiecewiseLinear,
     _window,
+    allowance,
     canonical,
     evaluate,
     from_json,
@@ -267,3 +272,55 @@ class TestPieceSlopes:
                         starts = [lo, *(xi for xi, _ in inside)]
                         outgoing = [one_sided_slopes(f, x)[1] for x in starts]
                         assert piece_slopes_on(f, lo, hi).tolist() == outgoing
+
+
+class TestAllowance:
+    """``allowance`` is the one slack rule of every floored relative test."""
+
+    EDGES = [0.0, -0.0, 1.0, -1.0, 0.5, -2.5, 3e300, -7e-308, 5e-324, -5e-324, math.inf, -math.inf]
+
+    @staticmethod
+    def by_hand(rtol, *scales):
+        return rtol * max(1.0, *map(abs, scales))
+
+    def test_matches_the_floor_written_out(self):
+        rng = np.random.default_rng(17)
+        a = np.array(self.EDGES + rng.normal(0.0, 10.0, size=20).tolist())
+        b = rng.permutation(a)
+        for rtol in (1e-12, 1e-9, 1e-3):
+            expected = [self.by_hand(rtol, x, y) for x, y in zip(a.tolist(), b.tolist())]
+            assert allowance(rtol, a, b).tolist() == expected
+            assert allowance(rtol, a).tolist() == [self.by_hand(rtol, x) for x in a.tolist()]
+
+    def test_scalars_and_broadcasting(self):
+        a = np.array(self.EDGES)
+        for scalar in (0.0, -3.0, 2e10, -math.inf):
+            expected = [self.by_hand(1e-9, scalar, x) for x in self.EDGES]
+            assert allowance(1e-9, scalar, a).tolist() == expected
+            assert allowance(1e-9, a, scalar).tolist() == expected
+            value = allowance(1e-9, scalar)  # a numpy scalar, so flags compared to it need bool()
+            assert isinstance(value, np.floating) and value == self.by_hand(1e-9, scalar)
+        assert allowance(1e-9) == 1e-9  # no scale: the floor alone
+
+    def test_report_flags_stay_python_bools(self, dataset_a):
+        # json.dumps refuses np.bool_, which a comparison with a scalar allowance gives
+        ch = r.characterize(dataset_a)
+        member = r.sample_member(ch, seed=3)
+        nonmember = r.perturb_to_nonmember(ch, member, seed=3)
+        reports = [r.check_membership_against(ch, member), r.check_membership_against(ch, nonmember),
+                   r.certify(dataset_a, ch), r.verify_lip_domination(ch, [member], L=2.0),
+                   r.verify_lip_domination(ch, [member], L=0.5)]
+        assert [rep.tv_pass for rep in reports[:2]] == [True, False]
+        assert [rep.passed for rep in reports[2:]] == [True, True, False]
+        for rep in reports:
+            flags = [v for v in asdict(rep).values() if isinstance(v, (bool, np.bool_))]
+            assert flags and all(type(v) is bool for v in flags), rep
+            json.dumps(asdict(rep))
+
+    def test_no_floor_written_out_in_the_package(self):
+        # the floor of 1 is set in allowance alone
+        src = Path(r.__file__).parent
+        found = [f"{path.name}:{n}" for path in sorted(src.glob("*.py"))
+                 for n, line in enumerate(path.read_text().splitlines(), 1)
+                 if "max(1.0" in line or "np.maximum(1.0" in line]
+        assert sorted(src.glob("*.py")) and not found, found
