@@ -233,7 +233,7 @@ def check_membership_against(
     Violations come in the order: interpolation by data point, then per
     forced gap, then per block, then the TV mismatch.
     """
-    if tol < 0:
+    if not tol >= 0:  # also rejects nan, under which every comparison would pass
         raise ValueError("tolerance must be nonnegative")
     xs, ys = ch.dataset.xs, ch.dataset.ys
 

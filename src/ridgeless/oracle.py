@@ -39,10 +39,19 @@ wrapper loops in Python over every column to fill bound marginals that
 are never read here and cost more than the solve itself.  The model goes
 in as numpy arrays in one ``passModel`` call, the matrix built column by
 column, since ``HighsLp``'s attribute setters convert one float at a time.
+
+Each thread keeps one HiGHS instance, made with its fixed options and made
+again whenever ``_core._Highs`` is no longer its class; limits are set on each
+call and the model is cleared after each solve.  A new instance per solve cost
+about 185 minor page faults and 0.7 ms of system CPU at m = 20..60 and 64 points
+per gap, against a few faults and 0.1 ms kept, for the same bits; the kept
+instance holds its workspace, about 2 MB at m = 60, between solves.
 """
 
 from __future__ import annotations
 
+import numbers
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,6 +66,7 @@ DEFAULT_CERTIFY_TOL = 1e-3  # certify passes when |achieved - target| <= allowan
 # the allowance linprog gave the solution HiGHS returns: 10 * sqrt(tol) at
 # linprog's own default tol of 1e-9, not at the solver tolerance
 _CHECK_TOL = 10 * np.sqrt(1e-9)
+_thread = threading.local()  # .highs: this thread's HiGHS instance
 
 
 class OracleError(RuntimeError):
@@ -83,13 +93,14 @@ def grid_tv_minimize(d: Dataset,
 
 def _solve_grid_lp(d: Dataset, grid_points_per_gap: int) -> tuple[float, PiecewiseLinear, int]:
     """The grid LP at DEFAULT_SOLVER_TOL and DEFAULT_MAX_ITERS, read at call time."""
-    if grid_points_per_gap < 1:
-        raise ValueError("grid too coarse: need at least one grid point per data gap")
+    g = grid_points_per_gap
+    if isinstance(g, bool) or not isinstance(g, numbers.Integral) or g < 1:
+        raise ValueError(f"grid_points_per_gap must be an integer >= 1, got {g!r}")
+    g = int(g)
     # scipy is imported here, so that importing the package does not load it
     from scipy.optimize._highspy import _core
 
     xs, ys = d.xs, d.ys
-    g = int(grid_points_per_gap)
     w = np.diff(xs)
     s = np.diff(ys) / w
     # the same float operations as np.linspace(xs[i], xs[i + 1], g + 1)[:-1] on each gap
@@ -119,35 +130,53 @@ def _solve_grid_lp(d: Dataset, grid_points_per_gap: int) -> tuple[float, Piecewi
     cost, lower, upper = np.ones(n_vars), np.zeros(n_vars), np.full(n_vars, _core.kHighsInf)
     cost[0], lower[0] = 0.0, -_core.kHighsInf
 
-    options = _core.HighsOptions()
-    # presolve solves this LP outright in 0 iterations, where maxiter cannot bind
-    options.presolve = "off"
-    options.output_flag = options.log_to_console = False
-    options.simplex_strategy = _core.simplex_constants.SimplexStrategy.kSimplexStrategyDual
-    options.simplex_iteration_limit = options.ipm_iteration_limit = DEFAULT_MAX_ITERS
-    options.primal_feasibility_tolerance = options.dual_feasibility_tolerance = DEFAULT_SOLVER_TOL
-    highs = _core._Highs()
+    highs = _thread_highs(_core)
     error = _core.HighsStatus.kError
+    limits = {"simplex_iteration_limit": DEFAULT_MAX_ITERS,
+              "ipm_iteration_limit": DEFAULT_MAX_ITERS,
+              "primal_feasibility_tolerance": DEFAULT_SOLVER_TOL,
+              "dual_feasibility_tolerance": DEFAULT_SOLVER_TOL}
     # every variable continuous: HiGHS reads n_vars integrality entries, so none may be missing
     lp = (n_vars, d.m - 1, value.size, _core.MatrixFormat.kColwise, _core.ObjSense.kMinimize,
           0.0, cost, lower, upper, b_eq, b_eq, start, index, value, np.zeros(n_vars, np.int32))
-    if (highs.passOptions(options) == error or highs.passModel(*lp) == error or highs.run() == error
-            or highs.getModelStatus() != _core.HighsModelStatus.kOptimal):
-        raise OracleError(f"grid TV minimization did not converge ({_status(highs)})")
-    x = np.array(highs.getSolution().col_value)
-    # linprog's check of what HiGHS returns (every upper bound is infinite); bincount
-    # adds each row's products in column order, as scipy's csc_matvec does
-    if not (np.isfinite(x).all() and (x >= lower - _CHECK_TOL).all()
-            and (np.abs(b_eq - np.bincount(index, value * x[col], d.m - 1)) <= _CHECK_TOL).all()):
-        raise OracleError(f"grid LP solution misses its bounds or rows by more than "
-                          f"{_CHECK_TOL:.2e} ({_status(highs)})")
-    info = highs.getInfo()
+    try:
+        if (any(highs.setOptionValue(*option) == error for option in limits.items())
+                or highs.passModel(*lp) == error or highs.run() == error
+                or highs.getModelStatus() != _core.HighsModelStatus.kOptimal):
+            raise OracleError(f"grid TV minimization did not converge ({_status(highs)})")
+        x = np.array(highs.getSolution().col_value)
+        # linprog's check of what HiGHS returns (every upper bound is infinite); bincount
+        # adds each row's products in column order, as scipy's csc_matvec does
+        if not (np.isfinite(x).all() and (x >= lower - _CHECK_TOL).all()
+                and (np.abs(b_eq - np.bincount(index, value * x[col], d.m - 1)) <= _CHECK_TOL).all()):
+            raise OracleError(f"grid LP solution misses its bounds or rows by more than "
+                              f"{_CHECK_TOL:.2e} ({_status(highs)})")
+        info = highs.getInfo()
+        achieved, iters = float(info.objective_function_value), int(info.simplex_iteration_count)
+    finally:
+        highs.clearModel()
     jumps = x[1 : n - 1] - x[n - 1 :]
     slopes = x[0] + np.concatenate([[0.0], np.cumsum(jumps)])
     u = ys[0] + np.concatenate([[0.0], np.cumsum(slopes * h)])
     left, right = (u[1] - u[0]) / h[0], (u[-1] - u[-2]) / h[-1]
     minimizer = from_knots(np.column_stack([nodes, u]), left, right)
-    return float(info.objective_function_value), minimizer, int(info.simplex_iteration_count)
+    return achieved, minimizer, iters
+
+
+def _thread_highs(_core):
+    """This thread's HiGHS instance, made with the fixed options if ``_core._Highs`` is new."""
+    highs = getattr(_thread, "highs", None)
+    if type(highs) is not _core._Highs:
+        options = _core.HighsOptions()
+        # presolve solves this LP outright in 0 iterations, where maxiter cannot bind
+        options.presolve = "off"
+        options.output_flag = options.log_to_console = False
+        options.simplex_strategy = _core.simplex_constants.SimplexStrategy.kSimplexStrategyDual
+        highs = _core._Highs()
+        if highs.passOptions(options) == _core.HighsStatus.kError:
+            raise OracleError("HiGHS refused the grid LP's options")
+        _thread.highs = highs
+    return highs
 
 
 def _status(highs) -> str:
@@ -163,6 +192,8 @@ def certify(
     grid_points_per_gap: int = DEFAULT_GRID_POINTS_PER_GAP,
 ) -> CertificateReport:
     """Compare the independently solved grid minimum against ch.minimal_tv."""
+    if not tol >= 0:  # also rejects nan
+        raise ValueError("tolerance must be nonnegative")
     achieved, minimizer, iters = _solve_grid_lp(d, grid_points_per_gap)
     target = float(ch.minimal_tv)
     residual = abs(achieved - target)

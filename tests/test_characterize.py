@@ -212,6 +212,13 @@ class TestMembershipFixtures:
         with pytest.raises(ValueError):
             r.check_membership(dataset_a, r.connect_the_dots(dataset_a), tol=-1.0)
 
+    def test_nan_tolerance_rejected(self, dataset_a):
+        # under a nan tolerance every allowance comparison is False, so a far-off
+        # function would report no violation and pass as a member
+        far = from_knots(np.array([[0.0, 5.0], [1.0, 7.0]]), 0.0, 0.0)
+        with pytest.raises(ValueError, match="tolerance must be nonnegative"):
+            r.check_membership(dataset_a, far, tol=float("nan"))
+
 
 class TestLocalizedSlopeBounds:
     def test_collinear_zero(self, dataset_collinear):

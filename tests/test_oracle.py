@@ -4,6 +4,8 @@ import inspect
 import os
 import subprocess
 import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict
 from pathlib import Path
 
@@ -49,6 +51,12 @@ class TestGridTvMinimize:
     def test_rejects_coarse_grid(self, dataset_a):
         with pytest.raises(ValueError):
             grid_tv_minimize(dataset_a, 0)
+
+    def test_rejects_a_grid_that_is_not_an_integer(self, dataset_a):
+        for g in (2.5, 2.0, True, "8", None):
+            with pytest.raises(ValueError, match="must be an integer >= 1"):
+                grid_tv_minimize(dataset_a, g)
+        assert grid_tv_minimize(dataset_a, np.int64(8))[0] == grid_tv_minimize(dataset_a, 8)[0]
 
     def test_bracketed_by_cstar_and_fd(self):
         rng = np.random.default_rng(10)
@@ -102,6 +110,14 @@ class TestCertify:
                             "characterize")
         rep = certify(dataset_a, ch, tol=1e-3, grid_points_per_gap=8)
         assert rep.minimizer_is_member and calls == []
+
+    @pytest.mark.parametrize("tol", [-1.0, float("nan")])
+    def test_rejects_a_bad_tolerance_before_the_solve(self, dataset_a, monkeypatch, tol):
+        ch = r.characterize(dataset_a)
+        solves = count_calls(monkeypatch, ridgeless.oracle, "_solve_grid_lp")
+        with pytest.raises(ValueError, match="tolerance must be nonnegative"):
+            certify(dataset_a, ch, tol=tol)
+        assert solves == []
 
     def test_nonconvergence_raises(self, dataset_a, monkeypatch):
         ch = r.characterize(dataset_a)
@@ -246,6 +262,119 @@ class TestImport:
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                               env=env, check=True)
         assert proc.stdout.strip() == "False"
+
+    def test_bad_grid_rejected_before_scipy_loads(self):
+        src = str(Path(r.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        code = ("import sys, ridgeless as r\n"
+                "d = r.make_dataset([(0, 0), (1, 0), (2, 1)])\n"
+                "for g in (0, 2.5, True):\n"
+                "    try:\n"
+                "        r.grid_tv_minimize(d, g)\n"
+                "    except ValueError:\n"
+                "        print('rejected', end=' ')\n"
+                "print('scipy' in sys.modules)")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, check=True)
+        assert proc.stdout.strip() == "rejected rejected rejected False"
+
+
+def solve_bits(d: r.Dataset, g: int) -> tuple:
+    """The grid LP's objective, iteration count and minimizer, as exact bits."""
+    achieved, minimizer, iters = ridgeless.oracle._solve_grid_lp(d, g)
+    return (achieved.hex(), iters, *(getattr(minimizer, name).tobytes() for name in "xyc"))
+
+
+def fresh_bits(d: r.Dataset, g: int) -> tuple:
+    """``solve_bits`` on a new thread, which has no HiGHS instance yet and so makes one."""
+    with ThreadPoolExecutor(1) as pool:
+        return pool.submit(solve_bits, d, g).result(timeout=120)
+
+
+class TestKeptSolver:
+    """Each thread keeps one HiGHS instance across solves, with the same bits as a fresh one."""
+
+    @staticmethod
+    def counting(made: list):
+        class Counting(_HIGHS):
+            def __init__(self):
+                super().__init__()
+                made.append(threading.get_ident())
+
+        return Counting
+
+    def test_one_instance_per_thread(self, dataset_a, monkeypatch):
+        made = []
+        monkeypatch.setattr(_core, "_Highs", self.counting(made))
+        for _ in range(5):
+            grid_tv_minimize(dataset_a, 8)
+        assert len(made) == 1
+        worker = threading.Thread(target=lambda: [grid_tv_minimize(dataset_a, 8) for _ in range(5)])
+        worker.start()
+        worker.join(timeout=120)
+        assert not worker.is_alive()
+        assert len(made) == 2 and made[0] != made[1]
+        for _ in range(5):
+            grid_tv_minimize(dataset_a, 8)
+        assert len(made) == 2
+
+    def test_remade_when_the_class_is_patched_and_restored(self, dataset_a, monkeypatch):
+        grid_tv_minimize(dataset_a, 8)
+        kept = ridgeless.oracle._thread.highs
+        grid_tv_minimize(dataset_a, 8)
+        assert ridgeless.oracle._thread.highs is kept and type(kept) is _HIGHS
+        made = []
+        with monkeypatch.context() as patch:
+            patch.setattr(_core, "_Highs", self.counting(made))
+            grid_tv_minimize(dataset_a, 8)
+            grid_tv_minimize(dataset_a, 8)
+            assert len(made) == 1
+        grid_tv_minimize(dataset_a, 8)
+        restored = ridgeless.oracle._thread.highs
+        assert type(restored) is _HIGHS and restored is not kept
+
+    def test_same_bits_as_a_fresh_instance(self, dataset_a, monkeypatch):
+        cases = TestKinkForm().cases() + [(random_dataset(np.random.default_rng(2), 200), 64)]
+        fresh = [fresh_bits(d, g) for d, g in cases]
+        order = np.random.default_rng(70).permutation(len(cases))
+        assert [solve_bits(*cases[i]) for i in order] == [fresh[i] for i in order]
+        # a failed solve leaves nothing behind on the kept instance: the iteration
+        # limit stops the simplex part-way, and the row check fails after an optimum
+        for name, value in (("DEFAULT_MAX_ITERS", 1), ("_CHECK_TOL", -1.0)):
+            kept = ridgeless.oracle._thread.highs
+            with monkeypatch.context() as patch:
+                patch.setattr(ridgeless.oracle, name, value)
+                with pytest.raises(OracleError):
+                    grid_tv_minimize(dataset_a, 64)
+            assert ridgeless.oracle._thread.highs is kept
+            assert [solve_bits(*cases[i]) for i in order[:30]] == [fresh[i] for i in order[:30]]
+
+    def test_threads_give_the_serial_bits(self):
+        rng = np.random.default_rng(80)
+        cases = [(random_dataset(rng, 20 + i % 41), 16) for i in range(40)]
+        serial = [solve_bits(d, g) for d, g in cases]
+        orders = [range(40), range(39, -1, -1)] * 2  # four threads, two in each order
+
+        def run(order):
+            return {i: solve_bits(*cases[i]) for i in order}
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(len(orders)) as pool:
+                results = [f.result(timeout=300) for f in [pool.submit(run, o) for o in orders]]
+        finally:
+            sys.setswitchinterval(interval)
+        for result in results:
+            assert [result[i] for i in range(40)] == serial
+
+    def test_error_names_the_failing_solve(self, dataset_a, monkeypatch):
+        grid_tv_minimize(dataset_a, 64)  # an optimal solve on the kept instance
+        monkeypatch.setattr(ridgeless.oracle, "DEFAULT_MAX_ITERS", 1)
+        with pytest.raises(OracleError, match="model status Iteration limit reached") as caught:
+            grid_tv_minimize(dataset_a, 64)
+        assert "Optimal" not in str(caught.value)
 
 
 class TestSolverIndependence:
