@@ -33,7 +33,6 @@ from .dataset import (
     slope_profile,
 )
 from .generalization import (
-    GroundTruth,
     LipDominationReport,
     LocalizedBoundReport,
     NonUniformDesignError,

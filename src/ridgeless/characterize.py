@@ -294,7 +294,9 @@ def _forced_violations(ch: Characterization, f: PiecewiseLinear, tol: float) -> 
 
     lo, hi = xs[forced - 1], xs[forced]
     probe = 0.5 * (lo + hi)
-    probe[0], probe[-1] = hi[0] - 1.0, lo[-1] + 1.0  # gaps 1 and m-1, both forced
+    # gaps 1 and m-1, both forced: one unit out, or one ulp where |x| is so large the unit rounds away
+    probe[0] = min(hi[0] - 1.0, np.nextafter(hi[0], -np.inf))
+    probe[-1] = max(lo[-1] + 1.0, np.nextafter(lo[-1], np.inf))
     if m == 2:
         probe[0] = 0.0
     at = gap.searchsorted(forced)

@@ -23,14 +23,8 @@ from . import plfun
 from .characterize import (DEFAULT_MEMBERSHIP_RTOL, FREE, REASONS, characterize,
                            check_membership_against, connect_the_dots, support_envelope)
 from .dataset import DatasetError, load_dataset
-from .generalization import (
-    GroundTruth,
-    is_uniform_design,
-    make_dataset_from,
-    verify_lip_domination,
-    verify_localized_bounds,
-    verify_sup_error,
-)
+from .generalization import (is_uniform_design, make_dataset_from, verify_lip_domination,
+                             verify_localized_bounds, verify_sup_error)
 from .oracle import DEFAULT_CERTIFY_TOL, DEFAULT_GRID_POINTS_PER_GAP, OracleError, certify
 from .plfun import evaluate, tv_of_derivative
 from .sample import sample_member
@@ -111,7 +105,7 @@ def cmd_characterize(args) -> int:
     lines.append("inflection set: " + " ".join(map(str, ch.inflection_set)))
     lines.append("minimal TV: " + fmt(ch.minimal_tv))
     print("\n".join(lines))
-    if args.json:
+    if args.json is not None:  # an empty path prints the JSON, as --out "" does
         _write_or_print(json.dumps(ch.to_dict()), args.json)
     return 0
 
@@ -172,17 +166,17 @@ def cmd_certify(args) -> int:
 
 
 def cmd_bound(args) -> int:
-    gt = GroundTruth(_load(args.fstar))
+    f_star = _load(args.fstar)
     # --m gives the uniform design; without it the data file supplies the design
-    d = make_dataset_from(gt, args.m if args.m is not None else load_dataset(args.data).xs)
+    d = make_dataset_from(f_star, args.m if args.m is not None else load_dataset(args.data).xs)
     ch = characterize(d)
     members = [sample_member(ch, seed=args.seed + k) for k in range(args.members)]
-    lip = verify_lip_domination(ch, members, gt.L)
+    lip = verify_lip_domination(ch, members, plfun.lipschitz_norm(f_star))
     localized = verify_localized_bounds(ch, members)
     out = {"lip_domination": _as_dict(lip), "localized": _as_dict(localized)}
     passed = lip.passed and localized.passed
     if is_uniform_design(d):
-        sup = verify_sup_error(gt, d, members, grid=args.grid)
+        sup = verify_sup_error(f_star, d, members)
         out["sup_error"] = _as_dict(sup)
         passed = passed and sup.passed
     else:
@@ -323,7 +317,6 @@ def build_parser() -> _Parser:
     sp.add_argument("--m", type=_at_least(int, 2))
     sp.add_argument("--members", type=_at_least(int, 0), default=100)
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--grid", type=_at_least(int, 1), default=100)
     sp.set_defaults(func=cmd_bound)
 
     sp = sub.add_parser("plot", help="static SVG of data, chords, envelopes, members")

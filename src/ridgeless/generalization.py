@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -29,30 +28,23 @@ from .plfun import PiecewiseLinear, _window, allowance, evaluate, lipschitz_norm
 BOUND_TOL = 1e-9
 # largest |x_i - i/m| of a design that counts as uniform
 UNIFORM_DESIGN_TOL = 1e-12
+# points per gap of the dense grid that cross-checks the exact sup error
+SUP_GRID_POINTS_PER_GAP = 100
 
 
 class NonUniformDesignError(ValueError):
     """The sharp 2L/m bound only holds for the uniform design x_i = i/m."""
 
 
-@dataclass(frozen=True)
-class GroundTruth:
-    f_star: PiecewiseLinear
-
-    @cached_property
-    def L(self) -> float:
-        return lipschitz_norm(self.f_star)
-
-
-def make_dataset_from(gt: GroundTruth, design) -> Dataset:
-    """Sample the ground truth on a design.
+def make_dataset_from(f_star: PiecewiseLinear, design) -> Dataset:
+    """Sample the ground truth ``f_star`` on a design.
 
     An integer m means the uniform design x_i = i/m on [0, 1]; any other
     sequence is used as explicit abscissae.
     """
     uniform = isinstance(design, (int, np.integer))
     xs = np.arange(1, int(design) + 1) / float(design) if uniform else np.asarray(list(design), dtype=float)
-    return Dataset(xs, evaluate(gt.f_star, xs))
+    return Dataset(xs, evaluate(f_star, xs))
 
 
 def is_uniform_design(d: Dataset) -> bool:
@@ -100,27 +92,25 @@ class SupErrorReport:
 
 
 def verify_sup_error(
-    gt: GroundTruth,
-    d: Dataset,
-    members: Sequence[PiecewiseLinear],
-    grid: int = 100,
+    f_star: PiecewiseLinear, d: Dataset, members: Sequence[PiecewiseLinear]
 ) -> SupErrorReport:
-    """Check sup_{[0,1]} |member - f_star| <= 2L/m on the uniform design.
+    """Check sup_{[0,1]} |member - f_star| <= 2L/m on the uniform design, L = lip(f_star).
 
     The maximum is computed exactly at the union of kinks (the difference
     of two PL functions is PL, so its extrema sit at kinks or interval
-    ends) and cross-checked on a dense grid of ``grid`` points per gap.
+    ends) and cross-checked on a dense grid of SUP_GRID_POINTS_PER_GAP
+    points per gap.
     """
     if not is_uniform_design(d):
         raise NonUniformDesignError("sup-error bound requires x_i = i/m on [0, 1]")
     m = d.m
-    bound = 2.0 * gt.L / m
-    dense = np.linspace(0.0, 1.0, grid * m + 1)
-    star_dense = np.atleast_1d(evaluate(gt.f_star, dense))
+    bound = 2.0 * lipschitz_norm(f_star) / m
+    dense = np.linspace(0.0, 1.0, SUP_GRID_POINTS_PER_GAP * m + 1)
+    star_dense = np.atleast_1d(evaluate(f_star, dense))
 
     exact_max, grid_max, worst = 0.0, 0.0, -1
     for k, f in enumerate(members):
-        err = sup_error(f, gt.f_star, 0.0, 1.0)
+        err = sup_error(f, f_star, 0.0, 1.0)
         if err > exact_max:
             exact_max, worst = err, k
         gerr = float(np.max(np.abs(np.atleast_1d(evaluate(f, dense)) - star_dense)))

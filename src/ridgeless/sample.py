@@ -102,7 +102,7 @@ def perturb_to_nonmember(
     xs, s = d.xs, ch.profile.slopes
 
     if d.m == 2:
-        xk = float(xs[-1]) + 1.0
+        xk = max(float(xs[-1]) + 1.0, float(np.nextafter(xs[-1], np.inf)))  # past x_2 at any scale
         bump = 1.0 + float(rng.uniform(0.5, 1.5))
         knots = np.column_stack((np.append(xs, xk), np.append(d.ys, evaluate(ch.f_D, xk))))
         return from_knots(knots, s[0], s[-1] + bump)

@@ -24,7 +24,7 @@ from ridgeless.characterize import (
 )
 from ridgeless.cli import fmt
 from ridgeless.dataset import CURVATURE_RTOL, SlopeProfile
-from ridgeless.generalization import GroundTruth, LocalizedBoundReport, make_dataset_from, sup_error
+from ridgeless.generalization import LocalizedBoundReport, make_dataset_from, sup_error
 from ridgeless.plfun import JUMP_MERGE_RTOL, _prefix_sums, evaluate, one_sided_slopes, tv_of_derivative
 
 
@@ -269,15 +269,15 @@ def _probe_point(fb, gb, lo: float, hi: float) -> float:
         return xi
     if math.isinf(lo) and math.isinf(hi):
         return 0.0
-    if math.isinf(lo):
-        return hi - 1.0
+    if math.isinf(lo):  # one unit out, or one ulp where the unit rounds away
+        return min(hi - 1.0, math.nextafter(hi, -math.inf))
     if math.isinf(hi):
-        return lo + 1.0
+        return max(lo + 1.0, math.nextafter(lo, math.inf))
     return 0.5 * (lo + hi)
 
 
 def random_design_probe(
-    gt: GroundTruth, m: int, seed: int, n_members: int = 50
+    f_star: r.PiecewiseLinear, m: int, seed: int, n_members: int = 50
 ) -> dict:
     """Exploratory iid-design measurement; reports values, no pass/fail.
 
@@ -288,13 +288,13 @@ def random_design_probe(
     xs = np.sort(rng.uniform(0.0, 1.0, size=m))
     while np.any(np.diff(xs) <= 0):
         xs = np.sort(rng.uniform(0.0, 1.0, size=m))
-    d = make_dataset_from(gt, xs)
+    d = make_dataset_from(f_star, xs)
     ch = r.characterize(d)
     worst = 0.0
     for k in range(n_members):
         f = r.sample_member(ch, seed=int(rng.integers(2**63)))
-        worst = max(worst, sup_error(f, gt.f_star, 0.0, 1.0))
-    reference = math.log(m) * gt.L / m if m > 1 else math.inf
+        worst = max(worst, sup_error(f, f_star, 0.0, 1.0))
+    reference = math.log(m) * r.lipschitz_norm(f_star) / m if m > 1 else math.inf
     return {
         "m": m,
         "measured_sup_error": worst,

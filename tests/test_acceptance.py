@@ -157,19 +157,20 @@ class TestAcceptance:
     def test_criterion_6_generalization(self):
         t0 = time.perf_counter()
         rng = np.random.default_rng(BATCH_SEED + 1)
-        gt = r.GroundTruth(random_unit_lipschitz_pl(rng))
-        assert gt.L == 1.0
+        f_star = random_unit_lipschitz_pl(rng)
+        L = r.lipschitz_norm(f_star)
+        assert L == 1.0
         ok = True
         details = []
         for m in (10, 100):
-            d = r.make_dataset_from(gt, m)
+            d = r.make_dataset_from(f_star, m)
             ch = r.characterize(d)
             members = [r.sample_member(ch, seed) for seed in range(1000)]
-            sup = r.verify_sup_error(gt, d, members, grid=100)
-            lip = r.verify_lip_domination(ch, members, gt.L)
+            sup = r.verify_sup_error(f_star, d, members)
+            lip = r.verify_lip_domination(ch, members, L)
             loc = r.verify_localized_bounds(ch, members)
             ok &= sup.passed and sup.exact_max <= 2.0 / m + 1e-9
-            ok &= lip.passed and lip.members_max_norm <= gt.L + 1e-9
+            ok &= lip.passed and lip.members_max_norm <= L + 1e-9
             ok &= loc.passed and loc.lip_ratio <= 7.0 + 1e-9
             details.append(f"m={m}: sup {sup.exact_max:.4f} <= {2.0 / m}")
         elapsed = time.perf_counter() - t0

@@ -219,6 +219,18 @@ class TestMembershipFixtures:
         with pytest.raises(ValueError, match="tolerance must be nonnegative"):
             r.check_membership(dataset_a, far, tol=float("nan"))
 
+    @pytest.mark.parametrize("k", [-60, 0, 45, 53, 60])
+    def test_members_pass_at_any_abscissa_scale(self, k):
+        # scaling x and y by 2^k keeps every slope; from |x| >= 2^53 a unit step
+        # from x_2 or x_{m-1} rounds away, and the tail probes must still land in the tails
+        rng = np.random.default_rng(53)
+        for _ in range(40):
+            d = random_dataset(rng)
+            ch = r.characterize(r.Dataset(d.xs * 2.0**k, d.ys * 2.0**k))
+            for seed in range(3):
+                rep = r.check_membership_against(ch, r.sample_member(ch, seed))
+                assert rep.direct_pass, (k, rep.violations)
+
 
 class TestLocalizedSlopeBounds:
     def test_collinear_zero(self, dataset_collinear):

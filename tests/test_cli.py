@@ -59,6 +59,10 @@ class TestCharacterizeCommand:
         assert code == 0
         blob = json.loads(dest.read_text())
         assert blob["minimal_tv"] == 2.0
+        # an empty path prints the JSON after the report, as `fd --out ""` does
+        report = run(capsys, ["characterize", data_a])[1]
+        code, out, _ = run(capsys, ["characterize", data_a, "--json", ""])
+        assert code == 0 and out == report + dest.read_text() + "\n"
 
 
 class TestCheckCommand:
@@ -222,6 +226,7 @@ class TestErrorsAndDeterminism:
                      ["bound", "data.csv", "--fstar", "f.json", "--m", "1"],
                      ["sample", "data.csv", "--n", "-2"],
                      ["bound", "data.csv", "--fstar", "f.json", "--members", "-1"],
+                     ["bound", "data.csv", "--fstar", "f.json", "--grid", "5"],
                      ["plot", "data.csv", "--members", "-1"]):
             code, _, err = run(capsys, argv)
             assert code == 1 and err.startswith("error code=1 kind=usage"), argv

@@ -17,51 +17,38 @@ def identity_pl():
     return from_knots([(0.0, 0.0), (1.0, 1.0)], 1.0, 1.0)
 
 
-class TestGroundTruth:
-    def test_norm_computed(self):
-        gt = r.GroundTruth(identity_pl())
-        assert gt.L == 1.0
-        rng = np.random.default_rng(5)
-        for _ in range(20):
-            f = random_unit_lipschitz_pl(rng)
-            assert r.GroundTruth(f).L == lipschitz_norm(f)
-        with pytest.raises(TypeError):
-            r.GroundTruth(identity_pl(), 2.0)
-
-
 class TestMakeDataset:
     def test_uniform_identity(self):
-        d = r.make_dataset_from(r.GroundTruth(identity_pl()), 4)
+        d = r.make_dataset_from(identity_pl(), 4)
         assert points_of(d) == ((0.25, 0.25), (0.5, 0.5), (0.75, 0.75), (1.0, 1.0))
 
     def test_uniform_vee(self):
         vee = from_knots([(0.0, 0.5), (0.5, 0.0), (1.0, 0.5)], -1.0, 1.0)
-        d = r.make_dataset_from(r.GroundTruth(vee), 3)
+        d = r.make_dataset_from(vee, 3)
         xs = [p[0] for p in points_of(d)]
         ys = [p[1] for p in points_of(d)]
         assert xs == pytest.approx([1 / 3, 2 / 3, 1.0], abs=0)
         assert ys == pytest.approx([1 / 6, 1 / 6, 1 / 2], abs=1e-15)
 
     def test_explicit_abscissae_pass_through(self):
-        gt = r.GroundTruth(identity_pl())
-        d = r.make_dataset_from(gt, [0.1, 0.4, 0.9])
+        f_star = identity_pl()
+        d = r.make_dataset_from(f_star, [0.1, 0.4, 0.9])
         assert [p[0] for p in points_of(d)] == [0.1, 0.4, 0.9]
         assert is_uniform_design(d) is False
 
     def test_m1_rejected(self):
         for design in (1, 0, [0.5]):
             with pytest.raises(ValueError):
-                r.make_dataset_from(r.GroundTruth(identity_pl()), design)
+                r.make_dataset_from(identity_pl(), design)
 
 
 class TestLipDomination:
     def test_collinear_exact(self):
         line = canonical((0.0, 1.0), 2.0, [])
-        gt = r.GroundTruth(line)
-        d = r.make_dataset_from(gt, [0.0, 0.5, 1.0])
+        d = r.make_dataset_from(line, [0.0, 0.5, 1.0])
         ch = r.characterize(d)
         members = [r.sample_member(ch, s) for s in range(5)]
-        rep = r.verify_lip_domination(ch, members, gt.L)
+        rep = r.verify_lip_domination(ch, members, lipschitz_norm(line))
         assert rep.passed and rep.members_max_norm == 2.0 and rep.fd_norm == 2.0
 
     def test_convex_fixture_bounded_by_two(self, dataset_a):
@@ -82,39 +69,39 @@ class TestLipDomination:
 
 class TestSupError:
     def test_affine_truth_zero_error(self):
-        gt = r.GroundTruth(identity_pl())
-        d = r.make_dataset_from(gt, 5)
+        f_star = identity_pl()
+        d = r.make_dataset_from(f_star, 5)
         ch = r.characterize(d)
         members = [r.sample_member(ch, s) for s in range(5)]
-        rep = r.verify_sup_error(gt, d, members)
+        rep = r.verify_sup_error(f_star, d, members)
         assert rep.passed and rep.exact_max == pytest.approx(0.0, abs=1e-12)
 
     def test_random_truth_m10(self):
         rng = np.random.default_rng(44)
-        gt = r.GroundTruth(random_unit_lipschitz_pl(rng))
-        d = r.make_dataset_from(gt, 10)
+        f_star = random_unit_lipschitz_pl(rng)
+        d = r.make_dataset_from(f_star, 10)
         ch = r.characterize(d)
         members = [r.sample_member(ch, s) for s in range(100)]
-        rep = r.verify_sup_error(gt, d, members)
+        rep = r.verify_sup_error(f_star, d, members)
         assert rep.passed
-        assert rep.exact_max <= 2.0 * gt.L / 10 + 1e-9
+        assert rep.exact_max <= 2.0 * lipschitz_norm(f_star) / 10 + 1e-9
         assert rep.grid_max <= rep.exact_max + 1e-12  # kink-union max dominates
 
     def test_larger_m_tightens_bound(self):
         rng = np.random.default_rng(45)
-        gt = r.GroundTruth(random_unit_lipschitz_pl(rng))
+        f_star = random_unit_lipschitz_pl(rng)
         for m in (10, 100):
-            d = r.make_dataset_from(gt, m)
+            d = r.make_dataset_from(f_star, m)
             ch = r.characterize(d)
             members = [r.sample_member(ch, s) for s in range(50)]
-            rep = r.verify_sup_error(gt, d, members)
+            rep = r.verify_sup_error(f_star, d, members)
             assert rep.passed and rep.bound == pytest.approx(2.0 / m)
 
     def test_non_uniform_design_rejected(self):
-        gt = r.GroundTruth(identity_pl())
-        d = r.make_dataset_from(gt, [0.1, 0.5, 1.0])
+        f_star = identity_pl()
+        d = r.make_dataset_from(f_star, [0.1, 0.5, 1.0])
         with pytest.raises(NonUniformDesignError):
-            r.verify_sup_error(gt, d, [])
+            r.verify_sup_error(f_star, d, [])
 
 
 class TestLocalizedBounds:
@@ -145,13 +132,13 @@ class TestLocalizedBounds:
     def test_sharp_bound_implies_localized(self):
         """Anything within 2L/m is automatically within 14L/m."""
         rng = np.random.default_rng(47)
-        gt = r.GroundTruth(random_unit_lipschitz_pl(rng))
-        d = r.make_dataset_from(gt, 10)
+        f_star = random_unit_lipschitz_pl(rng)
+        d = r.make_dataset_from(f_star, 10)
         ch = r.characterize(d)
         members = [r.sample_member(ch, s) for s in range(50)]
-        sup = r.verify_sup_error(gt, d, members)
+        sup = r.verify_sup_error(f_star, d, members)
         assert sup.passed
-        assert sup.exact_max <= 14.0 * gt.L / 10 + 1e-9
+        assert sup.exact_max <= 14.0 * lipschitz_norm(f_star) / 10 + 1e-9
 
 
 class TestSlopeWindow:
@@ -172,8 +159,8 @@ class TestSlopeWindow:
 class TestRandomDesignProbe:
     def test_reports_without_threshold(self):
         rng = np.random.default_rng(49)
-        gt = r.GroundTruth(random_unit_lipschitz_pl(rng))
-        out = random_design_probe(gt, m=30, seed=5, n_members=10)
+        f_star = random_unit_lipschitz_pl(rng)
+        out = random_design_probe(f_star, m=30, seed=5, n_members=10)
         assert out["m"] == 30
         assert out["measured_sup_error"] >= 0.0
         assert "log_scale_reference" in out and "ratio" in out

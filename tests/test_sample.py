@@ -176,6 +176,15 @@ class TestPerturbToNonmember:
         assert not rep.direct_pass and not rep.tv_pass
         assert any(v.tag == "forced-1a" for v in rep.violations)
 
+    @pytest.mark.parametrize("k", [0, 52, 53, 60])
+    def test_two_point_dataset_at_large_abscissae(self, k):
+        # once x_2 >= 2^53 a unit step past it rounds back onto it
+        ch = r.characterize(r.Dataset(np.array([1.0, 3.0]) * 2.0**k, np.array([2.0, 5.0]) * 2.0**k))
+        g = r.perturb_to_nonmember(ch, ch.f_D, seed=3)
+        assert g.x[-1] > ch.dataset.xs[-1]
+        rep = r.check_membership_against(ch, g)
+        assert not rep.direct_pass and not rep.tv_pass
+
     def test_interpolation_is_preserved(self):
         rng = np.random.default_rng(8)
         for _ in range(20):
