@@ -14,7 +14,6 @@ from .characterize import (
     MembershipReport,
     Violation,
     characterize,
-    check_membership,
     check_membership_against,
     connect_the_dots,
     localized_slope_bounds,

@@ -217,10 +217,6 @@ def characterize(d: Dataset) -> Characterization:
     )
 
 
-def check_membership(d: Dataset, f: PiecewiseLinear, tol: float = DEFAULT_MEMBERSHIP_RTOL) -> MembershipReport:
-    return check_membership_against(characterize(d), f, tol)
-
-
 def check_membership_against(
     ch: Characterization, f: PiecewiseLinear, tol: float = DEFAULT_MEMBERSHIP_RTOL
 ) -> MembershipReport:

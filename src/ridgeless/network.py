@@ -35,9 +35,6 @@ class ReluNetwork:
         if not (math.isfinite(self.a) and math.isfinite(self.b) and np.isfinite(units).all()):
             raise ValueError("network parameters must be finite")
 
-    def __call__(self, x):
-        return evaluate_network(self, x)
-
     def to_dict(self) -> dict:
         return {"a": self.a, "b": self.b, "units": self.units.tolist()}
 

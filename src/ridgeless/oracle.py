@@ -85,14 +85,11 @@ class CertificateReport:
 
 
 def grid_tv_minimize(d: Dataset,
-                     grid_points_per_gap: int = DEFAULT_GRID_POINTS_PER_GAP) -> tuple[float, PiecewiseLinear]:
-    """Minimize TV(Df) over grid PL interpolants; returns (min_tv, minimizer)."""
-    min_tv, minimizer, _ = _solve_grid_lp(d, grid_points_per_gap)
-    return min_tv, minimizer
+                     grid_points_per_gap: int = DEFAULT_GRID_POINTS_PER_GAP) -> tuple[float, PiecewiseLinear, int]:
+    """Minimize TV(Df) over grid PL interpolants; returns (min_tv, minimizer, iterations).
 
-
-def _solve_grid_lp(d: Dataset, grid_points_per_gap: int) -> tuple[float, PiecewiseLinear, int]:
-    """The grid LP at DEFAULT_SOLVER_TOL and DEFAULT_MAX_ITERS, read at call time."""
+    The LP runs at DEFAULT_SOLVER_TOL and DEFAULT_MAX_ITERS, read at call time.
+    """
     g = grid_points_per_gap
     if isinstance(g, bool) or not isinstance(g, numbers.Integral) or g < 1:
         raise ValueError(f"grid_points_per_gap must be an integer >= 1, got {g!r}")
@@ -194,7 +191,7 @@ def certify(
     """Compare the independently solved grid minimum against ch.minimal_tv."""
     if not tol >= 0:  # also rejects nan
         raise ValueError("tolerance must be nonnegative")
-    achieved, minimizer, iters = _solve_grid_lp(d, grid_points_per_gap)
+    achieved, minimizer, iters = grid_tv_minimize(d, grid_points_per_gap)
     target = float(ch.minimal_tv)
     residual = abs(achieved - target)
     passed = bool(residual <= allowance(tol, target))

@@ -81,9 +81,6 @@ class PiecewiseLinear:
         """The (location, jump) pairs, built on first access."""
         return tuple(zip(self.x.tolist(), self.c.tolist()))
 
-    def __call__(self, x):
-        return evaluate(self, x)
-
     def to_dict(self) -> dict:
         return {
             "anchor": [self.anchor[0], self.anchor[1]],
@@ -188,12 +185,14 @@ def canonical(
     x0, v0 = float(anchor[0]), float(anchor[1])
     y = x
     if x.size:
-        # values by prefix sums from the first kink, then shifted through the anchor
-        s = _prefix_sums(np.concatenate(([left_slope], c)))  # slope on each piece
-        rel = np.add.accumulate(np.concatenate(([0.0], s[1:-1] * (x[1:] - x[:-1]))))
-        i = int(x.searchsorted(x0, side="right"))
-        ref = max(i - 1, 0)
-        y = rel + (v0 - (rel[ref] + s[i] * (x0 - x[ref])))
+        # values by prefix sums from the first kink, then shifted through the anchor;
+        # finite input that overflows is left to PiecewiseLinear's finite check
+        with np.errstate(over="ignore", invalid="ignore"):
+            s = _prefix_sums(np.concatenate(([left_slope], c)))  # slope on each piece
+            rel = np.add.accumulate(np.concatenate(([0.0], s[1:-1] * (x[1:] - x[:-1]))))
+            i = int(x.searchsorted(x0, side="right"))
+            ref = max(i - 1, 0)
+            y = rel + (v0 - (rel[ref] + s[i] * (x0 - x[ref])))
     return PiecewiseLinear((x0, v0), float(left_slope), x, c, y)
 
 

@@ -963,7 +963,7 @@ def grid_tv_minimize_reference(d: r.Dataset, grid_points_per_gap: int, tol: floa
 
 def kink_lp_matrix_reference(d: r.Dataset, grid_points_per_gap: int):
     """The grid nodes and the equality matrix of the kink-form grid LP, built from COO
-    triplets through ``scipy.sparse.csc_array``: ``oracle._solve_grid_lp``'s former
+    triplets through ``scipy.sparse.csc_array``: ``oracle.grid_tv_minimize``'s former
     build, which its CSC arrays must equal bit for bit; returns (nodes, a_eq).
     """
     from scipy import sparse
@@ -995,7 +995,7 @@ def kink_lp_matrix_reference(d: r.Dataset, grid_points_per_gap: int):
 
 def kink_lp_linprog_reference(d: r.Dataset, grid_points_per_gap: int, tol: float = 1e-6,
                               max_iters: int = 200_000) -> tuple[float, r.PiecewiseLinear, int]:
-    """The kink-form grid LP of ``oracle._solve_grid_lp`` solved through ``linprog``:
+    """The kink-form grid LP of ``oracle.grid_tv_minimize`` solved through ``linprog``:
     the same model and HiGHS options; returns (min_tv, minimizer, iterations).
     """
     from scipy.optimize import linprog

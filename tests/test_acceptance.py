@@ -109,8 +109,8 @@ class TestAcceptance:
         worst_residual = 0.0
         monotone_ok = within_tol = True
         for d, ch, _, _ in batch:
-            tv64, _ = grid_tv_minimize(d, 64)
-            tv128, _ = grid_tv_minimize(d, 128)
+            tv64, _, _ = grid_tv_minimize(d, 64)
+            tv128, _, _ = grid_tv_minimize(d, 128)
             scale = max(1.0, ch.minimal_tv)
             worst_residual = max(worst_residual, abs(tv64 - ch.minimal_tv) / scale)
             within_tol &= abs(tv64 - ch.minimal_tv) <= 1e-2 * scale

@@ -71,7 +71,7 @@ class TestCharacterizeFixtures:
         for pts in ([(0, 0), (1, 5)], [(0, 0), (1, 5), (2, -1)]):
             ch = r.characterize(r.make_dataset(pts))
             assert blocks_of(ch) == ()
-            assert r.check_membership(ch.dataset, ch.f_D).is_member
+            assert r.check_membership_against(ch, ch.f_D).is_member
 
     def test_gap_arrays_are_read_only(self):
         # slopes 0,1,2,3,2,1,0: a convex block, a curvature flip, a concave block
@@ -141,6 +141,14 @@ class TestTvFormulaIdentity:
             adj, infl = tv_formula_pair(random_dataset(rng))
             assert adj == infl
 
+    def test_disagreement_warns(self):
+        # chord slopes alternate between 1000 and 1000 + 9e-10: every curvature reads 0,
+        # so the inflection sum drops the wiggle the adjacent-gap sum keeps
+        slopes = np.where(np.arange(9) % 2, 1000 + 9e-10, 1000.0)
+        d = r.Dataset(np.arange(10.0), np.concatenate(([0.0], np.cumsum(slopes))))
+        with pytest.warns(RuntimeWarning, match="TV formulas disagree by 7.2e-09"):
+            r.characterize(d)
+
 
 class TestMembershipFixtures:
     def test_fd_is_member_everywhere(self, dataset_a, dataset_zigzag, dataset_collinear):
@@ -152,13 +160,13 @@ class TestMembershipFixtures:
 
     def test_hand_member(self, dataset_a):
         f = from_knots([(0, 0), (1, 0), (1.5, 0.25), (2, 1), (3, 3)], 0.0, 2.0)
-        rep = r.check_membership(dataset_a, f)
+        rep = r.check_membership_against(r.characterize(dataset_a), f)
         assert rep.is_member and rep.tv_pass
         assert rep.tv_value == pytest.approx(2.0, rel=1e-12)
 
     def test_hand_nonmember_above_chord(self, dataset_a):
         f = from_knots([(0, 0), (1, 0), (1.5, 0.75), (2, 1), (3, 3)], 0.0, 2.0)
-        rep = r.check_membership(dataset_a, f)
+        rep = r.check_membership_against(r.characterize(dataset_a), f)
         assert not rep.is_member and not rep.direct_pass and not rep.tv_pass
         assert rep.tv_value == pytest.approx(4.0, rel=1e-12)
         tags = {v.tag for v in rep.violations}
@@ -166,33 +174,33 @@ class TestMembershipFixtures:
 
     def test_interp_violation(self, dataset_a):
         f = from_knots([(0, 0.5), (1, 0), (2, 1), (3, 3)], -0.5, 2.0)
-        rep = r.check_membership(dataset_a, f)
+        rep = r.check_membership_against(r.characterize(dataset_a), f)
         assert not rep.is_member and not rep.tv_pass
         assert any(v.tag == "interp" and v.location == 0.0 for v in rep.violations)
 
     def test_forced_1c_violation(self, dataset_zigzag):
         f = from_knots([(0, 0), (1, 1), (1.5, 0.2), (2, 0), (3, 1)], 1.0, 1.0)
-        rep = r.check_membership(dataset_zigzag, f)
+        rep = r.check_membership_against(r.characterize(dataset_zigzag), f)
         assert not rep.is_member
         assert any(v.tag == "forced-1c" for v in rep.violations)
 
     def test_forced_1b_violation(self):
         d = r.make_dataset([(0, 0), (1, 1), (2, 2), (3, 3), (4, 5)])
         f = from_knots([(0, 0), (1, 1), (1.5, 1.8), (2, 2), (3, 3), (4, 5)], 1.0, 2.0)
-        rep = r.check_membership(d, f)
+        rep = r.check_membership_against(r.characterize(d), f)
         assert any(v.tag == "forced-1b" for v in rep.violations)
 
     def test_forced_1a_tail_violation(self, dataset_a):
         # breaks the right tail: extra kink beyond the last point
         f = from_knots([(0, 0), (1, 0), (2, 1), (3, 3), (4, 6)], 0.0, 1.0)
-        rep = r.check_membership(dataset_a, f)
+        rep = r.check_membership_against(r.characterize(dataset_a), f)
         assert any(v.tag == "forced-1a" for v in rep.violations)
         assert not rep.tv_pass
 
     def test_boundary_slope_violation(self, dataset_a):
         # slope 2.5 > s_3 = 2 at the block exit, still interpolating
         f = from_knots([(0, 0), (1, 0), (1.8, 0.5), (2, 1), (3, 3)], 0.0, 2.0)
-        rep = r.check_membership(dataset_a, f)
+        rep = r.check_membership_against(r.characterize(dataset_a), f)
         assert any(v.tag in ("block-boundary-slope", "block-monotone")
                    for v in rep.violations)
         assert not rep.tv_pass
@@ -200,24 +208,24 @@ class TestMembershipFixtures:
     def test_below_support_lines_violation(self, dataset_a):
         # dips under both support lines inside the free gap
         f = from_knots([(0, 0), (1, 0), (1.5, -0.4), (2, 1), (3, 3)], 0.0, 2.0)
-        rep = r.check_membership(dataset_a, f)
+        rep = r.check_membership_against(r.characterize(dataset_a), f)
         assert any(v.tag in ("block-envelope", "block-monotone") for v in rep.violations)
 
     def test_report_serializes(self, dataset_a):
-        rep = r.check_membership(dataset_a, r.connect_the_dots(dataset_a))
+        rep = r.check_membership_against(r.characterize(dataset_a), r.connect_the_dots(dataset_a))
         d = asdict(rep)
         assert d["is_member"] is True and d["violations"] == ()
 
     def test_negative_tolerance_rejected(self, dataset_a):
         with pytest.raises(ValueError):
-            r.check_membership(dataset_a, r.connect_the_dots(dataset_a), tol=-1.0)
+            r.check_membership_against(r.characterize(dataset_a), r.connect_the_dots(dataset_a), tol=-1.0)
 
     def test_nan_tolerance_rejected(self, dataset_a):
         # under a nan tolerance every allowance comparison is False, so a far-off
         # function would report no violation and pass as a member
         far = from_knots(np.array([[0.0, 5.0], [1.0, 7.0]]), 0.0, 0.0)
         with pytest.raises(ValueError, match="tolerance must be nonnegative"):
-            r.check_membership(dataset_a, far, tol=float("nan"))
+            r.check_membership_against(r.characterize(dataset_a), far, tol=float("nan"))
 
     @pytest.mark.parametrize("k", [-60, 0, 45, 53, 60])
     def test_members_pass_at_any_abscissa_scale(self, k):

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import ridgeless as r
+import ridgeless.oracle
 from helpers import count_calls, random_dataset
 from ridgeless.cli import build_parser, main
 from ridgeless.plfun import from_json, from_knots, structurally_equal, to_json
@@ -119,9 +120,9 @@ class TestFileCommands:
         files = sorted(out_dir.iterdir())
         assert [p.name for p in files] == [
             "member-0000.json", "member-0001.json", "member-0002.json"]
-        d = r.load_dataset(data_a)
+        ch = r.characterize(r.load_dataset(data_a))
         for p in files:
-            assert r.check_membership(d, from_json(p.read_text())).is_member
+            assert r.check_membership_against(ch, from_json(p.read_text())).is_member
 
 
 class TestCertifyCommand:
@@ -139,6 +140,14 @@ class TestCertifyCommand:
         code, out, _ = run(capsys, argv)
         proc = run_child(argv)
         assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, "")
+
+    def test_solver_failure_exit_4(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setattr(ridgeless.oracle, "DEFAULT_MAX_ITERS", 1)
+        path = tmp_path / "zigzag.csv"
+        path.write_text("0,0\n1,1\n2,0\n3,1\n4,0\n5,1\n")
+        code, out, err = run(capsys, ["certify", str(path), "--grid", "8"])
+        assert code == 4 and out == "" and err.count("\n") == 1
+        assert err.startswith("error code=4 kind=certification") and "Iteration limit reached" in err
 
 
 class TestBoundCommand:
@@ -180,14 +189,17 @@ class TestBoundCommand:
 
 class TestPlotCommand:
     def test_valid_svg_with_tv_metadata(self, capsys, data_a, tmp_path):
-        dest = tmp_path / "plot.svg"
-        code, _, _ = run(capsys, ["plot", data_a, "--members", "4", "--seed", "2",
-                                  "--out", str(dest)])
-        assert code == 0
-        root = ET.fromstring(dest.read_text())  # well-formed XML
-        assert root.tag.endswith("svg")
-        meta = root.find("{http://www.w3.org/2000/svg}metadata")
-        assert json.loads(meta.text)["minimal_tv"] == 2.0
+        flat = tmp_path / "flat.csv"  # constant data: the y range is widened from zero
+        flat.write_text("0,1\n1,1\n2,1\n")
+        for data, tv in ((data_a, 2.0), (str(flat), 0.0)):
+            dest = tmp_path / "plot.svg"
+            code, _, _ = run(capsys, ["plot", data, "--members", "4", "--seed", "2",
+                                      "--out", str(dest)])
+            assert code == 0
+            root = ET.fromstring(dest.read_text())  # well-formed XML
+            assert root.tag.endswith("svg")
+            meta = root.find("{http://www.w3.org/2000/svg}metadata")
+            assert json.loads(meta.text)["minimal_tv"] == tv
 
 
 class TestCachedParser:
@@ -267,12 +279,17 @@ class TestErrorsAndDeterminism:
              "from-network"),
             ("rise.csv", "0,-1e308\n1e-300,1e308\n2,0\n", "non-finite", "characterize"),
             ("narrow.csv", "0,0\n1e-320,1\n2,0\n", "non-finite", "characterize"),
+            # finite input whose slopes and values overflow: one error line, no numpy warning
+            ("over.json", '{"anchor": [0, 1e308], "left_slope": 1e308, "breakpoints": [[1e308, 1e308]]}',
+             "bad piecewise-linear file", "tv"),
+            ("over.json", '{"a": 1e308, "b": 1e308, "units": [[1, 0, 1e308], [1, -1, 1e308]]}',
+             "bad network file", "from-network"),
         ):
             path = tmp_path / name
             path.write_text(text)
             code, out, err = run(capsys, [*cmd, str(path)])
             assert code == 2 and err.startswith("error code=2 kind=format"), (cmd, err)
-            assert detail in err and out == "", (cmd, err)
+            assert detail in err and out == "" and err.count("\n") == 1, (cmd, err)
 
     def test_stdout_byte_identical_across_runs(self, capsys, data_a, tmp_path):
         out_dir = tmp_path / "m"

@@ -34,9 +34,10 @@ class TestCsvLoading:
         assert points_of(d) == ((0.0, 0.0), (1.0, 2.0))
 
     def test_malformed_record_line_number(self):
-        with pytest.raises(MalformedRecordError) as exc:
-            loads_dataset("0,0\nnot-a-pair\n1,1")
-        assert exc.value.line == 2
+        for text in ("0,0\nnot-a-pair\n1,1", "0,0\n1,abc\n2,2"):
+            with pytest.raises(MalformedRecordError) as exc:
+                loads_dataset(text)
+            assert exc.value.line == 2
 
     def test_wrong_field_count_line_number(self):
         with pytest.raises(MalformedRecordError) as exc:
@@ -109,6 +110,12 @@ class TestRoundTrip:
         assert points_of(d) == ((0.0, 0.0), (1.0, 1.0))
         d = r.load_dataset(io.BytesIO(b'{"points": [[0, 0], [1, 1]]}'), format="json")
         assert points_of(d) == ((0.0, 0.0), (1.0, 1.0))
+
+    def test_unknown_format_rejected(self):
+        with pytest.raises(ValueError, match="unknown dataset format 'xml'"):
+            r.load_dataset(io.StringIO("0,0\n1,1\n"), format="xml")
+        with pytest.raises(ValueError, match="unknown dataset format 'xml'"):
+            r.save_dataset(r.make_dataset([(0, 0), (1, 1)]), io.StringIO(), format="xml")
 
 
 class TestSlopeProfile:

@@ -24,27 +24,27 @@ from ridgeless.plfun import evaluate, tv_of_derivative
 
 class TestGridTvMinimize:
     def test_collinear_reaches_zero(self, dataset_collinear):
-        min_tv, minimizer = grid_tv_minimize(dataset_collinear, 16)
+        min_tv, minimizer, _ = grid_tv_minimize(dataset_collinear, 16)
         assert min_tv == pytest.approx(0.0, abs=1e-8)
         assert tv_of_derivative(minimizer) <= 1e-8
         assert evaluate(minimizer, 0.5) == pytest.approx(2.0, abs=1e-7)
 
     def test_convex_fixture(self, dataset_a):
-        min_tv, minimizer = grid_tv_minimize(dataset_a, 64)
+        min_tv, minimizer, _ = grid_tv_minimize(dataset_a, 64)
         assert abs(min_tv - 2.0) <= 1e-3
         assert np.allclose(evaluate(minimizer, dataset_a.xs), dataset_a.ys, atol=1e-7)
 
     def test_zigzag_fixture(self, dataset_zigzag):
-        min_tv, _ = grid_tv_minimize(dataset_zigzag, 64)
+        min_tv, _, _ = grid_tv_minimize(dataset_zigzag, 64)
         assert abs(min_tv - 4.0) <= 1e-3
 
     def test_minimizer_objective_consistent(self, dataset_a):
-        min_tv, minimizer = grid_tv_minimize(dataset_a, 32)
+        min_tv, minimizer, _ = grid_tv_minimize(dataset_a, 32)
         assert tv_of_derivative(minimizer) == pytest.approx(min_tv, abs=1e-7)
 
     def test_two_point_dataset(self):
         d = r.make_dataset([(0, 0), (2, 1)])
-        min_tv, minimizer = grid_tv_minimize(d, 4)
+        min_tv, minimizer, _ = grid_tv_minimize(d, 4)
         assert min_tv == pytest.approx(0.0, abs=1e-9)
         assert minimizer.breakpoints == ()
 
@@ -64,7 +64,7 @@ class TestGridTvMinimize:
             d = random_dataset(rng, m=8)
             ch = r.characterize(d)
             fd_tv = tv_of_derivative(ch.f_D)
-            min_tv, _ = grid_tv_minimize(d, 32)
+            min_tv, _, _ = grid_tv_minimize(d, 32)
             slack = 1e-7 * max(1.0, ch.minimal_tv)
             assert ch.minimal_tv - slack <= min_tv <= fd_tv + slack
 
@@ -72,8 +72,8 @@ class TestGridTvMinimize:
         rng = np.random.default_rng(20)
         for _ in range(8):
             d = random_dataset(rng, m=6)
-            coarse, _ = grid_tv_minimize(d, 16)
-            fine, _ = grid_tv_minimize(d, 32)
+            coarse, _, _ = grid_tv_minimize(d, 16)
+            fine, _, _ = grid_tv_minimize(d, 32)
             slack = 1e-7 * max(1.0, coarse)
             assert fine <= coarse + slack
 
@@ -114,7 +114,7 @@ class TestCertify:
     @pytest.mark.parametrize("tol", [-1.0, float("nan")])
     def test_rejects_a_bad_tolerance_before_the_solve(self, dataset_a, monkeypatch, tol):
         ch = r.characterize(dataset_a)
-        solves = count_calls(monkeypatch, ridgeless.oracle, "_solve_grid_lp")
+        solves = count_calls(monkeypatch, ridgeless.oracle, "grid_tv_minimize")
         with pytest.raises(ValueError, match="tolerance must be nonnegative"):
             certify(dataset_a, ch, tol=tol)
         assert solves == []
@@ -181,7 +181,7 @@ class TestKinkForm:
     def test_matches_the_grid_value_lp(self):
         for d, g in self.cases():
             ch = r.characterize(d)
-            achieved, minimizer = grid_tv_minimize(d, g)
+            achieved, minimizer, _ = grid_tv_minimize(d, g)
             ref, ref_minimizer = grid_tv_minimize_reference(d, g)
             assert abs(achieved - ref) <= 1e-9 * max(1.0, achieved)
             scale = max(1.0, float(np.abs(d.ys).max()))
@@ -201,7 +201,7 @@ class TestKinkForm:
     def test_same_bits_as_linprog(self):
         cases = self.cases() + [(random_dataset(np.random.default_rng(2), 200), 64)]
         for d, g in cases:
-            achieved, minimizer, iters = ridgeless.oracle._solve_grid_lp(d, g)
+            achieved, minimizer, iters = grid_tv_minimize(d, g)
             ref, ref_minimizer, ref_iters = kink_lp_linprog_reference(d, g)
             assert achieved.hex() == ref.hex() and iters == ref_iters
             for name in ("x", "y", "c"):
@@ -282,7 +282,7 @@ class TestImport:
 
 def solve_bits(d: r.Dataset, g: int) -> tuple:
     """The grid LP's objective, iteration count and minimizer, as exact bits."""
-    achieved, minimizer, iters = ridgeless.oracle._solve_grid_lp(d, g)
+    achieved, minimizer, iters = grid_tv_minimize(d, g)
     return (achieved.hex(), iters, *(getattr(minimizer, name).tobytes() for name in "xyc"))
 
 
@@ -389,7 +389,7 @@ class TestSolverIndependence:
                 assert all("characterize" not in a.name for a in node.names)
 
     def test_solver_source_avoids_characterization(self):
-        for fn in (ridgeless.oracle.grid_tv_minimize, ridgeless.oracle._solve_grid_lp):
+        for fn in (ridgeless.oracle.grid_tv_minimize,):
             src = inspect.getsource(fn)
             for banned in ("characterize", "slope_profile", "minimal_tv", "inflection"):
                 assert banned not in src

@@ -128,6 +128,7 @@ class TestRestrictionEqual:
         g = from_knots([(0.0, 0.0), (0.5, 0.1), (1.0, 1.0)], 0.0, 1.0)
         f = from_knots([(0.0, 0.0), (1.0, 1.0)], 0.0, 1.0)
         assert not restriction_equal(f, g, (0.0, 1.0), 1e-9)
+        assert not structurally_equal(f, g)  # two kinks against three
 
 
 class TestFromKnots:
@@ -155,6 +156,8 @@ class TestFromKnots:
     def test_rejects_unsorted(self):
         with pytest.raises(ValueError):
             from_knots([(1.0, 0.0), (0.0, 0.0)], 0.0, 0.0)
+        with pytest.raises(ValueError, match="need at least one knot"):
+            from_knots([], 0.0, 0.0)
 
 
 pl_inputs = st.builds(
