@@ -34,7 +34,6 @@ from .dataset import (
 from .generalization import (
     LipDominationReport,
     LocalizedBoundReport,
-    NonUniformDesignError,
     SupErrorReport,
     make_dataset_from,
     verify_lip_domination,

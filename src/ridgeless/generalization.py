@@ -1,11 +1,13 @@
 """Lipschitz-domination and worst-case recovery bounds for family members.
 
-When the data comes from a Lipschitz function, every member of the
+When the data comes from an L-Lipschitz function, every member of the
 family is at most as steep as the chord interpolant, hence at most as
-steep as the source.  On a uniform design with m points in [0,1] that
-pins the sup recovery error at 2L/m.  A localized variant bounds how far
-member slopes may drift from each chord slope gap by gap, at the price
-of constants (7L for the norm, 14L/m for the error).
+steep as the source, and both pass through the data.  So on [0, 1] the
+sup recovery error is at most 2L times the largest distance from a point
+of [0, 1] to the data; on the uniform design x_i = i/m that is the sharp
+2L/m.  A localized variant bounds how far member slopes may drift from
+each chord slope gap by gap, at the price of constants (7L for the norm,
+14L/m for the error).
 
 Ground truths are restricted to PL functions so Lipschitz norms are
 computed exactly rather than estimated.
@@ -26,14 +28,8 @@ from .plfun import PiecewiseLinear, _window, allowance, evaluate, lipschitz_norm
 
 # slack of every bound check: allowance(BOUND_TOL, size) for the norms, absolute for the sup error
 BOUND_TOL = 1e-9
-# largest |x_i - i/m| of a design that counts as uniform
-UNIFORM_DESIGN_TOL = 1e-12
-# points per gap of the dense grid that cross-checks the exact sup error
+# points per data point of the dense grid on [0, 1] that cross-checks the exact sup error
 SUP_GRID_POINTS_PER_GAP = 100
-
-
-class NonUniformDesignError(ValueError):
-    """The sharp 2L/m bound only holds for the uniform design x_i = i/m."""
 
 
 def make_dataset_from(f_star: PiecewiseLinear, design) -> Dataset:
@@ -45,11 +41,6 @@ def make_dataset_from(f_star: PiecewiseLinear, design) -> Dataset:
     uniform = isinstance(design, (int, np.integer))
     xs = np.arange(1, int(design) + 1) / float(design) if uniform else np.asarray(list(design), dtype=float)
     return Dataset(xs, evaluate(f_star, xs))
-
-
-def is_uniform_design(d: Dataset) -> bool:
-    expected = np.arange(1, d.m + 1) / float(d.m)
-    return bool(np.all(np.abs(d.xs - expected) <= UNIFORM_DESIGN_TOL))
 
 
 @dataclass(frozen=True)
@@ -94,18 +85,23 @@ class SupErrorReport:
 def verify_sup_error(
     f_star: PiecewiseLinear, d: Dataset, members: Sequence[PiecewiseLinear]
 ) -> SupErrorReport:
-    """Check sup_{[0,1]} |member - f_star| <= 2L/m on the uniform design, L = lip(f_star).
+    """Check sup_{[0,1]} |member - f_star| <= B on any design, L = lip(f_star).
+
+    A member and f_star both pass through the data and are both
+    L-Lipschitz, so at x they part by at most 2L times the distance from x
+    to the nearest data point.  On [0, 1] that distance is at most
+    h = max(0, x_1, max_i (x_{i+1} - x_i) / 2, 1 - x_m), so B = 2L h; on
+    x_i = i/m, B is 2L x_1, the paper's 2L/m.
 
     The maximum is computed exactly at the union of kinks (the difference
     of two PL functions is PL, so its extrema sit at kinks or interval
-    ends) and cross-checked on a dense grid of SUP_GRID_POINTS_PER_GAP
-    points per gap.
+    ends) and cross-checked from below on SUP_GRID_POINTS_PER_GAP * m + 1
+    evenly spaced points of [0, 1].
     """
-    if not is_uniform_design(d):
-        raise NonUniformDesignError("sup-error bound requires x_i = i/m on [0, 1]")
-    m = d.m
-    bound = 2.0 * lipschitz_norm(f_star) / m
-    dense = np.linspace(0.0, 1.0, SUP_GRID_POINTS_PER_GAP * m + 1)
+    xs = d.xs
+    h = max(0.0, float(xs[0]), float(np.max(np.diff(xs))) / 2, 1.0 - float(xs[-1]))
+    bound = 2.0 * lipschitz_norm(f_star) * h
+    dense = np.linspace(0.0, 1.0, SUP_GRID_POINTS_PER_GAP * d.m + 1)
     star_dense = np.atleast_1d(evaluate(f_star, dense))
 
     exact_max, grid_max, worst = 0.0, 0.0, -1

@@ -24,8 +24,10 @@ from ridgeless.characterize import (
 )
 from ridgeless.cli import fmt
 from ridgeless.dataset import CURVATURE_RTOL, SlopeProfile
-from ridgeless.generalization import LocalizedBoundReport, make_dataset_from, sup_error
-from ridgeless.plfun import JUMP_MERGE_RTOL, _prefix_sums, evaluate, one_sided_slopes, tv_of_derivative
+from ridgeless.generalization import LocalizedBoundReport
+from ridgeless.plfun import (JUMP_MERGE_RTOL, _prefix_sums, allowance, evaluate, one_sided_slopes,
+                             tv_of_derivative)
+from ridgeless.sample import _CROSSING_MARGIN
 
 
 _location = itemgetter(0)  # of a (location, jump) breakpoint
@@ -176,7 +178,7 @@ def localized_slope_bounds_reference(slopes) -> np.ndarray:
     )
 
 
-# PL restriction checks and an iid-design probe that only the tests use.
+# PL restriction checks that only the tests use.
 
 
 def piece_slopes_on(f: r.PiecewiseLinear, lo: float, hi: float) -> np.ndarray:
@@ -237,7 +239,7 @@ def restriction_mismatches(
         else:
             xf, cf = fb[i]
             xg, cg = gb[j]
-            if abs(xf - xg) <= tol * max(1.0, abs(xf), abs(xg)):
+            if abs(xf - xg) <= allowance(tol, xf, xg):
                 loc = xf
                 i += 1
                 j += 1
@@ -248,17 +250,17 @@ def restriction_mismatches(
                 loc, cf = xg, 0.0
                 j += 1
         gap = abs(cf - cg)
-        if gap > tol * max(1.0, abs(cf), abs(cg)):
+        if gap > allowance(tol, cf, cg):
             bad.append((loc, gap))
 
     t0 = _probe_point(fb, gb, lo, hi)
     dv = abs(evaluate(f, t0) - evaluate(g, t0))
-    if dv > tol * max(1.0, abs(evaluate(g, t0))):
+    if dv > allowance(tol, evaluate(g, t0)):
         bad.append((t0, dv))
     fi, fo = one_sided_slopes(f, t0)
     gi, go = one_sided_slopes(g, t0)
     for df in (abs(fi - gi), abs(fo - go)):
-        if df > tol * max(1.0, abs(gi), abs(go)):
+        if df > allowance(tol, gi, go):
             bad.append((t0, df))
             break
     return bad
@@ -274,33 +276,6 @@ def _probe_point(fb, gb, lo: float, hi: float) -> float:
     if math.isinf(hi):
         return max(lo + 1.0, math.nextafter(lo, math.inf))
     return 0.5 * (lo + hi)
-
-
-def random_design_probe(
-    f_star: r.PiecewiseLinear, m: int, seed: int, n_members: int = 50
-) -> dict:
-    """Exploratory iid-design measurement; reports values, no pass/fail.
-
-    With x_i drawn iid uniform on [0,1] the recovery error is expected to
-    scale like log(m) L / m, but no explicit constant is asserted.
-    """
-    rng = np.random.default_rng(int(seed) % 2**64)
-    xs = np.sort(rng.uniform(0.0, 1.0, size=m))
-    while np.any(np.diff(xs) <= 0):
-        xs = np.sort(rng.uniform(0.0, 1.0, size=m))
-    d = make_dataset_from(f_star, xs)
-    ch = r.characterize(d)
-    worst = 0.0
-    for k in range(n_members):
-        f = r.sample_member(ch, seed=int(rng.integers(2**63)))
-        worst = max(worst, sup_error(f, f_star, 0.0, 1.0))
-    reference = math.log(m) * r.lipschitz_norm(f_star) / m if m > 1 else math.inf
-    return {
-        "m": m,
-        "measured_sup_error": worst,
-        "log_scale_reference": reference,
-        "ratio": worst / reference if reference > 0 else math.inf,
-    }
 
 
 def count_calls(monkeypatch, module, name: str) -> list:
@@ -320,7 +295,7 @@ def is_monotone(seq, tol: float) -> bool:
     diffs = np.diff(np.asarray(seq, dtype=float))
     if diffs.size == 0:
         return True
-    scale = tol * np.maximum(1.0, np.max(np.abs(seq)))
+    scale = allowance(tol, np.max(np.abs(seq)))
     return bool(np.all(diffs >= -scale) or np.all(diffs <= scale))
 
 
@@ -345,7 +320,7 @@ def member_invariant_failures(ch: r.Characterization, f: r.PiecewiseLinear,
         if not is_monotone(slopes, tol):
             failures.append(f"monotone@gap{i}")
         si = s[i - 1]
-        scale = tol * max(1.0, abs(si), float(np.max(np.abs(slopes))))
+        scale = allowance(tol, si, np.max(np.abs(slopes)))
         _, s_out_i = one_sided_slopes(f, lo)
         s_in_next, _ = one_sided_slopes(f, hi)
         if sign_with_tol(s_in_next - si, scale) + sign_with_tol(s_out_i - si, scale) != 0:
@@ -357,7 +332,7 @@ def member_invariant_failures(ch: r.Characterization, f: r.PiecewiseLinear,
             continue
         si, s_prev = s[i - 1], s[i - 2]
         s_in, s_out = one_sided_slopes(f, float(xs[i - 1]))
-        scale = tol * max(1.0, abs(s_prev), abs(si), abs(s_in), abs(s_out))
+        scale = allowance(tol, s_prev, si, s_in, s_out)
         links = (e * (s_in - s_prev), e * (s_out - s_in), e * (si - s_out))
         if any(link < -scale for link in links):
             failures.append(f"eps-sandwich@{i}")
@@ -399,7 +374,7 @@ def slope_window_failures(ch: r.Characterization, f: r.PiecewiseLinear,
         slopes = piece_slopes_on(f, float(xs[i - 1]), float(xs[i]))
         lo = e * (s[i - 2] - si)
         hi = max(0.0, e * (s_next - si))
-        scale = tol * max(1.0, abs(s[i - 2]), abs(si), abs(s_next))
+        scale = allowance(tol, s[i - 2], si, s_next)
         mids = e * (slopes - si)
         if np.any(mids < lo - scale) or np.any(mids > hi + scale):
             failures.append(f"slope-window@{i}")
@@ -419,7 +394,7 @@ def sign_with_tol(delta: float, tol: float) -> int:
 
 def slope_profile_reference(d: r.Dataset, curvature_tol: float = CURVATURE_RTOL) -> SlopeProfile:
     s = np.diff(d.ys) / np.diff(d.xs)
-    eps = [sign_with_tol(s[i] - s[i - 1], curvature_tol * max(1.0, abs(s[i]), abs(s[i - 1])))
+    eps = [sign_with_tol(s[i] - s[i - 1], allowance(curvature_tol, s[i], s[i - 1]))
            for i in range(1, len(s))]
     return SlopeProfile(slopes=s, curvatures=np.array(eps, dtype=int))
 
@@ -451,6 +426,12 @@ def tv_formula_pair(d: r.Dataset) -> tuple[Fraction, Fraction]:
     return tv_sums_exact(prof.slopes, inflection_set_reference(prof.curvatures))
 
 
+def merge_threshold(jumps) -> float:
+    """The jump size at or under which ``plfun`` drops a kink: ``_kept``'s rule
+    JUMP_MERGE_RTOL * (1 + max |c|), for the loop references below."""
+    return JUMP_MERGE_RTOL * (1.0 + max(map(abs, jumps), default=0.0))
+
+
 def from_knots_reference(knots, left_slope: float, right_slope: float) -> r.PiecewiseLinear:
     """``from_knots`` by Python lists: drop every knot whose jump is under the
     threshold and, unless all dropped jumps were zero, take the jumps of the
@@ -465,7 +446,7 @@ def from_knots_reference(knots, left_slope: float, right_slope: float) -> r.Piec
         chord = [(ys[i + 1] - ys[i]) / (xs[i + 1] - xs[i]) for i in range(len(xs) - 1)]
         slope_seq = [float(left_slope)] + chord + [float(right_slope)]
         jumps = [slope_seq[i + 1] - slope_seq[i] for i in range(len(xs))]
-        tol = JUMP_MERGE_RTOL * (1.0 + max(abs(c) for c in jumps))
+        tol = merge_threshold(jumps)
         kept = [i for i, c in enumerate(jumps) if abs(c) > tol]
         if len(kept) == len(xs):
             break
@@ -488,7 +469,7 @@ def canonical_reference(anchor, left_slope: float, breakpoints) -> r.PiecewiseLi
         merged[xi] = merged.get(xi, 0.0) + c
     if not (all(map(math.isfinite, merged)) and all(map(math.isfinite, merged.values()))):
         raise ValueError("breakpoint locations and jumps must be finite")
-    tol = JUMP_MERGE_RTOL * (1.0 + max(map(abs, merged.values()), default=0.0))
+    tol = merge_threshold(merged.values())
     locs = sorted(xi for xi, c in merged.items() if abs(c) > tol)
     x, c = np.array(locs, dtype=float), np.array([merged[xi] for xi in locs], dtype=float)
     x0, v0 = float(anchor[0]), float(anchor[1])
@@ -696,7 +677,7 @@ def check_membership_reference(ch: Characterization, f: r.PiecewiseLinear,
     fvals = np.atleast_1d(evaluate(f, xs))
     for i in range(m):
         err = abs(float(fvals[i]) - float(ys[i]))
-        if err > tol * max(1.0, abs(float(ys[i]))):
+        if err > allowance(tol, ys[i]):
             violations.append(Violation("interp", float(xs[i]), err))
     interp_ok = not violations
 
@@ -713,7 +694,7 @@ def check_membership_reference(ch: Characterization, f: r.PiecewiseLinear,
 
     tv_value = tv_of_derivative(f)
     tv_gap = abs(tv_value - ch.minimal_tv)
-    tv_close = tv_gap <= tol * max(1.0, ch.minimal_tv)
+    tv_close = bool(tv_gap <= allowance(tol, ch.minimal_tv))
     if not tv_close:
         violations.append(Violation("tv-mismatch", None, tv_gap))
 
@@ -740,15 +721,15 @@ def _block_violations_reference(ch, blk, f, tol) -> list[Violation]:
     kink_locs = [xi for xi, _ in breakpoints_between(f, xa, xb)]
     for k in range(len(slopes) - 1):
         drop = sigma * (slopes[k + 1] - slopes[k])
-        if drop < -tol * max(1.0, abs(slopes[k]), abs(slopes[k + 1])):
+        if drop < -allowance(tol, slopes[k], slopes[k + 1]):
             out.append(Violation("block-monotone", kink_locs[k], float(-drop)))
 
     s_enter, s_exit = s[a - 2], s[b - 1]
     gap_in = sigma * (slopes[0] - s_enter)
-    if gap_in < -tol * max(1.0, abs(slopes[0]), abs(s_enter)):
+    if gap_in < -allowance(tol, slopes[0], s_enter):
         out.append(Violation("block-boundary-slope", xa, float(-gap_in)))
     gap_out = sigma * (s_exit - slopes[-1])
-    if gap_out < -tol * max(1.0, abs(slopes[-1]), abs(s_exit)):
+    if gap_out < -allowance(tol, slopes[-1], s_exit):
         out.append(Violation("block-boundary-slope", xb, float(-gap_out)))
 
     pts = np.array(sorted(set(kink_locs) | {float(x) for x in xs[a - 1 : b]}))
@@ -758,7 +739,7 @@ def _block_violations_reference(ch, blk, f, tol) -> list[Violation]:
     line_hi = np.asarray(blk.upper_support(pts))
     linev = np.maximum(line_lo, line_hi) if sigma > 0 else np.minimum(line_lo, line_hi)
     for p, fp, cp, lp in zip(pts, fv, chordv, linev):
-        scale = tol * max(1.0, abs(cp), abs(lp))
+        scale = allowance(tol, cp, lp)
         below = sigma * (fp - lp)
         above = sigma * (cp - fp)
         worst = min(below, above)
@@ -818,12 +799,13 @@ def _tangent_crossing_reference(xj, yj, tj, xk, yk, tk, chord):
     """Where the tangents at (xj, yj) and (xk, yk) cross strictly inside the gap,
     or None; a tangent equal to the gap's chord slope crosses at a data point."""
     denom = tj - tk
-    if abs(denom) <= 1e-12 * max(1.0, abs(tj), abs(tk)):
+    if abs(denom) <= allowance(_CROSSING_MARGIN, tj, tk):
         return None
     xi = ((yk - yj) + tj * xj - tk * xk) / denom
     share = (chord - tk) / denom
-    margin = 1e-12 * (xk - xj)
-    if xi <= xj + margin or xi >= xk - margin or share <= 1e-12 or share >= 1.0 - 1e-12:
+    margin = _CROSSING_MARGIN * (xk - xj)
+    if (xi <= xj + margin or xi >= xk - margin
+            or share <= _CROSSING_MARGIN or share >= 1.0 - _CROSSING_MARGIN):
         return None
     return (xi, yj + tj * (xi - xj))
 
@@ -894,12 +876,12 @@ def verify_localized_bounds_reference(ch: Characterization, members,
             excess = drift - float(bounds[i - 1])
             if excess > max_excess:
                 max_excess, worst_member, worst_gap = excess, k, i
-            if excess > tol * max(1.0, float(bounds[i - 1])):
+            if excess > allowance(tol, bounds[i - 1]):
                 ok = False
         norm = r.lipschitz_norm(f)
         ratio = norm / fd_norm if fd_norm > 0 else 0.0
         lip_ratio = max(lip_ratio, ratio)
-        if norm > 7.0 * fd_norm + tol * max(1.0, fd_norm):
+        if norm > 7.0 * fd_norm + allowance(tol, fd_norm):
             ok = False
     return LocalizedBoundReport(
         gap_bounds=tuple(float(b) for b in bounds),

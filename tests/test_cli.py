@@ -163,14 +163,16 @@ class TestBoundCommand:
         assert blob["sup_error"]["passed"] is True
         assert blob["localized"]["passed"] is True
 
-    def test_non_uniform_design_skips_sharp_bound(self, capsys, data_a, tmp_path):
+    def test_data_design_reports_sup_error(self, capsys, data_a, tmp_path):
         fstar = from_knots([(0, 0), (3, 3)], 1.0, 1.0)
         path = tmp_path / "fstar.json"
         path.write_text(to_json(fstar))
         code, out, _ = run(capsys, ["bound", data_a, "--fstar", str(path), "--members", "5"])
         assert code == 0
         blob = json.loads(out.splitlines()[0])
-        assert blob["sup_error"] == {"skipped": "non-uniform design"}
+        assert list(blob) == ["lip_domination", "localized", "sup_error"]
+        # the design 0, 1, 2, 3 covers [0, 1] with its first gap: B = L w = 1
+        assert blob["sup_error"]["bound"] == 1.0 and blob["sup_error"]["passed"] is True
 
     def test_derives_the_slope_profile_once(self, capsys, data_a, tmp_path, monkeypatch):
         # every package module that holds either name is wrapped

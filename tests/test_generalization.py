@@ -1,16 +1,21 @@
+import json
+import math
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
 import ridgeless as r
 from helpers import (
+    chord_tangents,
     points_of,
     random_dataset,
-    random_design_probe,
     random_unit_lipschitz_pl,
     slope_window_failures,
+    support_tangents,
 )
-from ridgeless.generalization import NonUniformDesignError, is_uniform_design
 from ridgeless.plfun import canonical, from_knots, lipschitz_norm
+from ridgeless.sample import _member
 
 
 def identity_pl():
@@ -34,7 +39,6 @@ class TestMakeDataset:
         f_star = identity_pl()
         d = r.make_dataset_from(f_star, [0.1, 0.4, 0.9])
         assert [p[0] for p in points_of(d)] == [0.1, 0.4, 0.9]
-        assert is_uniform_design(d) is False
 
     def test_m1_rejected(self):
         for design in (1, 0, [0.5]):
@@ -97,11 +101,62 @@ class TestSupError:
             rep = r.verify_sup_error(f_star, d, members)
             assert rep.passed and rep.bound == pytest.approx(2.0 / m)
 
-    def test_non_uniform_design_rejected(self):
-        f_star = identity_pl()
-        d = r.make_dataset_from(f_star, [0.1, 0.5, 1.0])
-        with pytest.raises(NonUniformDesignError):
-            r.verify_sup_error(f_star, d, [])
+    def test_bound_from_the_design(self):
+        vee = from_knots([(0.0, 0.5), (0.5, 0.0), (1.0, 0.5)], -1.0, 1.0)
+        cases = (
+            ([0.1, 0.5, 1.0], 0.5),  # the second gap, w = 0.5: L w
+            ([0.3, 0.4, 0.6], 0.8),  # the right tail, 1 - x_m = 0.4: 2 L (1 - x_m)
+            ([0.35, 0.5, 0.9], 0.7),  # the left tail, x_1 = 0.35: 2 L x_1
+            ([-0.5, 0.25, 1.5], 1.25),  # past both ends: only the gaps count
+        )
+        for design, bound in cases:
+            d = r.make_dataset_from(vee, design)
+            ch = r.characterize(d)
+            rep = r.verify_sup_error(vee, d, [r.sample_member(ch, s) for s in range(5)])
+            assert rep.bound == pytest.approx(bound, rel=1e-15, abs=0)
+            assert rep.passed is True and type(rep.bound) is float
+            json.dumps(asdict(rep))  # no numpy scalar in the report
+
+    def test_uniform_design_bound_is_2L_x1(self):
+        """On x_i = i/m the bound is that of the float design, 2 L x_1, one ulp
+        at most from 2 L / m."""
+        differ = 0
+        for slope in (1.0, 0.3, 3.7, 1000.0 / 7.0):
+            line = canonical((0.0, 0.0), slope, [])
+            for m in range(2, 60):
+                d = r.make_dataset_from(line, m)
+                rep = r.verify_sup_error(line, d, [])
+                assert rep.bound == 2.0 * slope * float(d.xs[0])
+                assert abs(rep.bound - 2.0 * slope / m) <= math.ulp(2.0 * slope / m)
+                differ += rep.bound != 2.0 * slope / m
+        assert differ  # the float design's bound is not always 2 L / m
+
+    @pytest.mark.parametrize("design", ["iid-uniform", "beta-0.3", "past-both-ends"])
+    def test_members_within_design_bound(self, design):
+        rng = np.random.default_rng(7)
+        worst = 0.0
+        for _ in range(25):
+            f_star = random_unit_lipschitz_pl(rng)
+            m = int(rng.integers(3, 60))
+            while True:
+                if design == "iid-uniform":
+                    xs = rng.uniform(0.0, 1.0, size=m)
+                elif design == "beta-0.3":
+                    xs = rng.beta(0.3, 0.3, size=m)
+                else:
+                    xs = rng.uniform(-0.5, 1.5, size=m)
+                xs = np.unique(xs)
+                if xs.size == m:
+                    break
+            d = r.make_dataset_from(f_star, xs)
+            ch = r.characterize(d)
+            members = [r.sample_member(ch, int(rng.integers(2**31))) for _ in range(10)]
+            members += [_member(ch, chord_tangents(ch)), _member(ch, support_tangents(ch))]
+            rep = r.verify_sup_error(f_star, d, members)
+            assert rep.passed and rep.exact_max <= rep.bound, (design, m)
+            assert rep.grid_max <= rep.exact_max + 1e-12
+            worst = max(worst, rep.exact_max / rep.bound)
+        assert worst > 0.1  # the bound is not vacuous on these designs
 
 
 class TestLocalizedBounds:
@@ -154,13 +209,3 @@ class TestSlopeWindow:
     def test_window_on_forced_flip_gap(self, dataset_zigzag):
         ch = r.characterize(dataset_zigzag)
         assert slope_window_failures(ch, ch.f_D) == []
-
-
-class TestRandomDesignProbe:
-    def test_reports_without_threshold(self):
-        rng = np.random.default_rng(49)
-        f_star = random_unit_lipschitz_pl(rng)
-        out = random_design_probe(f_star, m=30, seed=5, n_members=10)
-        assert out["m"] == 30
-        assert out["measured_sup_error"] >= 0.0
-        assert "log_scale_reference" in out and "ratio" in out
