@@ -104,13 +104,13 @@ def verify_sup_error(
     dense = np.linspace(0.0, 1.0, SUP_GRID_POINTS_PER_GAP * d.m + 1)
     star_dense = np.atleast_1d(evaluate(f_star, dense))
 
-    exact_max, grid_max, worst = 0.0, 0.0, -1
-    for k, f in enumerate(members):
-        err = sup_error(f, f_star, 0.0, 1.0)
-        if err > exact_max:
-            exact_max, worst = err, k
+    errors, grid_max = [], 0.0
+    for f in members:
+        errors.append(sup_error(f, f_star, 0.0, 1.0))
         gerr = float(np.max(np.abs(np.atleast_1d(evaluate(f, dense)) - star_dense)))
         grid_max = max(grid_max, gerr)
+    worst = int(np.argmax(errors)) if errors else -1
+    exact_max = max(errors) if errors else 0.0
     return SupErrorReport(
         bound=bound,
         exact_max=exact_max,

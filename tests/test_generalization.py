@@ -80,6 +80,17 @@ class TestSupError:
         rep = r.verify_sup_error(f_star, d, members)
         assert rep.passed and rep.exact_max == pytest.approx(0.0, abs=1e-12)
 
+    def test_worst_member_is_minus_one_only_without_members(self):
+        f_star = identity_pl()
+        d = r.make_dataset_from(f_star, 5)
+        ch = r.characterize(d)
+        members = [ch.f_D, r.sample_member(ch, 0)]
+        rep = r.verify_sup_error(f_star, d, members)
+        assert rep.exact_max == 0.0 and rep.worst_member == 0
+        assert r.verify_lip_domination(ch, members, 1.0).worst_member == 0
+        empty = r.verify_sup_error(f_star, d, [])
+        assert (empty.exact_max, empty.worst_member) == (0.0, -1)
+
     def test_random_truth_m10(self):
         rng = np.random.default_rng(44)
         f_star = random_unit_lipschitz_pl(rng)

@@ -1,9 +1,11 @@
 import ast
 import importlib
+import importlib.machinery
 import inspect
 import os
 import subprocess
 import sys
+import textwrap
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict
@@ -11,7 +13,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.optimize._highspy import _core
 
 import ridgeless as r
 import ridgeless.oracle
@@ -20,6 +21,8 @@ from helpers import (count_calls, grid_tv_minimize_reference, kink_lp_linprog_re
 from ridgeless.characterize import check_membership_against
 from ridgeless.oracle import OracleError, certify, grid_tv_minimize
 from ridgeless.plfun import evaluate, tv_of_derivative
+
+_core = ridgeless.oracle._highs_core()  # the object the oracle reads, whatever the import order
 
 
 class TestGridTvMinimize:
@@ -252,21 +255,24 @@ class TestKinkForm:
         assert rep.passed and rep.minimizer_is_member
 
 
+def run_child(code: str) -> str:
+    """Run ``code`` in a fresh interpreter that imports this package and ``helpers``; its stdout."""
+    # the child imports the same package as this process, installed or not
+    paths = [str(Path(r.__file__).parents[1]), str(Path(__file__).parent),
+             os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    proc = subprocess.run([sys.executable, "-c", textwrap.dedent(code)], capture_output=True,
+                          text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip()
+
+
 class TestImport:
     def test_package_import_does_not_load_scipy(self):
-        # the child imports the same package as this process, installed or not
-        src = str(Path(r.__file__).parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")]))}
         code = "import sys, ridgeless, ridgeless.cli; print('scipy' in sys.modules)"
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                              env=env, check=True)
-        assert proc.stdout.strip() == "False"
+        assert run_child(code) == "False"
 
     def test_bad_grid_rejected_before_scipy_loads(self):
-        src = str(Path(r.__file__).parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")]))}
         code = ("import sys, ridgeless as r\n"
                 "d = r.make_dataset([(0, 0), (1, 0), (2, 1)])\n"
                 "for g in (0, 2.5, True):\n"
@@ -275,9 +281,96 @@ class TestImport:
                 "    except ValueError:\n"
                 "        print('rejected', end=' ')\n"
                 "print('scipy' in sys.modules)")
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                              env=env, check=True)
-        assert proc.stdout.strip() == "rejected rejected rejected False"
+        assert run_child(code) == "rejected rejected rejected False"
+
+
+class TestHighsCoreLoader:
+    """``certify`` loads scipy's HiGHS extension alone.
+
+    This process has loaded ``scipy.optimize`` already, so the loading checks run in children.
+    """
+
+    def test_a_missing_extension_names_the_module(self, monkeypatch):
+        monkeypatch.delitem(sys.modules, ridgeless.oracle._CORE)
+        monkeypatch.setattr(importlib.machinery.PathFinder, "find_spec",
+                            staticmethod(lambda *args, **kwargs: None))
+        with pytest.raises(ImportError, match=r"no scipy\.optimize\._highspy\._core extension"):
+            ridgeless.oracle._highs_core()
+
+    REPORTS = """
+        import sys
+        import numpy as np
+        import ridgeless as r
+        from helpers import random_dataset
+        {before}
+        rng = np.random.default_rng(90)
+        for m in (2, 5, 20, 50):
+            d = random_dataset(rng, m)
+            print(repr(r.certify(d, r.characterize(d), grid_points_per_gap=16)))
+        print("scipy.optimize" in sys.modules)
+        """
+
+    def test_certify_does_not_load_scipy_optimize(self):
+        alone = run_child(self.REPORTS.format(before="")).splitlines()
+        after = run_child(self.REPORTS.format(before="import scipy.optimize")).splitlines()
+        assert alone[-1] == "False" and after[-1] == "True"
+        assert alone[:-1] == after[:-1] and len(alone) == 5
+
+    def test_a_later_scipy_optimize_reuses_the_module(self):
+        code = """
+            import sys
+            import ridgeless as r, ridgeless.oracle
+            d = r.make_dataset([(0, 0), (1, 0), (2, 1), (3, 3)])
+            rep = r.certify(d, r.characterize(d), grid_points_per_gap=8)
+            core = ridgeless.oracle._highs_core()
+            assert "scipy.optimize" not in sys.modules
+            import scipy.optimize
+            from scipy.optimize import linprog
+            from scipy.optimize._highspy import _core
+            res = linprog([1.0, 2.0], A_ub=[[-1.0, -1.0]], b_ub=[-1.0], method="highs")
+            assert res.status == 0 and res.fun == 1.0 and res.x.tolist() == [1.0, 0.0]
+            assert _core is core and sys.modules["scipy.optimize._highspy._core"] is core
+            assert scipy.optimize._highspy._highs_wrapper._h is core  # what linprog solved with
+            assert r.certify(d, r.characterize(d), grid_points_per_gap=8) == rep
+            print("ok")
+            """
+        assert run_child(code) == "ok"
+
+    def test_first_calls_on_eight_threads_at_once(self):
+        code = """
+            import importlib.util, sys, threading
+            import numpy as np
+            import ridgeless as r, ridgeless.oracle
+            from helpers import random_dataset
+            loads, module_from_spec = [], importlib.util.module_from_spec
+            def counting(spec):
+                loads.append(spec.name)
+                return module_from_spec(spec)
+            importlib.util.module_from_spec = counting
+            rng = np.random.default_rng(91)
+            cases = [random_dataset(rng, 20 + 5 * i) for i in range(8)]
+            chs = [r.characterize(d) for d in cases]
+            start, reports, kinds = threading.Barrier(8), [None] * 8, [None] * 8
+            def first(i):
+                start.wait()
+                reports[i] = r.certify(cases[i], chs[i], grid_points_per_gap=16)
+                kinds[i] = type(ridgeless.oracle._thread.highs)
+            sys.setswitchinterval(1e-6)
+            threads = [threading.Thread(target=first, args=(i,)) for i in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join()
+            sys.setswitchinterval(0.005)
+            serial = [r.certify(d, ch, grid_points_per_gap=16) for d, ch in zip(cases, chs)]
+            core = sys.modules["scipy.optimize._highspy._core"]
+            assert reports == serial, reports
+            assert kinds == [core._Highs] * 8
+            assert loads.count("scipy.optimize._highspy._core") == 1, loads
+            assert "scipy.optimize" not in sys.modules
+            print("ok")
+            """
+        assert run_child(code) == "ok"
 
 
 def solve_bits(d: r.Dataset, g: int) -> tuple:
