@@ -18,6 +18,9 @@ on every forced gap, and on each free block stays convex (concave) between
 the chord and the two support lines.  Equivalently, it interpolates with
 the minimal possible total variation of its derivative.  Both tests are
 implemented; their agreement is exercised heavily in the test suite.
+``check_membership_against`` runs both in one pass: it evaluates f and
+f_D once each over all its query points, and builds violation records
+only for the conditions that failed.
 
 Indices follow the 1-based convention used throughout: points are
 numbered 1..m, gap i is (x_i, x_{i+1}), slope s_i belongs to gap i and
@@ -29,7 +32,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from itertools import repeat
 
 import numpy as np
 
@@ -39,11 +41,10 @@ from .plfun import PiecewiseLinear, allowance, evaluate, from_knots, one_sided_s
 DEFAULT_MEMBERSHIP_RTOL = 1e-9
 TV_FORMULA_RTOL = 1e-9  # characterize warns when its two TV sums differ by more than this, relatively
 
-# Tags of conditions checked by the direct (geometric) membership test.
-DIRECT_TAGS = frozenset(
-    {"interp", "forced-1a", "forced-1b", "forced-1c",
-     "block-monotone", "block-envelope", "block-boundary-slope"}
-)
+# Tags of conditions checked by the direct (geometric) membership test; a
+# forced gap's tag sits at its class code.
+DIRECT_TAGS = ("interp", "forced-1a", "forced-1b", "forced-1c",
+               "block-monotone", "block-boundary-slope", "block-envelope")
 
 # Gap classes, as codes into REASONS: why a gap of each class is forced.
 FREE, END, FLAT, FLIP = 0, 1, 2, 3
@@ -226,68 +227,32 @@ def check_membership_against(
     and the convexity/envelope conditions on free blocks.  The TV test
     checks interpolation plus minimality of the derivative's total
     variation.  All failures are recorded as data, never raised.
-    Violations come in the order: interpolation by data point, then per
-    forced gap, then per block, then the TV mismatch.
+
+    One pass: f's kinks are located against the data once, and f and f_D
+    are each evaluated once, and their one-sided slopes taken once, at the
+    query points of every condition together.  Violation records are built
+    only for the conditions that failed, in the order: interpolation by
+    data point, then per forced gap, then per block, then the TV mismatch.
     """
-    if not tol >= 0:  # also rejects nan, under which every comparison would pass
-        raise ValueError("tolerance must be nonnegative")
-    xs, ys = ch.dataset.xs, ch.dataset.ys
-
-    err = np.abs(evaluate(f, xs) - ys)
-    bad = err > allowance(tol, ys)
-    violations = list(map(Violation, repeat("interp"), xs[bad].tolist(), err[bad].tolist()))
-    interp_ok = not violations
-    violations += _forced_violations(ch, f, tol)
-    violations += _block_violations(ch, f, tol)
-
-    tv_value = tv_of_derivative(f)
-    tv_gap = abs(tv_value - ch.minimal_tv)
-    tv_close = bool(tv_gap <= allowance(tol, ch.minimal_tv))
-    if not tv_close:
-        violations.append(Violation("tv-mismatch", None, tv_gap))
-
-    direct_pass = not any(v.tag in DIRECT_TAGS for v in violations)
-    return MembershipReport(
-        is_member=direct_pass,
-        direct_pass=direct_pass,
-        tv_pass=interp_ok and tv_close,
-        tv_value=tv_value,
-        minimal_tv=ch.minimal_tv,
-        violations=tuple(violations),
-    )
-
-
-def _in_order(keys, locations, magnitudes, tags) -> list[Violation]:
-    """Violations from parallel lists of arrays, stably sorted by key.
-
-    ``tags`` maps the sorted keys to the violation tags.
-    """
-    key = np.concatenate(keys)
-    if not key.size:
-        return []
-    order = np.argsort(key, kind="stable")
-    return list(map(Violation, tags(key[order]), np.concatenate(locations)[order].tolist(),
-                    np.concatenate(magnitudes)[order].tolist()))
-
-
-def _forced_violations(ch: Characterization, f: PiecewiseLinear, tol: float) -> list[Violation]:
-    """f against the chord on every forced gap at once.
-
-    Gap 1 reaches to -inf and gap m-1 to +inf.  f_D has kinks only at
-    interior data points, which lie in no open gap, so on each gap the
-    mismatches are f's own kinks there, by location, then the value at
-    one probe point, then its one-sided slopes.  The probe is f's first
-    kink in the gap, else a point inside it.
-    """
-    xs, m = ch.dataset.xs, ch.dataset.m
+    if not 0 <= tol < math.inf:  # nan or inf would let every comparison pass
+        raise ValueError("tolerance must be nonnegative and finite")
+    xs, ys, m = ch.dataset.xs, ch.dataset.ys, ch.dataset.m
     code, forced = ch.gaps.code, ch.gaps.forced
+    a, b, knots = ch.blocks.a, ch.blocks.b, ch.blocks.knots
+    s, sigma = ch.profile.slopes, ch.blocks.sign.astype(float)
+
+    # f's kinks against the data; left == right off the data points
     loc = f.x
     left, right = xs.searchsorted(loc, side="left"), xs.searchsorted(loc, side="right")
+    off_data = left == right
+    # Forced gaps: gap 1 reaches to -inf and gap m-1 to +inf.  f_D has kinks
+    # only at interior data points, which lie in no open gap, so on each gap the
+    # mismatches are f's own kinks there, by location, then the value at one
+    # probe point, then its one-sided slopes.  The probe is f's first kink in
+    # the gap, else a point inside it.
     gap = np.minimum(np.maximum(right, 1), m - 1)  # of each kink, unless on an interior data point
-    kink = ((left == right) | (right == 1) | (right == m)) & (code[gap - 1] != FREE)
-    gap, loc, size = gap[kink], loc[kink], np.abs(f.c[kink])
-    mismatch = size > allowance(tol, size)
-
+    kink = (off_data | (right == 1) | (right == m)) & (code[gap - 1] != FREE)
+    gap, kink_x, size = gap[kink], loc[kink], np.abs(f.c[kink])
     lo, hi = xs[forced - 1], xs[forced]
     probe = 0.5 * (lo + hi)
     # gaps 1 and m-1, both forced: one unit out, or one ulp where |x| is so large the unit rounds away
@@ -297,79 +262,87 @@ def _forced_violations(ch: Characterization, f: PiecewiseLinear, tol: float) -> 
         probe[0] = 0.0
     at = gap.searchsorted(forced)
     has_kink = at < gap.searchsorted(forced, side="right")
-    probe[has_kink] = loc[at[has_kink]]
+    probe[has_kink] = kink_x[at[has_kink]]
+    # Blocks: f's kinks strictly between a block's first and last knot, where
+    # both gaps beside the kink are free.  PL-vs-PL bounds are decided at the
+    # union of kinks, so the envelope is checked at the block knots and at
+    # the kinks off the data, which is exact up to tolerance.
+    free = np.concatenate(([False], code == FREE, [False]))  # of gaps 0..m
+    inside = free[left] & free[right]
+    blk, block_x, off_knots = a.searchsorted(right[inside], side="right") - 1, loc[inside], off_data[inside]
+    xa, xb, knot_x = xs[a - 1], xs[b - 1], xs[knots - 1]
+    env_x = np.concatenate((knot_x, block_x[off_knots]))
+    env_blk = np.concatenate((np.repeat(np.arange(a.size), b - a + 1), blk[off_knots]))
 
-    fv, gv = evaluate(f, probe), evaluate(ch.f_D, probe)
-    dv = np.abs(fv - gv)
-    bad_value = dv > allowance(tol, gv)
-    (fi, fo), (gi, go) = one_sided_slopes(f, probe), one_sided_slopes(ch.f_D, probe)
-    d_in, d_out = np.abs(fi - gi), np.abs(fo - go)
-    scale = allowance(tol, gi, go)
+    # every value and one-sided slope that the conditions read, f and f_D each in one call
+    n, k = forced.size, block_x.size
+    fv = evaluate(f, np.concatenate((xs, probe, env_x[knots.size:])))
+    f_data, f_probe, f_env = fv[:m], fv[m:m + n], np.concatenate((fv[knots - 1], fv[m + n:]))
+    gv = evaluate(ch.f_D, np.concatenate((probe, env_x)))
+    g_probe, g_env = gv[:n], gv[n:]
+    f_in, f_out = one_sided_slopes(f, np.concatenate((probe, block_x, xa, xb)))
+    g_in, g_out = one_sided_slopes(ch.f_D, probe)
+
+    err = np.abs(f_data - ys)
+    bad_interp = err > allowance(tol, ys)
+
+    mismatch = size > allowance(tol, size)
+    dv = np.abs(f_probe - g_probe)
+    bad_value = dv > allowance(tol, g_probe)
+    d_in, d_out = np.abs(f_in[:n] - g_in), np.abs(f_out[:n] - g_out)
+    scale = allowance(tol, g_in, g_out)
     bad_in = d_in > scale
     bad_slope = bad_in | (d_out > scale)
     d_slope = np.where(bad_in, d_in, d_out)
 
-    return _in_order(
-        [3 * gap[mismatch], 3 * forced[bad_value] + 1, 3 * forced[bad_slope] + 2],
-        [loc[mismatch], probe[bad_value], probe[bad_slope]],
-        [size[mismatch], dv[bad_value], d_slope[bad_slope]],
-        lambda key: [f"forced-{REASONS[c]}" for c in code[key // 3 - 1].tolist()],
-    )
-
-
-def _block_violations(ch: Characterization, f: PiecewiseLinear, tol: float) -> list[Violation]:
-    """The free-block conditions on every block at once, in block order.
-
-    Per block: slope monotonicity at each of f's kinks inside it, the
-    boundary slopes against the flanking chord slopes, then the envelope
-    between the support lines and the chord.
-    """
-    a, b, knots = ch.blocks.a, ch.blocks.b, ch.blocks.knots
-    if not a.size:
-        return []
-    xs, s = ch.dataset.xs, ch.profile.slopes
-    xa, xb = xs[a - 1], xs[b - 1]
-    sigma = ch.blocks.sign.astype(float)
-
     # slope monotonicity inside each block: non-decreasing for convex blocks
-    loc = f.x
-    blk = xa.searchsorted(loc, side="left") - 1  # last block starting left of the kink
-    inside = (blk >= 0) & (loc < xb[blk])
-    blk, loc = blk[inside], loc[inside]
-    s_before, s_after = one_sided_slopes(f, loc)
+    s_before, s_after = f_in[n:n + k], f_out[n:n + k]
     drop = sigma[blk] * (s_after - s_before)
     bad_drop = drop < -allowance(tol, s_before, s_after)
-
     # boundary slopes must respect the flanking chord slopes
-    s_first, s_last = one_sided_slopes(f, xa)[1], one_sided_slopes(f, xb)[0]
+    s_first, s_last = f_out[n + k:n + k + a.size], f_in[n + k + a.size:]
     s_enter, s_exit = s[a - 2], s[b - 1]
     gap_in = sigma * (s_first - s_enter)
-    bad_in = gap_in < -allowance(tol, s_first, s_enter)
+    bad_enter = gap_in < -allowance(tol, s_first, s_enter)
     gap_out = sigma * (s_exit - s_last)
-    bad_out = gap_out < -allowance(tol, s_last, s_exit)
-
-    # envelope: between the support lines and the chord.  PL-vs-PL bounds are
-    # decided at the union of kinks, so checking f's breakpoints and the block
-    # knots is exact up to tolerance.
-    knot_x = xs[knots - 1]
-    at = knot_x.searchsorted(loc)
-    off_knots = knot_x[at] != loc  # every kink here lies below its block's last knot
-    pts = _insert_sorted(knot_x, at[off_knots], loc[off_knots])
-    pb = xa.searchsorted(pts, side="right") - 1
-    fv, cv = evaluate(f, pts), evaluate(ch.f_D, pts)
-    lv = support_envelope(ch, pb, pts)
-    below = sigma[pb] * (fv - lv)  # must be >= 0: above support lines (convex case)
-    above = sigma[pb] * (cv - fv)  # must be >= 0: below the chord (convex case)
+    bad_exit = gap_out < -allowance(tol, s_last, s_exit)
+    # envelope: between the support lines and the chord
+    lv = support_envelope(ch, env_blk, env_x)
+    below = sigma[env_blk] * (f_env - lv)  # must be >= 0: above support lines (convex case)
+    above = sigma[env_blk] * (g_env - f_env)  # must be >= 0: below the chord (convex case)
     worst = np.minimum(below, above)
-    bad_env = worst < -allowance(tol, cv, lv)
+    bad_env = worst < -allowance(tol, g_env, lv)
 
-    ids = np.arange(a.size)
-    tags = ("block-monotone", "block-boundary-slope", "block-boundary-slope", "block-envelope")
-    return _in_order(
-        [4 * blk[bad_drop], 4 * ids[bad_in] + 1, 4 * ids[bad_out] + 2, 4 * pb[bad_env] + 3],
-        [loc[bad_drop], xa[bad_in], xb[bad_out], pts[bad_env]],
-        [-drop[bad_drop], -gap_in[bad_in], -gap_out[bad_out], -worst[bad_env]],
-        lambda key: [tags[r] for r in (key % 4).tolist()],
+    failed = np.concatenate((bad_interp, mismatch, bad_value, bad_slope, bad_drop, bad_enter, bad_exit, bad_env))
+    direct_pass = not np.count_nonzero(failed)
+    violations = []
+    if not direct_pass:
+        # keys order the forced gaps, then the blocks after them; within a key, by
+        # location, since a block's knots and its kinks off them interleave
+        ids, base = np.arange(a.size), 3 * m
+        key = np.concatenate((np.zeros(m, int), 3 * gap, 3 * forced + 1, 3 * forced + 2, base + 4 * blk,
+                              base + 4 * ids + 1, base + 4 * ids + 2, base + 4 * env_blk + 3))[failed]
+        where = np.concatenate((xs, kink_x, probe, probe, block_x, xa, xb, env_x))[failed]
+        magnitude = np.concatenate((err, size, dv, d_slope, -drop, -gap_in, -gap_out, -worst))[failed]
+        tag = np.concatenate((np.zeros(m, int), code[gap - 1], code[forced - 1], code[forced - 1],
+                              np.repeat((4, 5, 6), (k, 2 * a.size, env_x.size))))[failed]
+        order = np.lexsort((where, key))
+        violations = list(map(Violation, map(DIRECT_TAGS.__getitem__, tag[order].tolist()),
+                              where[order].tolist(), magnitude[order].tolist()))
+
+    tv_value = tv_of_derivative(f)
+    tv_gap = abs(tv_value - ch.minimal_tv)
+    tv_close = bool(tv_gap <= allowance(tol, ch.minimal_tv))
+    if not tv_close:
+        violations.append(Violation("tv-mismatch", None, tv_gap))
+
+    return MembershipReport(
+        is_member=direct_pass,
+        direct_pass=direct_pass,
+        tv_pass=not np.count_nonzero(bad_interp) and tv_close,
+        tv_value=tv_value,
+        minimal_tv=ch.minimal_tv,
+        violations=tuple(violations),
     )
 
 

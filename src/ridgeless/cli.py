@@ -49,12 +49,12 @@ def _error(code: int, kind: str, message: str) -> int:
 
 
 def _at_least(convert, least):
-    """argparse type: ``convert`` the text, then reject values below ``least``."""
+    """argparse type: ``convert`` the text, then reject values below ``least`` or not finite."""
 
     def parse(text: str):
         value = convert(text)
-        if not value >= least:  # also rejects nan
-            raise argparse.ArgumentTypeError(f"must be >= {least}, got {text!r}")
+        if not least <= value < np.inf:  # also rejects nan
+            raise argparse.ArgumentTypeError(f"must be finite and >= {least}, got {text!r}")
         return value
 
     parse.__name__ = convert.__name__  # argparse names the type in conversion errors

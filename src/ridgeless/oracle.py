@@ -226,8 +226,8 @@ def certify(
     grid_points_per_gap: int = DEFAULT_GRID_POINTS_PER_GAP,
 ) -> CertificateReport:
     """Compare the independently solved grid minimum against ch.minimal_tv."""
-    if not tol >= 0:  # also rejects nan
-        raise ValueError("tolerance must be nonnegative")
+    if not 0 <= tol < np.inf:  # nan or inf would let every residual pass
+        raise ValueError("tolerance must be nonnegative and finite")
     achieved, minimizer, iters = grid_tv_minimize(d, grid_points_per_gap)
     target = float(ch.minimal_tv)
     residual = abs(achieved - target)

@@ -19,6 +19,7 @@ import ridgeless as r
 import ridgeless.network as network
 import ridgeless.oracle as oracle
 import ridgeless.plfun as plfun
+from ridgeless.characterize import FREE
 from ridgeless.cli import main, render_svg
 from ridgeless.sample import _member
 from helpers import (
@@ -270,16 +271,59 @@ class TestSample:
                                perturb_to_nonmember_reference(ref, f, seed)), seed
 
 
+def with_tents(f: r.PiecewiseLinear, spans, sizes) -> r.PiecewiseLinear:
+    """f plus c times the hat on each span [lo, hi]: kinks at lo, the midpoint
+    and hi, and no change outside the span."""
+    rows = [np.column_stack((f.x, f.c))]
+    rows += [[[lo, c], [0.5 * (lo + hi), -2.0 * c], [hi, c]] for (lo, hi), c in zip(spans, sizes)]
+    return r.canonical(f.anchor, f.left_slope, np.concatenate(rows))
+
+
+def edge_kinked(ch: r.Characterization, f: r.PiecewiseLinear, rng) -> r.PiecewiseLinear:
+    """f with kinks on the data points where the gap classes change or stay forced, and in the tails.
+
+    Hats span the gaps on both sides of every block's first and last knot, a
+    block's second gap (kinks on interior block knots), every forced gap that
+    follows a forced gap (kinks on data points between forced gaps) and one
+    gap width past each end of the data.  Each hat's slopes are about 1e-11,
+    under the tolerance, or about 1, over it.
+    """
+    xs, m, code = ch.dataset.xs, ch.dataset.m, ch.gaps.code
+    a, b = ch.blocks.a, ch.blocks.b
+    inner = a[b - a > 1] + 1
+    between = np.flatnonzero((code[1:] != FREE) & (code[:-1] != FREE)) + 2
+    gaps = np.concatenate((a - 1, a, inner, b - 1, b, between))
+    spans = [(xs[j - 1], xs[j]) for j in gaps.tolist()]
+    w0, w1 = xs[1] - xs[0], xs[-1] - xs[-2]
+    spans += [(xs[0] - 2 * w0, xs[0] - w0), (xs[-1] + w1, xs[-1] + 2 * w1)]
+    size = rng.choice([-1e-11, 1e-11, -1.0, 1.0], size=len(spans)) * rng.uniform(0.5, 2.0, size=len(spans))
+    return with_tents(f, spans, size)
+
+
+def scaled(d: r.Dataset, k: int) -> r.Dataset:
+    """d with both coordinates multiplied by 2^k, which keeps every slope."""
+    return r.Dataset(np.ldexp(d.xs, k), np.ldexp(d.ys, k))
+
+
 class TestMembership:
     def test_matches_the_per_gap_loop(self, cases):
         rng = np.random.default_rng(9)
-        for seed, (d, ch, ref) in enumerate(cases):
+        # short data, and data far from unit scale, where the tail probes step by one ulp
+        small = [mixed_dataset(np.random.default_rng(m + 10 * k), m) for m in (2, 3) for k in range(20)]
+        extra = small + [scaled(d, k) for d, _, _ in cases[:10] for k in (-60, 53, 60)]
+        extra = [(d, r.characterize(d), characterize_reference(d)) for d in extra]
+        for seed, (d, ch, ref) in enumerate(cases + extra):
             member = r.sample_member(ch, seed)
             functions = [member, r.perturb_to_nonmember(ch, member, seed), ch.f_D]
             if seed % 4 == 0:  # off the data, with wrong tails; anything at all
                 functions.append(r.from_knots(
                     [(x, y + 1e-6 * rng.standard_normal()) for x, y in points_of(d)], 0.5, -0.5))
                 functions.append(random_pl(rng, 20))
+            # kinks on the class boundaries and in the tails, and an affine function:
+            # the line through the end points, or a constant
+            slope = (d.ys[-1] - d.ys[0]) / (d.xs[-1] - d.xs[0]) if seed % 2 else 0.0
+            functions += [edge_kinked(ch, (member, ch.f_D)[seed % 2], rng),
+                          r.from_knots([(d.xs[0], d.ys[0])], slope, slope)]
             for f in functions:
                 assert asdict(r.check_membership_against(ch, f)) == \
                     asdict(check_membership_reference(ref, f)), seed
@@ -357,6 +401,12 @@ class TestNoPerGapCalls:
 
     def test_same_calls_at_m_100_and_1000(self, monkeypatch):
         assert self.counts(monkeypatch, 100) == self.counts(monkeypatch, 1000)
+
+    def test_membership_is_one_pass(self, monkeypatch):
+        # f and f_D each evaluated once, and their one-sided slopes taken once, per check
+        assert len(r.characterize(random_dataset(np.random.default_rng(100), 100)).blocks) > 0
+        assert self.counts(monkeypatch, 100)["check_membership_against"] == \
+            Counter(evaluate=6, one_sided_slopes=6)  # three members
 
 
 class TestNoObjectLayer:

@@ -227,6 +227,13 @@ class TestMembershipFixtures:
         with pytest.raises(ValueError, match="tolerance must be nonnegative"):
             r.check_membership_against(r.characterize(dataset_a), far, tol=float("nan"))
 
+    def test_infinite_tolerance_rejected(self, dataset_a):
+        # under an infinite tolerance no violation exceeds its allowance, so the
+        # same far-off function would pass as a member
+        far = from_knots(np.array([[0.0, 5.0], [1.0, 7.0]]), 0.0, 0.0)
+        with pytest.raises(ValueError, match="tolerance must be nonnegative and finite"):
+            r.check_membership_against(r.characterize(dataset_a), far, tol=np.inf)
+
     @pytest.mark.parametrize("k", [-60, 0, 45, 53, 60])
     def test_members_pass_at_any_abscissa_scale(self, k):
         # scaling x and y by 2^k keeps every slope; from |x| >= 2^53 a unit step

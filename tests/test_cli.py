@@ -236,6 +236,9 @@ class TestErrorsAndDeterminism:
     def test_usage_error_exit_1(self, capsys):
         for argv in (["no-such-command"],
                      ["check", "data.csv", "f.json", "--tol", "-1"],
+                     ["check", "data.csv", "f.json", "--tol", "inf"],
+                     ["check", "data.csv", "f.json", "--tol", "1e400"],
+                     ["certify", "data.csv", "--tol", "inf"],
                      ["certify", "data.csv", "--grid", "0"],
                      ["bound", "data.csv", "--fstar", "f.json", "--m", "1"],
                      ["sample", "data.csv", "--n", "-2"],

@@ -114,7 +114,7 @@ class TestCertify:
         rep = certify(dataset_a, ch, tol=1e-3, grid_points_per_gap=8)
         assert rep.minimizer_is_member and calls == []
 
-    @pytest.mark.parametrize("tol", [-1.0, float("nan")])
+    @pytest.mark.parametrize("tol", [-1.0, float("nan"), float("inf")])
     def test_rejects_a_bad_tolerance_before_the_solve(self, dataset_a, monkeypatch, tol):
         ch = r.characterize(dataset_a)
         solves = count_calls(monkeypatch, ridgeless.oracle, "grid_tv_minimize")
