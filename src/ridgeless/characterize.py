@@ -20,7 +20,9 @@ the minimal possible total variation of its derivative.  Both tests are
 implemented; their agreement is exercised heavily in the test suite.
 ``check_membership_against`` runs both in one pass: it evaluates f and
 f_D once each over all its query points, and builds violation records
-only for the conditions that failed.
+only for the conditions that failed.  What it needs of the data alone,
+block ids, forced-gap probe points and support lines, ``characterize``
+computes once and keeps in ``ch.gaps`` and ``ch.blocks``.
 
 Indices follow the 1-based convention used throughout: points are
 numbered 1..m, gap i is (x_i, x_{i+1}), slope s_i belongs to gap i and
@@ -50,6 +52,11 @@ DIRECT_TAGS = ("interp", "forced-1a", "forced-1b", "forced-1c",
 FREE, END, FLAT, FLIP = 0, 1, 2, 3
 REASONS = (None, "1a", "1b", "1c")
 
+# Per segment of the direct test's conditions (interpolation, forced-gap kinks,
+# probe values, probe slopes, block slopes, entry and exit slopes, envelope):
+# the step of its sort key per group, and its tag code (-1: the gap's class).
+_SEGMENTS, _KEY_STEP, _SEGMENT_TAG = np.array((range(8), (0, 3, 3, 3, 4, 4, 4, 4), (0, -1, -1, -1, 4, 5, 5, 6)))
+
 
 @dataclass(frozen=True, eq=False)
 class Gaps:
@@ -58,17 +65,25 @@ class Gaps:
     code: np.ndarray
     forced: np.ndarray
     free: np.ndarray
+    block: np.ndarray  # the block of every gap, -1 on forced gaps
+    probe: np.ndarray  # a point inside each forced gap (see _classify)
 
 
 @dataclass(frozen=True, eq=False)
 class Blocks:
     """The free blocks as read-only arrays: block k spans knots a[k]..b[k]
-    (numbered from 1) and is convex for sign[k] = +1, concave for -1."""
+    (numbered from 1) and is convex for sign[k] = +1, concave for -1.  Its
+    support lines pass through (x_a, y_a) with slope s_{a-1} and through
+    (x_b, y_b) with slope s_b: the columns of ``lower_support`` and
+    ``upper_support``, whose rows are x, y and slope."""
 
     a: np.ndarray
     b: np.ndarray
     sign: np.ndarray
     knots: np.ndarray  # every block knot, block by block
+    knot_block: np.ndarray  # the block of each of ``knots``
+    lower_support: np.ndarray
+    upper_support: np.ndarray
 
     def __len__(self) -> int:
         return self.a.size
@@ -87,25 +102,20 @@ class Characterization:
     f_D: PiecewiseLinear
 
     def to_dict(self) -> dict:
-        code = self.gaps.code.tolist()
-        a, b = self.blocks.a, self.blocks.b
-        block = (a.searchsorted(np.arange(1, len(code) + 1), side="right") - 1).tolist()
-        xs, ys, s = self.dataset.xs, self.dataset.ys, self.profile.slopes
+        blocks = self.blocks
         return {
             "verdicts": [
                 {"index": j, "kind": "free" if c == FREE else "forced", "reason": REASONS[c],
                  "block": k if c == FREE else None}
-                for j, c, k in zip(range(1, len(code) + 1), code, block)
+                for j, (c, k) in enumerate(zip(self.gaps.code.tolist(), self.gaps.block.tolist()), 1)
             ],
             "blocks": [
                 {"knot_range": [ak, bk], "sign": sk,
                  "lower_support": {"through": [xa, ya], "slope": sa},
                  "upper_support": {"through": [xb, yb], "slope": sb}}
-                for ak, bk, sk, xa, ya, sa, xb, yb, sb in zip(
-                    a.tolist(), b.tolist(), self.blocks.sign.tolist(),
-                    xs[a - 1].tolist(), ys[a - 1].tolist(), s[a - 2].tolist(),
-                    xs[b - 1].tolist(), ys[b - 1].tolist(), s[b - 1].tolist(),
-                )
+                for ak, bk, sk, (xa, ya, sa), (xb, yb, sb) in zip(
+                    blocks.a.tolist(), blocks.b.tolist(), blocks.sign.tolist(),
+                    blocks.lower_support.T.tolist(), blocks.upper_support.T.tolist())
             ],
             "inflection_set": list(self.inflection_set),
             "minimal_tv": self.minimal_tv,
@@ -145,13 +155,17 @@ def _inflection_indices(eps: np.ndarray) -> np.ndarray:
     return np.flatnonzero(mask) + 1
 
 
-def _classify(eps: np.ndarray) -> tuple[Gaps, Blocks]:
+def _classify(d: Dataset, prof: SlopeProfile) -> tuple[Gaps, Blocks]:
     """Classify the gaps from the curvatures eps_2..eps_{m-1}; find the blocks.
 
     Gap j (2 <= j <= m-2) has curvatures eps_j and eps_{j+1} at its ends.
     A block is a maximal run of free gaps j0..j1; it spans knots
-    a = j0 .. b = j1 + 1 and takes the sign of eps_a.
+    a = j0 .. b = j1 + 1 and takes the sign of eps_a.  A forced gap's probe
+    is its midpoint, and on gaps 1 and m-1, which reach to -inf and +inf,
+    one unit beyond the data (one ulp where |x| is so large the unit rounds
+    away); 0 when m = 2.
     """
+    xs, ys, s, eps = d.xs, d.ys, prof.slopes, prof.curvatures
     left, right = eps[:-1], eps[1:]
     code = np.full(len(eps) + 1, END)
     code[1:-1] = np.where((left == 0) | (right == 0), FLAT, np.where(left == right, FREE, FLIP))
@@ -160,8 +174,18 @@ def _classify(eps: np.ndarray) -> tuple[Gaps, Blocks]:
     edges = np.flatnonzero(padded[1:] != padded[:-1]) + 1
     a, b = edges[0::2], edges[1::2]
     knots = np.flatnonzero(padded[:-1] | padded[1:]) + 1  # knot j borders free gap j-1 or j
-    gaps = Gaps(code, np.flatnonzero(~is_free) + 1, np.flatnonzero(is_free) + 1)
-    blocks = Blocks(a, b, eps[a - 2], knots)
+    ids, free, forced = np.arange(a.size), np.flatnonzero(is_free) + 1, np.flatnonzero(~is_free) + 1
+    block = np.full(d.m - 1, -1)
+    block[free - 1] = np.repeat(ids, b - a)  # block k's gaps are a[k]..b[k]-1
+    lo, hi = xs[forced - 1], xs[forced]
+    probe = 0.5 * (lo + hi)
+    probe[0] = min(hi[0] - 1.0, np.nextafter(hi[0], -np.inf))
+    probe[-1] = max(lo[-1] + 1.0, np.nextafter(lo[-1], np.inf))
+    if d.m == 2:
+        probe[0] = 0.0
+    gaps = Gaps(code, forced, free, block, probe)
+    blocks = Blocks(a, b, eps[a - 2], knots, np.repeat(ids, b - a + 1),
+                    np.array((xs[a - 1], ys[a - 1], s[a - 2])), np.array((xs[b - 1], ys[b - 1], s[b - 1])))
     # read-only, since sampling and membership trust them
     for array in (*vars(gaps).values(), *vars(blocks).values()):
         array.flags.writeable = False
@@ -206,7 +230,7 @@ def characterize(d: Dataset) -> Characterization:
     if abs(disagreement) > allowance(TV_FORMULA_RTOL, minimal_tv):
         warnings.warn("TV formulas disagree by %.3g on this dataset" % disagreement, RuntimeWarning)
 
-    gaps, blocks = _classify(prof.curvatures)
+    gaps, blocks = _classify(d, prof)
     return Characterization(
         dataset=d,
         profile=prof,
@@ -230,102 +254,93 @@ def check_membership_against(
 
     One pass: f's kinks are located against the data once, and f and f_D
     are each evaluated once, and their one-sided slopes taken once, at the
-    query points of every condition together.  Violation records are built
-    only for the conditions that failed, in the order: interpolation by
-    data point, then per forced gap, then per block, then the TV mismatch.
+    query points of every condition together.  Every condition of the
+    direct test is an excess that fails above ``allowance(tol, scales)``;
+    those with one scale are decided in one comparison, and those with two
+    in another.  Violation records are built only for the conditions that
+    failed, in the order: interpolation by data point, then per forced gap,
+    then per block, then the TV mismatch.
     """
     if not 0 <= tol < math.inf:  # nan or inf would let every comparison pass
         raise ValueError("tolerance must be nonnegative and finite")
     xs, ys, m = ch.dataset.xs, ch.dataset.ys, ch.dataset.m
-    code, forced = ch.gaps.code, ch.gaps.forced
-    a, b, knots = ch.blocks.a, ch.blocks.b, ch.blocks.knots
-    s, sigma = ch.profile.slopes, ch.blocks.sign.astype(float)
+    code, forced, of_gap = ch.gaps.code, ch.gaps.forced, ch.gaps.block
+    knots, sigma, nb = ch.blocks.knots, ch.blocks.sign, len(ch.blocks)
+    lower, upper = ch.blocks.lower_support, ch.blocks.upper_support
+    xa, xb, s_enter, s_exit = lower[0], upper[0], lower[2], upper[2]
 
-    # f's kinks against the data; left == right off the data points
+    # f's kinks against the interior data points: each kink's gap (0-based; the
+    # end gaps reach to -inf and +inf, so x_1 and x_m lie in them), and
+    # left != right on an interior data point
     loc = f.x
-    left, right = xs.searchsorted(loc, side="left"), xs.searchsorted(loc, side="right")
+    left, right = xs[1:-1].searchsorted(loc, side="left"), xs[1:-1].searchsorted(loc, side="right")
     off_data = left == right
-    # Forced gaps: gap 1 reaches to -inf and gap m-1 to +inf.  f_D has kinks
-    # only at interior data points, which lie in no open gap, so on each gap the
-    # mismatches are f's own kinks there, by location, then the value at one
-    # probe point, then its one-sided slopes.  The probe is f's first kink in
-    # the gap, else a point inside it.
-    gap = np.minimum(np.maximum(right, 1), m - 1)  # of each kink, unless on an interior data point
-    kink = (off_data | (right == 1) | (right == m)) & (code[gap - 1] != FREE)
-    gap, kink_x, size = gap[kink], loc[kink], np.abs(f.c[kink])
-    lo, hi = xs[forced - 1], xs[forced]
-    probe = 0.5 * (lo + hi)
-    # gaps 1 and m-1, both forced: one unit out, or one ulp where |x| is so large the unit rounds away
-    probe[0] = min(hi[0] - 1.0, np.nextafter(hi[0], -np.inf))
-    probe[-1] = max(lo[-1] + 1.0, np.nextafter(lo[-1], np.inf))
-    if m == 2:
-        probe[0] = 0.0
+    blk = of_gap[right]  # -1 in a forced gap
+    # Forced gaps.  f_D has kinks only at interior data points, which lie in no
+    # open gap, so on each gap the mismatches are f's own kinks there, by
+    # location, then the value at one probe point, then its one-sided slopes.
+    # The probe is f's first kink in the gap, else the gap's own probe point.
+    kink = off_data & (blk < 0)
+    # Blocks: f's kinks strictly between a block's first and last knot, where
+    # both gaps beside the kink are free (one gap, off the data).  PL-vs-PL
+    # bounds are decided at the union of kinks, so the envelope is checked at
+    # the block knots and at the kinks off the data, which is exact up to
+    # tolerance.
+    inside = np.minimum(of_gap[left], blk) >= 0
+    gap, kink_x, size = right[kink] + 1, loc[kink], np.abs(f.c[kink])
+    probe = ch.gaps.probe.copy()
     at = gap.searchsorted(forced)
     has_kink = at < gap.searchsorted(forced, side="right")
     probe[has_kink] = kink_x[at[has_kink]]
-    # Blocks: f's kinks strictly between a block's first and last knot, where
-    # both gaps beside the kink are free.  PL-vs-PL bounds are decided at the
-    # union of kinks, so the envelope is checked at the block knots and at
-    # the kinks off the data, which is exact up to tolerance.
-    free = np.concatenate(([False], code == FREE, [False]))  # of gaps 0..m
-    inside = free[left] & free[right]
-    blk, block_x, off_knots = a.searchsorted(right[inside], side="right") - 1, loc[inside], off_data[inside]
-    xa, xb, knot_x = xs[a - 1], xs[b - 1], xs[knots - 1]
-    env_x = np.concatenate((knot_x, block_x[off_knots]))
-    env_blk = np.concatenate((np.repeat(np.arange(a.size), b - a + 1), blk[off_knots]))
+    blk, block_x, off_knots = blk[inside], loc[inside], off_data[inside]
+    off_x = block_x[off_knots]
+    env_x = np.concatenate((xs[knots - 1], off_x))
+    env_blk = np.concatenate((ch.blocks.knot_block, blk[off_knots]))
 
     # every value and one-sided slope that the conditions read, f and f_D each in one call
     n, k = forced.size, block_x.size
-    fv = evaluate(f, np.concatenate((xs, probe, env_x[knots.size:])))
+    fv = evaluate(f, np.concatenate((xs, probe, off_x)))
     f_data, f_probe, f_env = fv[:m], fv[m:m + n], np.concatenate((fv[knots - 1], fv[m + n:]))
     gv = evaluate(ch.f_D, np.concatenate((probe, env_x)))
     g_probe, g_env = gv[:n], gv[n:]
     f_in, f_out = one_sided_slopes(f, np.concatenate((probe, block_x, xa, xb)))
     g_in, g_out = one_sided_slopes(ch.f_D, probe)
-
-    err = np.abs(f_data - ys)
-    bad_interp = err > allowance(tol, ys)
-
-    mismatch = size > allowance(tol, size)
-    dv = np.abs(f_probe - g_probe)
-    bad_value = dv > allowance(tol, g_probe)
-    d_in, d_out = np.abs(f_in[:n] - g_in), np.abs(f_out[:n] - g_out)
-    scale = allowance(tol, g_in, g_out)
-    bad_in = d_in > scale
-    bad_slope = bad_in | (d_out > scale)
-    d_slope = np.where(bad_in, d_in, d_out)
-
-    # slope monotonicity inside each block: non-decreasing for convex blocks
     s_before, s_after = f_in[n:n + k], f_out[n:n + k]
-    drop = sigma[blk] * (s_after - s_before)
-    bad_drop = drop < -allowance(tol, s_before, s_after)
-    # boundary slopes must respect the flanking chord slopes
-    s_first, s_last = f_out[n + k:n + k + a.size], f_in[n + k + a.size:]
-    s_enter, s_exit = s[a - 2], s[b - 1]
-    gap_in = sigma * (s_first - s_enter)
-    bad_enter = gap_in < -allowance(tol, s_first, s_enter)
-    gap_out = sigma * (s_exit - s_last)
-    bad_exit = gap_out < -allowance(tol, s_last, s_exit)
-    # envelope: between the support lines and the chord
+    s_first, s_last = f_out[n + k:n + k + nb], f_in[n + k + nb:]
     lv = support_envelope(ch, env_blk, env_x)
-    below = sigma[env_blk] * (f_env - lv)  # must be >= 0: above support lines (convex case)
-    above = sigma[env_blk] * (g_env - f_env)  # must be >= 0: below the chord (convex case)
-    worst = np.minimum(below, above)
-    bad_env = worst < -allowance(tol, g_env, lv)
 
-    failed = np.concatenate((bad_interp, mismatch, bad_value, bad_slope, bad_drop, bad_enter, bad_exit, bad_env))
+    # Each condition's excess, positive where f breaks it, fails above
+    # allowance(tol, its scales).  One scale: interpolation, forced-gap kinks
+    # and probe values.  Two: the probe slopes (the larger side), then, on a
+    # convex block (signs flip on a concave one), a slope that drops at a kink,
+    # starts below the chord slope entering the block or ends above the one
+    # leaving it, and f below the support lines or above the chord.  The
+    # allowances come first, while the fewest large arrays are alive.
+    allow_two = allowance(tol, np.concatenate((g_in, s_before, s_first, s_last, g_env)),
+                          np.concatenate((g_out, s_after, s_enter, s_exit, lv)))
+    allow_one = allowance(tol, np.concatenate((ys, size, g_probe)))
+    d_in, d_out = np.abs(f_in[:n] - g_in), np.abs(f_out[:n] - g_out)
+    s_env = sigma[env_blk]
+    one = np.concatenate((np.abs(f_data - ys), size, np.abs(f_probe - g_probe)))
+    two = np.concatenate((np.maximum(d_in, d_out), sigma[blk] * (s_before - s_after),
+                          sigma * (s_enter - s_first), sigma * (s_last - s_exit),
+                          np.maximum(s_env * (lv - f_env), s_env * (f_env - g_env))))
+    failed = np.concatenate((one > allow_one, two > allow_two))
     direct_pass = not np.count_nonzero(failed)
     violations = []
     if not direct_pass:
-        # keys order the forced gaps, then the blocks after them; within a key, by
-        # location, since a block's knots and its kinks off them interleave
-        ids, base = np.arange(a.size), 3 * m
-        key = np.concatenate((np.zeros(m, int), 3 * gap, 3 * forced + 1, 3 * forced + 2, base + 4 * blk,
-                              base + 4 * ids + 1, base + 4 * ids + 2, base + 4 * env_blk + 3))[failed]
+        two[:n] = np.where(d_in > allow_two[:n], d_in, d_out)  # a probe's incoming side, if that fails
+        # Failures sort by key = step * group + offset, then by location: the
+        # groups are forced gaps, then blocks after every forced gap's key (3m),
+        # and a block's knots and kinks off them interleave by location.
+        base = 3 * m
+        seg = np.repeat(_SEGMENTS, (m, gap.size, n, n, k, nb, nb, env_x.size))[failed]
+        group = np.concatenate((np.zeros(m, int), gap, forced, forced, blk,
+                                np.arange(nb), np.arange(nb), env_blk))[failed]
+        key = _KEY_STEP[seg] * group + np.array((0, 0, 1, 2, base, base + 1, base + 2, base + 3))[seg]
+        tag = np.where(_SEGMENT_TAG[seg] < 0, code[group - 1], _SEGMENT_TAG[seg])
         where = np.concatenate((xs, kink_x, probe, probe, block_x, xa, xb, env_x))[failed]
-        magnitude = np.concatenate((err, size, dv, d_slope, -drop, -gap_in, -gap_out, -worst))[failed]
-        tag = np.concatenate((np.zeros(m, int), code[gap - 1], code[forced - 1], code[forced - 1],
-                              np.repeat((4, 5, 6), (k, 2 * a.size, env_x.size))))[failed]
+        magnitude = np.concatenate((one, two))[failed]
         order = np.lexsort((where, key))
         violations = list(map(Violation, map(DIRECT_TAGS.__getitem__, tag[order].tolist()),
                               where[order].tolist(), magnitude[order].tolist()))
@@ -339,7 +354,7 @@ def check_membership_against(
     return MembershipReport(
         is_member=direct_pass,
         direct_pass=direct_pass,
-        tv_pass=not np.count_nonzero(bad_interp) and tv_close,
+        tv_pass=not np.count_nonzero(failed[:m]) and tv_close,
         tv_value=tv_value,
         minimal_tv=ch.minimal_tv,
         violations=tuple(violations),
@@ -354,10 +369,10 @@ def support_envelope(ch: Characterization, block: np.ndarray, x: np.ndarray) -> 
     on a convex block and the lower on a concave one.  ``block`` holds
     block ids and broadcasts against ``x``.
     """
-    a, b = ch.blocks.a[block], ch.blocks.b[block]
-    xs, ys, s = ch.dataset.xs, ch.dataset.ys, ch.profile.slopes
-    lower = (x - xs[a - 1]) * s[a - 2] + ys[a - 1]
-    upper = (x - xs[b - 1]) * s[b - 1] + ys[b - 1]
+    xa, ya, sa = ch.blocks.lower_support.take(block, axis=1)
+    xb, yb, sb = ch.blocks.upper_support.take(block, axis=1)
+    lower = (x - xa) * sa + ya
+    upper = (x - xb) * sb + yb
     return np.where(ch.blocks.sign[block] > 0, np.maximum(lower, upper), np.minimum(lower, upper))
 
 

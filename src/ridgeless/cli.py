@@ -90,17 +90,17 @@ def cmd_characterize(args) -> int:
     d = load_dataset(args.data)
     ch = characterize(d)
     x = list(map(fmt, d.xs.tolist()))
-    a, b, s = ch.blocks.a, ch.blocks.b, ch.profile.slopes
-    block = (a.searchsorted(np.arange(1, d.m), side="right") - 1).tolist()  # of each free gap
+    blocks = ch.blocks
     lines = [
         f"interval {j} ({x[j - 1]}, {x[j]}): "
         + (f"free (block {k})" if c == FREE else f"forced ({REASONS[c]})")
-        for j, c, k in zip(range(1, d.m), ch.gaps.code.tolist(), block)
+        for j, c, k in zip(range(1, d.m), ch.gaps.code.tolist(), ch.gaps.block.tolist())
     ]
     lines += [
         f"block {k}: knots {ak}..{bk} sign {sk:+d} support slopes {fmt(sa)} {fmt(sb)}"
         for k, (ak, bk, sk, sa, sb) in enumerate(zip(
-            a.tolist(), b.tolist(), ch.blocks.sign.tolist(), s[a - 2].tolist(), s[b - 1].tolist()))
+            blocks.a.tolist(), blocks.b.tolist(), blocks.sign.tolist(),
+            blocks.lower_support[2].tolist(), blocks.upper_support[2].tolist()))
     ]
     lines.append("inflection set: " + " ".join(map(str, ch.inflection_set)))
     lines.append("minimal TV: " + fmt(ch.minimal_tv))
@@ -205,7 +205,7 @@ def render_svg(ch, members) -> str:
         curves.append((x, evaluate(f, x)))
 
     a, b = ch.blocks.a, ch.blocks.b
-    sx = np.linspace(xs[a - 1], xs[b - 1], 65, axis=1)
+    sx = np.linspace(ch.blocks.lower_support[0], ch.blocks.upper_support[0], 65, axis=1)
     sy = support_envelope(ch, np.arange(a.size)[:, None], sx)
     # chords: the block knots, less the interior ones that f_D drops as collinear
     knot_x = xs[ch.blocks.knots - 1]

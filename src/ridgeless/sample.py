@@ -25,8 +25,10 @@ _CROSSING_MARGIN = 1e-12
 def sample_member(ch: Characterization, seed: int) -> PiecewiseLinear:
     """Draw one member of the family characterized by ``ch``.
 
-    Every tangent of the dataset comes from one ``rng.uniform`` call, in
-    knot order.
+    Every tangent of the dataset comes from one ``rng.random`` call, in
+    knot order, as ``lo + (hi - lo) * u``: numpy's own ``rng.uniform(lo, hi)``
+    formula, so the same bits, without its per-call overhead.  ``hi - lo`` is
+    a slope difference, which ``slope_profile`` keeps finite.
     """
     knot = ch.blocks.knots
     if not knot.size:
@@ -36,7 +38,7 @@ def sample_member(ch: Characterization, seed: int) -> PiecewiseLinear:
     s_in, s_out = s[knot - 2], s[knot - 1]
     swap = s_out < s_in
     lo, hi = np.where(swap, s_out, s_in), np.where(swap, s_in, s_out)
-    t = rng.uniform(lo, hi)
+    t = lo + (hi - lo) * rng.random(lo.size)
     t = np.where(lo > t, lo, t)  # min(max(t, lo), hi)
     return _member(ch, np.where(hi < t, hi, t))
 
@@ -120,7 +122,7 @@ def perturb_to_nonmember(
     if inner.size:
         k = int(rng.integers(inner.size))
         at, ex, ey = j[inner] + 1, f.x[inner], f.y[inner]
-        ey[k] = bumped(ex[k], int(sign[a.searchsorted(at[k], side="right") - 1]))
+        ey[k] = bumped(ex[k], int(sign[ch.gaps.block[j[inner[k]]]]))
     else:
         if a.size:
             blk = int(rng.integers(a.size))

@@ -124,6 +124,24 @@ class TestCharacterize:
             assert verdicts_of(ch) == ref.verdicts and blocks_of(ch) == ref.blocks
             assert same_pl(ch.f_D, ref.f_D)
 
+    def test_block_ids_probes_and_support_lines(self, cases):
+        # the fields that every reader of the blocks shares, against the objects
+        for d, ch, ref in cases:
+            want = ref.to_dict()
+            assert ch.gaps.block.tolist() == [-1 if v.block_id is None else v.block_id
+                                              for v in ref.verdicts]
+            assert ch.blocks.knot_block.tolist() == [
+                b.block_id for b in ref.blocks for _ in range(b.knot_range[0], b.knot_range[1] + 1)]
+            for name in ("lower_support", "upper_support"):
+                x, y, slope = getattr(ch.blocks, name).tolist()
+                assert [{"through": [p, q], "slope": t} for p, q, t in zip(x, y, slope)] == \
+                    [b[name] for b in want["blocks"]]
+            # a probe strictly inside each forced gap, the end gaps reaching to -inf and +inf
+            forced, probe, xs = ch.gaps.forced, ch.gaps.probe, d.xs
+            lo, hi = xs[forced - 1], xs[forced]
+            assert probe[1:-1].tolist() == (0.5 * (lo + hi))[1:-1].tolist()
+            assert probe[0] < xs[1] and xs[-2] < probe[-1]
+
     def test_printout_matches_the_objects_at_m_10_4(self, cases, tmp_path, capsys):
         d, ch, ref = cases[-1]
         assert d.m == 10**4 and len(ch.blocks) > 0
@@ -327,6 +345,10 @@ class TestMembership:
             for f in functions:
                 assert asdict(r.check_membership_against(ch, f)) == \
                     asdict(check_membership_reference(ref, f)), seed
+            if seed % 10 == 3:  # at the tolerance edge: every excess above 0 fails, and a loose one
+                for f, tol in zip(functions[:2] + functions[-2:], (0.0, 1e-3, 0.0, 1e-3)):
+                    assert asdict(r.check_membership_against(ch, f, tol)) == \
+                        asdict(check_membership_reference(ref, f, tol)), (seed, tol)
 
 
 class TestLocalizedBounds:

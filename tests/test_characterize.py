@@ -78,7 +78,8 @@ class TestCharacterizeFixtures:
         d = r.make_dataset([(0, 0), (1, 0), (2, 1), (3, 3), (4, 6), (5, 8), (6, 9), (7, 9)])
         ch = r.characterize(d)
         arrays = {**vars(ch.gaps), **vars(ch.blocks)}
-        assert sorted(arrays) == ["a", "b", "code", "forced", "free", "knots", "sign"]
+        assert sorted(arrays) == ["a", "b", "block", "code", "forced", "free", "knot_block", "knots",
+                                  "lower_support", "probe", "sign", "upper_support"]
         arrays.update(xs=ch.dataset.xs, ys=ch.dataset.ys)
         for name, array in arrays.items():
             with pytest.raises(ValueError, match="read-only"):

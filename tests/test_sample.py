@@ -93,6 +93,19 @@ class TestSampleMember:
             b = r.sample_member(ch, seed)
             assert structurally_equal(a, b, rtol=0.0)
 
+    def test_draw_is_numpys_uniform(self):
+        # sample_member draws lo + (hi - lo) * rng.random(n), numpy's own uniform formula:
+        # the same bits as rng.uniform(lo, hi) on brackets from 1e-20 to 1e20, some empty
+        rng = np.random.default_rng(5)
+        for seed in range(3000):
+            n = int(rng.integers(1, 12))
+            scale = 10.0 ** rng.uniform(-20, 20, size=n)
+            lo = scale * rng.uniform(-1, 1, size=n)
+            hi = np.where(rng.random(n) < 0.2, lo, lo + scale * rng.uniform(0, 2, size=n))
+            draw = lo + (hi - lo) * np.random.default_rng(seed).random(n)
+            assert draw.tobytes() == np.random.default_rng(seed).uniform(lo, hi).tobytes(), seed
+            assert (draw[lo == hi] == lo[lo == hi]).all()
+
     def test_seeds_vary_output(self):
         d = r.make_dataset([(0, 0), (1, 0), (2, 1), (3, 3), (4, 6), (5, 10)])
         ch = r.characterize(d)
