@@ -269,9 +269,9 @@ def check_membership_against(
     lower, upper = ch.blocks.lower_support, ch.blocks.upper_support
     xa, xb, s_enter, s_exit = lower[0], upper[0], lower[2], upper[2]
 
-    # f's kinks against the interior data points: each kink's gap (0-based; the
-    # end gaps reach to -inf and +inf, so x_1 and x_m lie in them), and
-    # left != right on an interior data point
+    # f's kinks against the interior data points: right is each kink's gap
+    # (0-based; the end gaps reach to -inf and +inf, so x_1 and x_m lie in
+    # them), and on an interior data point left != right is the gap before it
     loc = f.x
     left, right = xs[1:-1].searchsorted(loc, side="left"), xs[1:-1].searchsorted(loc, side="right")
     off_data = left == right
