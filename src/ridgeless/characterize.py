@@ -205,16 +205,6 @@ def _abs_differences(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
     return np.concatenate((np.abs(d), np.sign(d) * e))
 
 
-def _insert_sorted(a: np.ndarray, at: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``np.insert(a, at, b)`` for nondecreasing ``at``, without a sort."""
-    pos = at + np.arange(len(b))
-    out = np.empty((len(a) + len(b),) + a.shape[1:])
-    rest = np.ones(len(out), dtype=bool)
-    rest[pos] = False
-    out[pos], out[rest] = b, a
-    return out
-
-
 def characterize(d: Dataset) -> Characterization:
     prof = slope_profile(d)
     s = prof.slopes

@@ -21,9 +21,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .characterize import Characterization, _insert_sorted, localized_slope_bounds
+from .characterize import Characterization, localized_slope_bounds
 from .dataset import Dataset
-from .plfun import PiecewiseLinear, _window, allowance, evaluate, lipschitz_norm, one_sided_slopes
+from .plfun import PiecewiseLinear, _insert_sorted, _window, allowance, evaluate, lipschitz_norm, one_sided_slopes
 
 
 # slack of every bound check: allowance(BOUND_TOL, size) for the norms, absolute for the sup error

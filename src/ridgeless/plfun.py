@@ -1,22 +1,23 @@
 """Continuous piecewise-linear functions on the real line, in knot-array form.
 
-A function with k kinks is stored as three read-only arrays built once at
+A function with k kinks is stored as four read-only arrays built once at
 construction: the kink locations ``x`` (strictly increasing), the slope
-jumps ``c`` (outgoing minus incoming slope, all nonzero) and the values
-``y`` at the kinks, plus the slope of the leftmost affine piece and an
-anchor point ``(x0, v0)`` on the graph.  The distributional second
+jumps ``c`` (outgoing minus incoming slope, all nonzero), the values ``y``
+at the kinks and the k + 1 piece slopes ``s``, the left slope first, plus
+an anchor point ``(x0, v0)`` on the graph.  The distributional second
 derivative is the atomic measure with weight ``c_j`` at ``x_j``, so total
-variation, Lipschitz norm and ReLU-network synthesis read the jumps;
-evaluation interpolates the values, and is exact at every kink.
+variation, ReLU-network synthesis and the JSON form read the jumps;
+evaluation interpolates the values, exact at every kink, and its tails,
+the one-sided slopes and the Lipschitz norm read the slopes.
 
-Each constructor keeps the quantity it is given and derives the other
-one once: :func:`from_knots` keeps knot values and takes the jumps from
-value differences, :func:`canonical` keeps jumps and takes the values by
-prefix sums from the anchor.  :func:`from_knots` drops a knot whose jump
-is negligible together with its value and takes the jumps of the knots
-kept again, so no later slope absorbs a dropped jump.  The JSON wire
-format is unchanged: the anchor, the left slope and the
-``[location, jump]`` pairs.
+Each constructor keeps the quantity it is given and derives the others
+once: :func:`from_knots` keeps knot values and takes the chord slopes and
+jumps from value differences, :func:`canonical` keeps jumps and takes the
+slopes by compensated prefix sums and the values by prefix sums from the
+anchor.  :func:`from_knots` drops a knot whose jump is negligible together
+with its value and takes the slopes and jumps of the knots kept again, so
+no later slope absorbs a dropped jump.  The JSON wire format is unchanged:
+the anchor, the left slope and the ``[location, jump]`` pairs.
 """
 
 from __future__ import annotations
@@ -41,40 +42,42 @@ class PiecewiseLinear:
 
     Invariants (enforced at construction): kink locations strictly
     increasing, all jumps nonzero, everything finite, ``x``, ``c`` and
-    ``y`` of one length.  Use :func:`canonical` or :func:`from_knots` to
-    build instances from unnormalized data.
+    ``y`` of one length and ``s`` one longer.  Use :func:`canonical` or
+    :func:`from_knots` to build instances from unnormalized data.
     """
 
     anchor: tuple[float, float]
-    left_slope: float
     x: np.ndarray  # kink locations
     c: np.ndarray  # slope jumps at the kinks
     y: np.ndarray  # values at the kinks
+    s: np.ndarray  # piece slopes: on (-inf, x_1), then after each kink
 
     def __post_init__(self) -> None:
         x0, v0 = self.anchor
-        if not (math.isfinite(x0) and math.isfinite(v0) and math.isfinite(self.left_slope)):
-            raise ValueError("anchor and left slope must be finite")
-        # one read-only block whose rows are x, c and y; count_nonzero is the
-        # cheapest reduction at a handful of kinks
-        xcy = float_rows((self.x, self.c, self.y), np.size(self.x),
-                         "kink locations, jumps and values must be 1-D and of one length")
-        xcy.flags.writeable = False
+        if not (math.isfinite(x0) and math.isfinite(v0)):
+            raise ValueError("anchor must be finite")
+        # one read-only block whose rows are x, c and y, and the slope row;
+        # count_nonzero is the cheapest reduction at a handful of kinks
+        shapes = "kink locations, jumps and values must be 1-D and of one length, and the slopes one longer"
+        xcy = float_rows((self.x, self.c, self.y), np.size(self.x), shapes)
+        s = float_rows((self.s,), xcy.shape[1] + 1, shapes)[0]
+        xcy.flags.writeable = s.flags.writeable = False
         x, c = xcy[0], xcy[1]
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "y", xcy[2])
-        if np.count_nonzero(np.isfinite(xcy)) < xcy.size:
-            raise ValueError("breakpoints must be finite")
+        object.__setattr__(self, "s", s)
+        if np.count_nonzero(np.isfinite(xcy)) + np.count_nonzero(np.isfinite(s)) < xcy.size + s.size:
+            raise ValueError("breakpoints and slopes must be finite")
         if np.count_nonzero(x[1:] <= x[:-1]):
             raise ValueError("breakpoint locations not strictly increasing")
         if np.count_nonzero(c) < c.size:
             raise ValueError("zero jump; build through canonical or from_knots")
 
-    @cached_property
-    def _slopes(self) -> np.ndarray:
-        # slope on (-inf, x_1), then after each kink; length k+1
-        return np.concatenate(([self.left_slope], self.left_slope + np.add.accumulate(self.c)))
+    @property
+    def left_slope(self) -> float:
+        """Slope of the leftmost piece, ``s[0]``."""
+        return float(self.s[0])
 
     @cached_property
     def breakpoints(self) -> tuple[tuple[float, float], ...]:
@@ -115,12 +118,12 @@ def float_rows(rows, width: int, message: str) -> np.ndarray:
 def evaluate(f: PiecewiseLinear, x):
     """Exact PL evaluation at a scalar or array of points."""
     xs = np.asarray(x, dtype=float)
+    s = f.s
     if f.x.size:
-        s = f._slopes
         out = (np.interp(xs, f.x, f.y) + s[0] * np.minimum(xs - f.x[0], 0.0)
                + s[-1] * np.maximum(xs - f.x[-1], 0.0))
     else:
-        out = f.anchor[1] + f.left_slope * (xs - f.anchor[0])
+        out = f.anchor[1] + s[0] * (xs - f.anchor[0])
     return float(out) if xs.ndim == 0 else out
 
 
@@ -130,8 +133,8 @@ def one_sided_slopes(f: PiecewiseLinear, x):
     A scalar ``x`` gives two floats, an array gives two arrays.
     """
     xs = np.asarray(x, dtype=float)
-    s_in = f._slopes[f.x.searchsorted(xs, side="left")]
-    s_out = f._slopes[f.x.searchsorted(xs, side="right")]
+    s_in = f.s[f.x.searchsorted(xs, side="left")]
+    s_out = f.s[f.x.searchsorted(xs, side="right")]
     if xs.ndim == 0:
         return float(s_in), float(s_out)
     return s_in, s_out
@@ -148,7 +151,7 @@ def tv_of_derivative(f: PiecewiseLinear) -> float:
 
 
 def lipschitz_norm(f: PiecewiseLinear) -> float:
-    return float(np.abs(f._slopes).max())
+    return float(np.abs(f.s).max())
 
 
 def canonical(
@@ -167,9 +170,9 @@ def canonical(
     jumps all sit below that floor should be rescaled first.  A
     non-finite location or (summed) jump raises ValueError, since an
     infinite jump would make every other jump fall below the threshold.
-    The values at the kinks follow from the anchor by prefix sums of
-    the piece slopes, and those slopes by compensated prefix sums of the
-    jumps.
+    The piece slopes follow from the left slope by compensated prefix
+    sums of the jumps, and the values at the kinks from the anchor by
+    prefix sums of the slopes.
     """
     rows = float_rows(breakpoints, 2, "breakpoints must be (location, jump) rows")
     x, c = rows[:, 0], rows[:, 1]
@@ -184,16 +187,16 @@ def canonical(
     x, c = x[keep], c[keep]
     x0, v0 = float(anchor[0]), float(anchor[1])
     y = x
-    if x.size:
-        # values by prefix sums from the first kink, then shifted through the anchor;
-        # finite input that overflows is left to PiecewiseLinear's finite check
-        with np.errstate(over="ignore", invalid="ignore"):
-            s = _prefix_sums(np.concatenate(([left_slope], c)))  # slope on each piece
+    # finite input that overflows is left to PiecewiseLinear's finite check
+    with np.errstate(over="ignore", invalid="ignore"):
+        s = _prefix_sums(np.concatenate(([left_slope], c)))  # slope on each piece
+        if x.size:
+            # values by prefix sums from the first kink, then shifted through the anchor
             rel = np.add.accumulate(np.concatenate(([0.0], s[1:-1] * (x[1:] - x[:-1]))))
             i = int(x.searchsorted(x0, side="right"))
             ref = max(i - 1, 0)
             y = rel + (v0 - (rel[ref] + s[i] * (x0 - x[ref])))
-    return PiecewiseLinear((x0, v0), float(left_slope), x, c, y)
+    return PiecewiseLinear((x0, v0), x, c, y, s)
 
 
 def _kept(x: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -208,19 +211,31 @@ def _prefix_sums(a: np.ndarray) -> np.ndarray:
     """Prefix sums of ``a`` with the rounding error of each step added back.
 
     The error of each addition is exact (TwoSum), so the slopes that the
-    values integrate do not drift with the number of kinks.
+    values integrate do not drift with the number of kinks; the first sum
+    is ``a[0]`` itself, sign of zero included.
     """
     s = np.add.accumulate(a)
-    prev = np.concatenate(([0.0], s[:-1]))
-    b = s - prev
-    return s + np.add.accumulate((prev - (s - b)) + (a - b))
+    prev, b = s[:-1], s[1:] - s[:-1]
+    s[1:] += np.add.accumulate((prev - (s[1:] - b)) + (a[1:] - b))
+    return s
 
 
-def _knot_jumps(x: np.ndarray, y: np.ndarray, left_slope: float, right_slope: float) -> np.ndarray:
-    """Slope jumps at the knots of the interpolant with the given tail slopes."""
+def _knot_jumps(x: np.ndarray, y: np.ndarray, left_slope: float,
+                right_slope: float) -> tuple[np.ndarray, np.ndarray]:
+    """Piece slopes of the interpolant with the given tail slopes, and its jumps at the knots."""
     with np.errstate(over="ignore", invalid="ignore"):
-        slopes = np.concatenate(([left_slope], (y[1:] - y[:-1]) / (x[1:] - x[:-1]), [right_slope]))
-        return slopes[1:] - slopes[:-1]
+        s = np.concatenate(([left_slope], (y[1:] - y[:-1]) / (x[1:] - x[:-1]), [right_slope]))
+        return s, s[1:] - s[:-1]
+
+
+def _insert_sorted(a: np.ndarray, at: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.insert(a, at, b)`` for nondecreasing ``at``, without a sort."""
+    pos = at + np.arange(len(b))
+    out = np.empty((len(a) + len(b),) + a.shape[1:])
+    rest = np.ones(len(out), dtype=bool)
+    rest[pos] = False
+    out[pos], out[rest] = b, a
+    return out
 
 
 def from_knots(
@@ -244,7 +259,7 @@ def from_knots(
         raise ValueError("need at least one knot")
     if np.count_nonzero(x[1:] <= x[:-1]):
         raise ValueError("knot abscissae must be strictly increasing")
-    c = _knot_jumps(x, y, left_slope, right_slope)
+    s, c = _knot_jumps(x, y, left_slope, right_slope)
     anchor = (float(x[0]), float(y[0]))
     while True:
         keep = _kept(x, c)
@@ -252,9 +267,11 @@ def from_knots(
             break
         x, y, c, dropped = x[keep], y[keep], c[keep], c[~keep]
         if not (x.size and np.count_nonzero(dropped)):
-            break  # affine, or only zero jumps dropped, which no other jump absorbs
-        c = _knot_jumps(x, y, left_slope, right_slope)
-    return PiecewiseLinear(anchor, float(left_slope), x, c, y)
+            # affine, or only zero jumps dropped (no other jump absorbs them), each with the piece after it
+            s = s[np.concatenate(([True], keep))]
+            break
+        s, c = _knot_jumps(x, y, left_slope, right_slope)
+    return PiecewiseLinear(anchor, x, c, y, s)
 
 
 def allowance(rtol: float, *scales):

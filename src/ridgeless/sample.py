@@ -15,8 +15,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .characterize import FREE, Characterization, _insert_sorted
-from .plfun import PiecewiseLinear, allowance, evaluate, from_knots
+from .characterize import FREE, Characterization
+from .plfun import PiecewiseLinear, _insert_sorted, allowance, evaluate, from_knots
 
 # relative margin below which a tangent crossing collapses onto the chord
 _CROSSING_MARGIN = 1e-12

@@ -434,8 +434,8 @@ def merge_threshold(jumps) -> float:
 
 def from_knots_reference(knots, left_slope: float, right_slope: float) -> r.PiecewiseLinear:
     """``from_knots`` by Python lists: drop every knot whose jump is under the
-    threshold and, unless all dropped jumps were zero, take the jumps of the
-    rest again; repeat until none is under it."""
+    threshold and, unless all dropped jumps were zero, take the slopes and
+    jumps of the rest again; repeat until none is under it."""
     xs = [float(x) for x, _ in knots]
     ys = [float(y) for _, y in knots]
     if any(b <= a for a, b in zip(xs, xs[1:])):
@@ -452,9 +452,11 @@ def from_knots_reference(knots, left_slope: float, right_slope: float) -> r.Piec
             break
         dropped_nonzero = any(c != 0.0 for c in jumps if abs(c) <= tol)
         xs, ys, jumps = [xs[i] for i in kept], [ys[i] for i in kept], [jumps[i] for i in kept]
+        # the left slope and the slope after each knot kept
+        slope_seq = [slope_seq[0]] + [slope_seq[i + 1] for i in kept]
         if not dropped_nonzero:
             break
-    return r.PiecewiseLinear((xs0, ys0), float(left_slope), xs, jumps, ys)
+    return r.PiecewiseLinear((xs0, ys0), xs, jumps, ys, slope_seq)
 
 
 def canonical_reference(anchor, left_slope: float, breakpoints) -> r.PiecewiseLinear:
@@ -474,14 +476,14 @@ def canonical_reference(anchor, left_slope: float, breakpoints) -> r.PiecewiseLi
     x, c = np.array(locs, dtype=float), np.array([merged[xi] for xi in locs], dtype=float)
     x0, v0 = float(anchor[0]), float(anchor[1])
     y = x
+    s = _prefix_sums(np.concatenate(([left_slope], c)))  # slope on each piece
     if x.size:
         # values by prefix sums from the first kink, then shifted through the anchor
-        s = _prefix_sums(np.concatenate(([left_slope], c)))  # slope on each piece
         rel = np.add.accumulate(np.concatenate(([0.0], s[1:-1] * (x[1:] - x[:-1]))))
         i = int(x.searchsorted(x0, side="right"))
         ref = max(i - 1, 0)
         y = rel + (v0 - (rel[ref] + s[i] * (x0 - x[ref])))
-    return r.PiecewiseLinear((x0, v0), float(left_slope), x, c, y)
+    return r.PiecewiseLinear((x0, v0), x, c, y, s)
 
 
 @dataclass(frozen=True, slots=True)

@@ -78,8 +78,8 @@ def near_collinear_dataset(rng: np.random.Generator, m: int) -> r.Dataset:
 
 
 def same_pl(f: r.PiecewiseLinear, g: r.PiecewiseLinear) -> bool:
-    return ((f.anchor, f.left_slope, f.breakpoints, f.y.tolist())
-            == (g.anchor, g.left_slope, g.breakpoints, g.y.tolist()))
+    return ((f.anchor, f.breakpoints, f.y.tolist(), f.s.tolist())
+            == (g.anchor, g.breakpoints, g.y.tolist(), g.s.tolist()))
 
 
 def skewed(lo, hi, u):
@@ -169,9 +169,9 @@ class TestCharacterize:
 
 
 def same_bits(f: r.PiecewiseLinear, g: r.PiecewiseLinear) -> bool:
-    """Equal bit for bit: anchor, left slope and the x, c and y arrays, signs of zero included."""
-    return ([v.hex() for v in (*f.anchor, f.left_slope)] == [v.hex() for v in (*g.anchor, g.left_slope)]
-            and all(getattr(f, a).tobytes() == getattr(g, a).tobytes() for a in "xcy"))
+    """Equal bit for bit: anchor and the x, c, y and s arrays, signs of zero included."""
+    return ([v.hex() for v in f.anchor] == [v.hex() for v in g.anchor]
+            and all(getattr(f, a).tobytes() == getattr(g, a).tobytes() for a in "xcys"))
 
 
 def random_rows(rng: np.random.Generator) -> np.ndarray:

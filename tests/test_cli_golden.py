@@ -86,8 +86,8 @@ def test_cli_output_matches_golden(name, tmp_path):
     golden = json.loads(GOLDEN.read_text())[name]
     actual = transcript(name, tmp_path)
     assert list(actual) == list(golden)
-    for key, want in golden.items():
-        assert actual[key] == want, key
+    mismatched = [key for key, want in golden.items() if actual[key] != want]
+    assert not mismatched, f"entries that differ from the golden: {mismatched}"
 
 
 def _regenerate() -> None:

@@ -70,6 +70,23 @@ class TestLipDomination:
             for seed in range(5):
                 assert lipschitz_norm(r.sample_member(ch, seed)) <= fd_norm + 1e-12
 
+    def test_fd_norm_is_the_steepest_chord_bit_for_bit(self):
+        # f_D keeps the chord slopes it was built from, and no member, whose forced
+        # pieces carry the same chord slopes, reads steeper than the steepest of them
+        rng = np.random.default_rng(5)
+        checked = 0
+        for _ in range(100):
+            d = random_dataset(rng, int(rng.integers(3, 400)))
+            ch = r.characterize(d)
+            if not np.array_equal(ch.f_D.x, d.xs[1:-1]):
+                continue  # a knot dropped: the chords of the knots kept are taken again
+            steepest = float(np.abs(r.slope_profile(d).slopes).max())
+            assert lipschitz_norm(ch.f_D) == steepest
+            for seed in range(3):
+                assert lipschitz_norm(r.sample_member(ch, seed)) <= steepest
+            checked += 1
+        assert checked >= 90
+
 
 class TestSupError:
     def test_affine_truth_zero_error(self):

@@ -20,6 +20,7 @@ from helpers import (
 import ridgeless as r
 from ridgeless.plfun import (
     PiecewiseLinear,
+    _prefix_sums,
     _window,
     allowance,
     canonical,
@@ -159,6 +160,23 @@ class TestFromKnots:
         with pytest.raises(ValueError, match="need at least one knot"):
             from_knots([], 0.0, 0.0)
 
+    def test_stores_the_chord_slopes_of_the_knots_kept(self):
+        # the tail slopes as given and, between the knots kept, their chords bit for bit:
+        # knots dropped with nonzero jumps (near-collinear runs) make the rest be taken
+        # again, and a tail slope equal to its end chord drops that end's knot
+        rng = np.random.default_rng(3)
+        for _ in range(300):
+            k = int(rng.integers(1, 20))
+            xs = np.sort(rng.choice(np.arange(-500, 500), size=k, replace=False)) / 16.0
+            ys = 1.5 * xs + rng.uniform(-1e-14, 1e-14, k) if rng.random() < 0.5 else rng.uniform(-2, 2, k)
+            left, right = rng.uniform(-2, 2, 2).tolist()
+            if k > 1 and rng.random() < 0.3:
+                left, right = (ys[1] - ys[0]) / (xs[1] - xs[0]), (ys[-1] - ys[-2]) / (xs[-1] - xs[-2])
+            f = from_knots(np.column_stack((xs, ys)), left, right)
+            assert f.s[0] == f.left_slope == left
+            assert f.s[-1] == right or f.s.size == 1  # an affine result keeps the left slope
+            assert f.s[1:-1].tobytes() == (np.diff(f.y) / np.diff(f.x)).tobytes()
+
 
 pl_inputs = st.builds(
     lambda xs, jumps, a, ax, av: ((ax / 4, av / 4), a / 4,
@@ -187,21 +205,43 @@ class TestCanonicalization:
         f = canonical((0, 0), 0.0, [(0.0, 1.0), (1.0, 1e-15)])
         assert f.breakpoints == ((0.0, 1.0),)
 
-    def test_rejects_noncanonical_direct_construction(self):
-        with pytest.raises(ValueError):
-            PiecewiseLinear((0.0, 0.0), 0.0, x=(1.0,), c=(0.0,), y=(0.0,))
-        with pytest.raises(ValueError):
-            PiecewiseLinear((0.0, 0.0), 0.0, x=(1.0, 1.0), c=(1.0, 1.0), y=(0.0, 0.0))
+    def test_stores_the_compensated_prefix_sums(self):
+        rng = np.random.default_rng(4)
+        for _ in range(200):
+            k = int(rng.integers(0, 30))
+            # jumps from 1e-13 to 1e5 in size: some fall under the drop threshold
+            rows = np.column_stack((rng.uniform(-5, 5, k), rng.uniform(-3, 3, k) * 10.0 ** rng.integers(-13, 6, k)))
+            a = float(rng.uniform(-3, 3))
+            f = canonical((float(rng.uniform(-5, 5)), 0.0), a, rows)
+            assert f.s.tobytes() == _prefix_sums(np.array((a, *f.c))).tobytes()
 
-    @pytest.mark.parametrize("x, c, y", [
-        ([1.0, 2.0], [1.0], [0.0]),  # of two lengths
-        ([1.0], [1.0], [0.0, 1.0]),
-        (1.0, 1.0, 0.0),  # not 1-D
-        ([[1.0]], [[1.0]], [[0.0]]),
+    def test_left_slope_is_the_one_given(self):
+        for a in (-0.0, 0.0, -2.5):
+            for bps in ([], [(1.0, 1.0)], [(1.0, 1.0), (2.0, -3.0)]):
+                f = canonical((0.0, 0.0), a, bps)
+                assert f.left_slope.hex() == f.s[0].hex() == a.hex()
+                assert to_json(f).startswith('{"anchor": [0.0, 0.0], "left_slope": %r,' % a)
+
+    def test_rejects_noncanonical_direct_construction(self):
+        for x, c, y, s in (((1.0,), (0.0,), (0.0,), (0.0, 0.0)),  # a zero jump
+                           ((1.0, 1.0), (1.0, 1.0), (0.0, 0.0), (0.0, 1.0, 2.0)),  # one location twice
+                           ((1.0,), (1.0,), (0.0,), (0.0,)),  # as many slopes as kinks
+                           ((1.0,), (1.0,), (0.0,), (0.0, math.inf))):  # a slope not finite
+            with pytest.raises(ValueError):
+                PiecewiseLinear((0.0, 0.0), x=x, c=c, y=y, s=s)
+
+    @pytest.mark.parametrize("x, c, y, s, message", [
+        pytest.param([1.0, 2.0], [1.0], [0.0], [0.0, 1.0], "1-D and of one length", id="x0-c0-y0"),  # of two lengths
+        pytest.param([1.0], [1.0], [0.0, 1.0], [0.0, 1.0], "1-D and of one length", id="x1-c1-y1"),
+        pytest.param(1.0, 1.0, 0.0, [0.0, 1.0], "1-D and of one length", id="1.0-1.0-0.0"),  # not 1-D
+        pytest.param([[1.0]], [[1.0]], [[0.0]], [0.0, 1.0], "1-D and of one length", id="x3-c3-y3"),
+        pytest.param([1.0], [1.0], [0.0], [0.0], "the slopes one longer", id="s-of-k"),
+        pytest.param([1.0], [1.0], [0.0], [[0.0, 1.0]], "the slopes one longer", id="s-2-D"),
+        pytest.param([1.0], [1.0], [0.0], [0.0, math.nan], "slopes must be finite", id="s-nan"),
     ])
-    def test_rejects_arrays_of_other_shapes(self, x, c, y):
-        with pytest.raises(ValueError, match="must be 1-D and of one length"):
-            PiecewiseLinear((0.0, 0.0), 0.0, x=x, c=c, y=y)
+    def test_rejects_arrays_of_other_shapes(self, x, c, y, s, message):
+        with pytest.raises(ValueError, match=message):
+            PiecewiseLinear((0.0, 0.0), x=x, c=c, y=y, s=s)
 
     def test_rejects_non_finite_breakpoints(self):
         # an infinite jump must not push every other jump under the drop threshold
