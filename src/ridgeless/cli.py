@@ -129,9 +129,10 @@ def cmd_sample(args) -> int:
     ch = characterize(d)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    to_json = plfun.to_json if args.n < 2 else plfun._json_like(ch.f_D)  # members are f_D off free blocks
     for k in range(args.n):
         f = sample_member(ch, seed=args.seed + k)
-        _write_or_print(plfun.to_json(f), out_dir / f"member-{k:04d}.json")
+        _write_or_print(to_json(f), out_dir / f"member-{k:04d}.json")
     return 0
 
 

@@ -16,8 +16,9 @@ jumps from value differences, :func:`canonical` keeps jumps and takes the
 slopes by compensated prefix sums and the values by prefix sums from the
 anchor.  :func:`from_knots` drops a knot whose jump is negligible together
 with its value and takes the slopes and jumps of the knots kept again, so
-no later slope absorbs a dropped jump.  The JSON wire format is unchanged:
-the anchor, the left slope and the ``[location, jump]`` pairs.
+no later slope absorbs a dropped jump.  :func:`to_json` writes the bytes of
+``json.dumps(f.to_dict())`` from the text of each number, and ``sample``
+formats f_D's numbers once and reuses their text in each member.
 """
 
 from __future__ import annotations
@@ -293,7 +294,34 @@ def structurally_equal(f: PiecewiseLinear, g: PiecewiseLinear, rtol: float = 1e-
 
 
 def to_json(f: PiecewiseLinear) -> str:
-    return json.dumps(f.to_dict())
+    return _json(f, _text(np.column_stack((f.x, f.c))))
+
+
+def _text(a: np.ndarray) -> list[str]:
+    """The numbers of ``a``, row by row, each as json writes a finite float: its repr."""
+    return list(map(repr, a.ravel().tolist()))
+
+
+def _json(f: PiecewiseLinear, text: list[str]) -> str:
+    """The bytes of ``json.dumps(f.to_dict())`` from ``text``, each kink's location and jump."""
+    head = json.dumps({"anchor": [f.anchor[0], f.anchor[1]], "left_slope": f.left_slope})[:-1]
+    pairs = "], [".join(map(", ".join, zip(text[0::2], text[1::2])))
+    return head + (f', "breakpoints": [[{pairs}]]}}' if text else ', "breakpoints": []}')
+
+
+def _json_like(g: PiecewiseLinear):
+    """A ``to_json`` that formats g's numbers once: each number of f with the bits of g's at
+    the kink where f's sorts into ``g.x`` (-0.0 is not 0.0) takes g's text."""
+    g_xc = np.vstack((np.column_stack((g.x, g.c)), (np.nan, np.nan)))  # a last row no number matches
+    g_text, g_bits = np.array(_text(g_xc), dtype=object).reshape(g_xc.shape), g_xc.view(np.int64)
+
+    def write(f: PiecewiseLinear) -> str:
+        at, xc = g.x.searchsorted(f.x), np.column_stack((f.x, f.c))
+        text, new = g_text[at], xc.view(np.int64) != g_bits[at]
+        text[new] = _text(xc[new])
+        return _json(f, text.ravel().tolist())
+
+    return write
 
 
 def from_json(text: str) -> PiecewiseLinear:

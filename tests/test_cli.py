@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -123,6 +124,49 @@ class TestFileCommands:
         ch = r.characterize(r.load_dataset(data_a))
         for p in files:
             assert r.check_membership_against(ch, from_json(p.read_text())).is_member
+
+
+class TestSampleText:
+    """``sample`` writes each member's own JSON and formats each number of f_D at most once."""
+
+    @pytest.fixture(params=["blocks", "no-blocks"])
+    def data(self, request, tmp_path, dataset_zigzag):
+        d = random_dataset(np.random.default_rng(26), 300) if request.param == "blocks" else dataset_zigzag
+        path = tmp_path / "data.csv"
+        r.save_dataset(d, path)
+        return path
+
+    @pytest.mark.parametrize("n", [0, 1, 20])
+    def test_files_are_the_members_json(self, capsys, data, tmp_path, n):
+        out_dir = tmp_path / "members"
+        assert run(capsys, ["sample", str(data), "--n", str(n), "--seed", "5",
+                            "--out-dir", str(out_dir)])[0] == 0
+        ch = r.characterize(r.load_dataset(data))
+        members = [r.sample_member(ch, seed=5 + k) for k in range(n)]
+        assert [p.read_text() for p in sorted(out_dir.iterdir())] == \
+            [json.dumps(f.to_dict()) for f in members] == list(map(to_json, members))
+        if not len(ch.blocks):
+            assert all(f is ch.f_D for f in members)
+
+    @pytest.mark.parametrize("n", [1, 20])
+    def test_formats_each_fd_number_once(self, capsys, data, tmp_path, monkeypatch, n):
+        formatted = []
+        text = r.plfun._text
+
+        def recorded(a):
+            formatted.extend(a.ravel().tolist())
+            return text(a)
+
+        monkeypatch.setattr(r.plfun, "_text", recorded)
+        assert run(capsys, ["sample", str(data), "--n", str(n), "--out-dir", str(tmp_path)])[0] == 0
+        ch = r.characterize(r.load_dataset(data))
+        if n == 1:  # no text of f_D is made for a single member: its own numbers only
+            f = r.sample_member(ch, seed=0)
+            assert sorted(formatted) == sorted(np.concatenate((f.x, f.c)).tolist())
+        else:  # each number of f_D exactly as often as f_D holds it, in its one table
+            fd = Counter(np.concatenate((ch.f_D.x, ch.f_D.c)).view(np.int64).tolist())
+            seen = Counter(np.array(formatted, dtype=float).view(np.int64).tolist())
+            assert {bits: seen[bits] for bits in fd} == fd
 
 
 class TestCertifyCommand:

@@ -20,6 +20,7 @@ from helpers import (
 import ridgeless as r
 from ridgeless.plfun import (
     PiecewiseLinear,
+    _json_like,
     _prefix_sums,
     _window,
     allowance,
@@ -290,6 +291,71 @@ class TestJsonRoundTrip:
         f = canonical((0.5, 1.5), 2.0, [(1.0, -3.0)])
         assert to_json(f) == ('{"anchor": [0.5, 1.5], "left_slope": 2.0, '
                               '"breakpoints": [[1.0, -3.0]]}')
+
+
+def direct(anchor, x, c) -> PiecewiseLinear:
+    """A PL function built by the constructor itself, with the anchor kept as given."""
+    x, c = np.array(x, dtype=float), np.array(c, dtype=float)
+    return PiecewiseLinear(anchor, x, c, np.zeros(x.size), np.zeros(x.size + 1))
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+class TestJsonWriter:
+    """``to_json`` and the writer that reuses another function's text give json's bytes."""
+
+    def test_int_anchor_and_no_kinks(self):
+        f = direct((0, 0), [], [])
+        assert to_json(f) == json.dumps(f.to_dict()) == _json_like(fd_a())(f) == \
+            '{"anchor": [0, 0], "left_slope": 0.0, "breakpoints": []}'
+
+    def test_numpy_scalars_print_as_json_numbers(self):
+        f = PiecewiseLinear((np.float64(1.5), np.float64(-2.0)), np.array([1.0]), np.array([3.0]),
+                            np.array([0.0]), np.array([np.float64(1.5), 4.5]))
+        assert to_json(f) == json.dumps(f.to_dict()) == \
+            '{"anchor": [1.5, -2.0], "left_slope": 1.5, "breakpoints": [[1.0, 3.0]]}'
+
+    def test_exponent_forms(self):
+        f = direct((5e-324, 1e+300), [-1e+300, -0.0, 5e-324, 1e16, 1.7976931348623157e308],
+                   [1e-07, 1e+300, -5e-324, 123456789012345678.0, -2.5e-310])
+        text = to_json(f)
+        assert text == json.dumps(f.to_dict())
+        assert '[-0.0, 1e+300], [5e-324, -5e-324], [1e+16, 1.2345678901234568e+17]' in text
+        assert _json_like(f)(f) == _json_like(direct((0.0, 0.0), [], []))(f) == text
+
+    @given(st.lists(st.tuples(finite, finite.filter(bool)), max_size=12), finite, finite)
+    @settings(max_examples=100, deadline=None)
+    def test_any_finite_numbers(self, rows, x0, v0):
+        x = sorted({x for x, _ in rows})
+        f = direct((x0, v0), x, [c for _, c in rows[:len(x)]])
+        assert to_json(f) == json.dumps(f.to_dict())
+
+    def test_random_functions(self):
+        rng = np.random.default_rng(26)
+        for _ in range(200):
+            f = random_pl(rng, 30)
+            assert to_json(f) == json.dumps(f.to_dict())
+
+    def test_reuses_only_equal_bits(self):
+        # g shares some of f's kinks and jumps, moves others, and has kinks f lacks
+        rng = np.random.default_rng(27)
+        for k in range(200):
+            f, g = random_pl(rng, 30), random_pl(rng, 30)
+            take = rng.random(f.x.size) < 0.7
+            x = np.concatenate((f.x[take], g.x))
+            c = np.concatenate((np.where(rng.random(f.x.size) < 0.5, f.c, -f.c)[take], g.c))
+            order = np.unique(x, return_index=True)[1]
+            g = direct(g.anchor, x[order], c[order])
+            assert _json_like(g)(f) == json.dumps(f.to_dict()), k
+
+    def test_zero_location_keeps_its_sign(self):
+        g = direct((0.0, 0.0), [-1.0, -0.0, 2.0], [1.0, -2.0, 3.0])
+        f = direct((0.0, 0.0), [-1.0, 0.0, 2.0], [1.0, -2.0, 3.0])
+        assert _json_like(g)(f) == json.dumps(f.to_dict()) == \
+            '{"anchor": [0.0, 0.0], "left_slope": 0.0, ' \
+            '"breakpoints": [[-1.0, 1.0], [0.0, -2.0], [2.0, 3.0]]}'
+        assert _json_like(f)(g) == json.dumps(g.to_dict())
 
 
 class TestPieceSlopes:
