@@ -28,7 +28,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import chain
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -309,7 +309,7 @@ def _json(f: PiecewiseLinear, text: list[str]) -> str:
     return head + (f', "breakpoints": [[{pairs}]]}}' if text else ', "breakpoints": []}')
 
 
-def _json_like(g: PiecewiseLinear):
+def _json_like(g: PiecewiseLinear) -> Callable[[PiecewiseLinear], str]:
     """A ``to_json`` that formats g's numbers once: each number of f with the bits of g's at
     the kink where f's sorts into ``g.x`` (-0.0 is not 0.0) takes g's text."""
     g_xc = np.vstack((np.column_stack((g.x, g.c)), (np.nan, np.nan)))  # a last row no number matches
