@@ -32,7 +32,6 @@ curvature eps_i to point i.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,7 +40,6 @@ from .dataset import Dataset, SlopeProfile, slope_profile
 from .plfun import PiecewiseLinear, allowance, evaluate, from_knots, one_sided_slopes, tv_of_derivative
 
 DEFAULT_MEMBERSHIP_RTOL = 1e-9
-TV_FORMULA_RTOL = 1e-9  # characterize warns when its two TV sums differ by more than this, relatively
 
 # Tags of conditions checked by the direct (geometric) membership test; a
 # forced gap's tag sits at its class code.
@@ -99,6 +97,7 @@ class Characterization:
     blocks: Blocks
     inflection_set: tuple[int, ...]
     minimal_tv: float
+    shortfall: float  # the slope differences at zero curvature, which the inflection set skips
     f_D: PiecewiseLinear
 
     def to_dict(self) -> dict:
@@ -148,15 +147,9 @@ def _chord_interpolant(d: Dataset, prof: SlopeProfile) -> PiecewiseLinear:
     return from_knots(np.column_stack((d.xs, d.ys)), prof.slopes[0], prof.slopes[-1])
 
 
-def _inflection_indices(eps: np.ndarray) -> np.ndarray:
-    """1, m-1 and every interior gap whose end curvatures differ (1-based)."""
-    mask = np.ones(len(eps) + 1, dtype=bool)
-    mask[1:-1] = eps[:-1] != eps[1:]
-    return np.flatnonzero(mask) + 1
-
-
-def _classify(d: Dataset, prof: SlopeProfile) -> tuple[Gaps, Blocks]:
-    """Classify the gaps from the curvatures eps_2..eps_{m-1}; find the blocks.
+def _classify(d: Dataset, prof: SlopeProfile) -> tuple[Gaps, Blocks, tuple[int, ...]]:
+    """Classify the gaps from the curvatures eps_2..eps_{m-1}; find the blocks
+    and the inflection set (see ``characterize``).
 
     Gap j (2 <= j <= m-2) has curvatures eps_j and eps_{j+1} at its ends.
     A block is a maximal run of free gaps j0..j1; it spans knots
@@ -167,8 +160,10 @@ def _classify(d: Dataset, prof: SlopeProfile) -> tuple[Gaps, Blocks]:
     """
     xs, ys, s, eps = d.xs, d.ys, prof.slopes, prof.curvatures
     left, right = eps[:-1], eps[1:]
+    inflects = np.ones(len(eps) + 1, dtype=bool)
+    inflects[1:-1] = left != right
     code = np.full(len(eps) + 1, END)
-    code[1:-1] = np.where((left == 0) | (right == 0), FLAT, np.where(left == right, FREE, FLIP))
+    code[1:-1] = np.where((left == 0) | (right == 0), FLAT, np.where(inflects[1:-1], FLIP, FREE))
     is_free = code == FREE
     padded = np.concatenate(([False], is_free, [False]))
     edges = np.flatnonzero(padded[1:] != padded[:-1]) + 1
@@ -189,45 +184,45 @@ def _classify(d: Dataset, prof: SlopeProfile) -> tuple[Gaps, Blocks]:
     # read-only, since sampling and membership trust them
     for array in (*vars(gaps).values(), *vars(blocks).values()):
         array.flags.writeable = False
-    return gaps, blocks
+    return gaps, blocks, tuple((np.flatnonzero(inflects) + 1).tolist())
 
 
 def _abs_differences(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
-    """Floats whose exact sum is the exact sum of |hi - lo|.
+    """Two rows of floats whose exact column sums are the exact |hi - lo|.
 
     TwoSum splits hi - lo into its rounded value d and the exact error e;
     |hi - lo| = |d| + sign(d) * e exactly, since |e| is below half an ulp
-    of d.  ``math.fsum`` of these terms is the correctly rounded sum.
+    of d.  ``math.fsum`` of any set of columns is their correctly rounded sum.
     """
     d = hi - lo
     z = d - hi
     e = (hi - (d - z)) - (lo + z)
-    return np.concatenate((np.abs(d), np.sign(d) * e))
+    return np.array((np.abs(d), np.sign(d) * e))
 
 
 def characterize(d: Dataset) -> Characterization:
+    """The gap classes, free blocks, inflection set, C* and f_D of ``d``.
+
+    C* (``minimal_tv``) is the correctly rounded sum of |s_i - s_{i-1}| over
+    the interior points, and ``shortfall`` that of the same terms where
+    eps_i = 0.  The inflection set is gaps 1 and m-1 and every gap whose end
+    curvatures differ; when m = 2 those are one gap, so it is (1,), and C*
+    and the shortfall are 0.  Its sum of |s_b - s_a| over consecutive gaps
+    a < b falls below C* by at most the shortfall: the terms telescope on
+    each run of one strict curvature sign.
+    """
     prof = slope_profile(d)
     s = prof.slopes
-    inflection_set = _inflection_indices(prof.curvatures)
-    adjacent = _abs_differences(s[1:], s[:-1])
-    minimal_tv = math.fsum(adjacent.tolist())
-    inflect = _abs_differences(s[inflection_set[1:] - 1], s[inflection_set[:-1] - 1])
-    disagreement = math.fsum(np.concatenate((adjacent, -inflect)).tolist())
-    # Sub-tolerance slope wiggles (dithered collinear data) make the two sums
-    # differ by a few ulps, which is expected; anything larger is a real
-    # inconsistency.  The adjacent-gap sum is the true TV of the chord
-    # interpolant either way.
-    if abs(disagreement) > allowance(TV_FORMULA_RTOL, minimal_tv):
-        warnings.warn("TV formulas disagree by %.3g on this dataset" % disagreement, RuntimeWarning)
-
-    gaps, blocks = _classify(d, prof)
+    terms = _abs_differences(s[1:], s[:-1])
+    gaps, blocks, inflection_set = _classify(d, prof)
     return Characterization(
         dataset=d,
         profile=prof,
         gaps=gaps,
         blocks=blocks,
-        inflection_set=tuple(inflection_set.tolist()),
-        minimal_tv=minimal_tv,
+        inflection_set=inflection_set,
+        minimal_tv=math.fsum(terms.ravel().tolist()),
+        shortfall=math.fsum(terms[:, prof.curvatures == 0].ravel().tolist()),
         f_D=_chord_interpolant(d, prof),
     )
 

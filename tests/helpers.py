@@ -5,7 +5,6 @@ from __future__ import annotations
 import io
 import json
 import math
-import warnings
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -254,8 +253,9 @@ def restriction_mismatches(
             bad.append((loc, gap))
 
     t0 = _probe_point(fb, gb, lo, hi)
-    dv = abs(evaluate(f, t0) - evaluate(g, t0))
-    if dv > allowance(tol, evaluate(g, t0)):
+    g0 = evaluate(g, t0)
+    dv = abs(evaluate(f, t0) - g0)
+    if dv > allowance(tol, g0):
         bad.append((t0, dv))
     fi, fo = one_sided_slopes(f, t0)
     gi, go = one_sided_slopes(g, t0)
@@ -535,6 +535,7 @@ class CharacterizationReference:
     blocks: tuple[FreeBlock, ...]
     inflection_set: tuple[int, ...]
     minimal_tv: float
+    shortfall: float
     f_D: r.PiecewiseLinear
 
     def to_dict(self) -> dict:
@@ -603,7 +604,7 @@ def characterize_printout_reference(ch) -> str:
 
 def characterize_reference(d: r.Dataset,
                            curvature_tol: float = CURVATURE_RTOL) -> CharacterizationReference:
-    """Gap classification by a loop over the gaps, C* as an exact Fraction sum."""
+    """Gap classification by a loop over the gaps, C* and the shortfall as exact Fraction sums."""
     prof = slope_profile_reference(d, curvature_tol)
     m = d.m
     xs, ys = d.xs, d.ys
@@ -650,12 +651,9 @@ def characterize_reference(d: r.Dataset,
         for j, (kind, reason) in enumerate(kinds, start=1)
     )
     inflection_set = inflection_set_reference(prof.curvatures)
-    adjacent, inflect = tv_sums_exact(s, inflection_set)
-    if abs(adjacent - inflect) > Fraction(1, 10**9) * max(Fraction(1), adjacent):
-        warnings.warn(
-            "TV formulas disagree by %.3g on this dataset" % float(adjacent - inflect),
-            RuntimeWarning,
-        )
+    adjacent, _ = tv_sums_exact(s, inflection_set)
+    shortfall = sum((abs(Fraction(s[i - 1]) - Fraction(s[i - 2])) for i in range(2, m) if eps(i) == 0),
+                    Fraction(0))
     return CharacterizationReference(
         dataset=d,
         profile=prof,
@@ -663,6 +661,7 @@ def characterize_reference(d: r.Dataset,
         blocks=tuple(blocks),
         inflection_set=tuple(inflection_set),
         minimal_tv=float(adjacent),
+        shortfall=float(shortfall),
         f_D=from_knots_reference(points_of(d), s[0], s[-1]),
     )
 

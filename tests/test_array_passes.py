@@ -119,9 +119,17 @@ class TestCharacterize:
             prof, want = r.slope_profile(d), slope_profile_reference(d)
             assert prof.slopes.tolist() == want.slopes.tolist()
             assert prof.curvatures.tolist() == want.curvatures.tolist()
-            assert ch.to_dict() == ref.to_dict()
+            assert ch.to_dict() == ref.to_dict() and ch.shortfall == ref.shortfall
             assert verdicts_of(ch) == ref.verdicts and blocks_of(ch) == ref.blocks
             assert same_pl(ch.f_D, ref.f_D)
+
+    def test_two_points(self):
+        # gaps 1 and m-1 are one gap, which the inflection set holds once
+        d = r.make_dataset([(0.5, 1.0), (2.0, -2.0)])
+        ch, ref = r.characterize(d), characterize_reference(d)
+        assert ch.inflection_set == ref.inflection_set == (1,)
+        assert ch.minimal_tv == ref.minimal_tv == 0.0 and ch.shortfall == ref.shortfall == 0.0
+        assert ch.to_dict() == ref.to_dict() and same_pl(ch.f_D, ref.f_D)
 
     def test_block_ids_probes_and_support_lines(self, cases):
         # the fields that every reader of the blocks shares, against the objects

@@ -1,4 +1,5 @@
 import importlib
+import warnings
 from dataclasses import asdict
 
 import numpy as np
@@ -10,6 +11,7 @@ from helpers import (
     count_calls,
     localized_slope_bounds_reference,
     random_dataset,
+    random_unit_lipschitz_pl,
     tv_formula_pair,
     verdicts_of,
 )
@@ -142,13 +144,29 @@ class TestTvFormulaIdentity:
             adj, infl = tv_formula_pair(random_dataset(rng))
             assert adj == infl
 
-    def test_disagreement_warns(self):
+    def test_shortfall_bounds_the_disagreement(self):
         # chord slopes alternate between 1000 and 1000 + 9e-10: every curvature reads 0,
         # so the inflection sum drops the wiggle the adjacent-gap sum keeps
         slopes = np.where(np.arange(9) % 2, 1000 + 9e-10, 1000.0)
         d = r.Dataset(np.arange(10.0), np.concatenate(([0.0], np.cumsum(slopes))))
-        with pytest.warns(RuntimeWarning, match="TV formulas disagree by 7.2e-09"):
-            r.characterize(d)
+        ch = r.characterize(d)
+        assert ch.shortfall == ch.minimal_tv == 7.1995600592345e-09
+        adj, infl = tv_formula_pair(d)
+        assert float(adj - infl) <= ch.shortfall
+        rng = np.random.default_rng(99)
+        for _ in range(200):  # no zero curvature, so nothing falls short
+            assert r.characterize(random_dataset(rng)).shortfall == 0.0
+
+    @pytest.mark.parametrize("m", [10**3, 10**4, 3 * 10**4])
+    def test_uniform_design_is_quiet(self, m):
+        # the paper's setting: f* sampled at x_i = i/m, where runs of zero
+        # curvature make the two TV formulas differ by up to the shortfall
+        d = r.make_dataset_from(random_unit_lipschitz_pl(np.random.default_rng(4)), m)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ch = r.characterize(d)
+        adj, infl = tv_formula_pair(d)
+        assert float(adj - infl) <= ch.shortfall
 
 
 class TestMembershipFixtures:
