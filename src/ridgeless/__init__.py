@@ -52,6 +52,6 @@ from .plfun import (
     structurally_equal,
     tv_of_derivative,
 )
-from .sample import perturb_to_nonmember, sample_member
+from .sample import member_from_tangents, perturb_to_nonmember, sample_member, tangent_brackets
 
 __version__ = "0.1.0"

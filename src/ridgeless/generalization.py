@@ -23,7 +23,7 @@ import numpy as np
 
 from .characterize import Characterization, localized_slope_bounds
 from .dataset import Dataset
-from .plfun import PiecewiseLinear, _insert_sorted, _window, allowance, evaluate, lipschitz_norm, one_sided_slopes
+from .plfun import PiecewiseLinear, _window, allowance, evaluate, lipschitz_norm
 
 
 # slack of every bound check: allowance(BOUND_TOL, size) for the norms, absolute for the sup error
@@ -156,15 +156,12 @@ def verify_localized_bounds(
     lip_ratio = 0.0
     ok = True
     for k, f in enumerate(members):
-        # the pieces of f on gap i start at x_i and at each kink strictly inside the gap
-        loc = f.x
-        left, right = xs.searchsorted(loc, side="left"), xs.searchsorted(loc, side="right")
-        inner = (left == right) & (left > 0) & (left < xs.size)
-        gap = left[inner]  # 1-based
-        starts = _insert_sorted(xs[:-1], gap, loc[inner])
-        n = 1 + np.bincount(gap - 1, minlength=xs.size - 1)
-        slopes = one_sided_slopes(f, starts)[1]
-        drift = np.maximum.reduceat(np.abs(slopes - np.repeat(s, n)), np.cumsum(n) - n)
+        # the pieces of f on gap i are f.s[first[i]], ..., f.s[first[i] + n[i] - 1]
+        first = f.x.searchsorted(xs[:-1], side="right")
+        n = f.x.searchsorted(xs[1:], side="left") - first + 1
+        start = np.cumsum(n) - n
+        piece = np.arange(n.sum()) + np.repeat(first - start, n)
+        drift = np.maximum.reduceat(np.abs(f.s[piece] - np.repeat(s, n)), start)
         excess = drift - bounds
         i = int(np.argmax(excess))
         if excess[i] > max_excess:

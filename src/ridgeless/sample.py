@@ -3,9 +3,9 @@
 Members are built per free block by drawing one tangent slope per block
 knot from its admissible bracket and taking, on every subinterval, the
 upper (convex block) or lower (concave block) envelope of the two knot
-tangents.  The construction stays inside the family by design, spans the
-chord and the support-line extremes, and is deterministic in
-(seed, dataset).
+tangents.  The construction stays inside the family by design, takes any
+tangents in the brackets (``member_from_tangents``), and is deterministic
+in (seed, dataset).
 
 No distribution on the family is canonical; the uniform-on-bracket draw
 here is an artifact choice, not a derived fact.
@@ -22,6 +22,15 @@ from .plfun import PiecewiseLinear, _insert_sorted, allowance, evaluate, from_kn
 _CROSSING_MARGIN = 1e-12
 
 
+def tangent_brackets(ch: Characterization) -> tuple[np.ndarray, np.ndarray]:
+    """Each block knot's tangent bracket (lo, hi), one entry per ``ch.blocks.knots``
+    entry: the chord slopes of the two gaps that meet at the knot, in order."""
+    knot, s = ch.blocks.knots, ch.profile.slopes
+    s_in, s_out = s[knot - 2], s[knot - 1]
+    swap = s_out < s_in
+    return np.where(swap, s_out, s_in), np.where(swap, s_in, s_out)
+
+
 def sample_member(ch: Characterization, seed: int) -> PiecewiseLinear:
     """Draw one member of the family characterized by ``ch``.
 
@@ -30,32 +39,28 @@ def sample_member(ch: Characterization, seed: int) -> PiecewiseLinear:
     formula, so the same bits, without its per-call overhead.  ``hi - lo`` is
     a slope difference, which ``slope_profile`` keeps finite.
     """
-    knot = ch.blocks.knots
-    if not knot.size:
+    if not ch.blocks.knots.size:
         return ch.f_D
     rng = np.random.default_rng(int(seed) % 2**64)
-    s = ch.profile.slopes
-    s_in, s_out = s[knot - 2], s[knot - 1]
-    swap = s_out < s_in
-    lo, hi = np.where(swap, s_out, s_in), np.where(swap, s_in, s_out)
+    lo, hi = tangent_brackets(ch)
     t = lo + (hi - lo) * rng.random(lo.size)
-    t = np.where(lo > t, lo, t)  # min(max(t, lo), hi)
-    return _member(ch, np.where(hi < t, hi, t))
+    return member_from_tangents(ch, np.where(hi < t, hi, t))  # lo + (hi - lo) * u >= lo already
 
 
-def _member(ch: Characterization, t: np.ndarray) -> PiecewiseLinear:
+def member_from_tangents(ch: Characterization, t) -> PiecewiseLinear:
     """The member whose tangent at knot ``ch.blocks.knots[k]`` has slope ``t[k]``.
 
-    Each tangent must lie in its knot's bracket, between the chord slopes
-    of the two gaps that meet there.  Every tangent at its outgoing chord
-    slope gives the chord; the same with each block's first tangent at
-    its incoming chord slope gives the support-line envelope.
+    Each tangent must lie in its knot's bracket (``tangent_brackets``).  Every
+    tangent at its outgoing chord slope gives the chord; the same with each
+    block's first tangent at its incoming chord slope follows the incoming
+    support line until it meets the next knot's tangent, then the chords.
     """
     d = ch.dataset
     xs, ys = d.xs, d.ys
     s = ch.profile.slopes
+    knot = ch.blocks.knots
     tangent = np.empty(d.m + 1)
-    tangent[ch.blocks.knots] = t
+    tangent[knot] = t
 
     # Free gap j runs from knot j to knot j+1.  The two tangents cross inside it
     # unless they are parallel or cross (numerically) at an end, where the
@@ -75,15 +80,18 @@ def _member(ch: Characterization, t: np.ndarray) -> PiecewiseLinear:
         keep = ~(flat | (xi <= xj + margin) | (xi >= xk - margin)
                  | (share <= _CROSSING_MARGIN) | (share >= 1.0 - _CROSSING_MARGIN))
         yi = yj + tj * (xi - xj)
-    # The crossing of gap j goes between data points j and j+1.  A data point
-    # between two crossed gaps lies on the one tangent both its pieces follow,
-    # so it is no knot; kept, it would close a piece that can be short enough
+    # The crossing of gap j goes between data points j and j+1.  A block knot is
+    # a knot of the member exactly where its two pieces have different slopes:
+    # the knot's tangent on a crossed gap, the chord slope on any other.  Kept
+    # where the pieces agree, it would close a piece that can be short enough
     # for its slope, taken from values, to be noise.
     crossed = gap[keep]
-    on_tangent = crossed[1:][crossed[1:] - crossed[:-1] == 1] - 1  # 0-based data points
-    data = np.ones(d.m, dtype=bool)
-    data[on_tangent] = False
-    knots = _insert_sorted(np.array((xs, ys)).T[data], crossed - on_tangent.searchsorted(crossed),
+    on = np.zeros(d.m + 1, dtype=bool)  # on[j]: gap j is crossed
+    on[crossed] = True
+    slope = tangent[knot]
+    data = np.ones(d.m, dtype=bool)  # the data points that stay knots
+    data[knot - 1] = np.where(on[knot - 1], slope, s[knot - 2]) != np.where(on[knot], slope, s[knot - 1])
+    knots = _insert_sorted(np.array((xs, ys)).T[data], data.cumsum()[crossed - 1],
                            np.array((xi[keep], yi[keep])).T)
     return from_knots(knots, s[0], s[-1])
 

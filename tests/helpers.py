@@ -63,22 +63,17 @@ def points_of(d: r.Dataset) -> tuple[tuple[float, float], ...]:
     return tuple(zip(d.xs.tolist(), d.ys.tolist()))
 
 
-def tangent_brackets(ch: Characterization) -> tuple[np.ndarray, np.ndarray]:
-    """Each block knot's tangent bracket (lo, hi): the chord slopes of the two
-    gaps that meet there, in order."""
-    s, knots = ch.profile.slopes, ch.blocks.knots
-    return np.minimum(s[knots - 2], s[knots - 1]), np.maximum(s[knots - 2], s[knots - 1])
-
-
 def chord_tangents(ch: Characterization) -> np.ndarray:
-    """One tangent per block knot, each at its outgoing chord slope: ``_member``
-    then builds the chord."""
+    """One tangent per block knot, each at its outgoing chord slope:
+    ``member_from_tangents`` then builds the chord."""
     return ch.profile.slopes[ch.blocks.knots - 1]
 
 
 def support_tangents(ch: Characterization) -> np.ndarray:
     """``chord_tangents`` with each block's first tangent at its incoming chord
-    slope: ``_member`` then builds the support-line envelope."""
+    slope: ``member_from_tangents`` then follows the incoming support line
+    until it meets the next knot's tangent, then the chords.  That is the
+    support-line envelope only on a one-gap block."""
     knots, t = ch.blocks.knots, chord_tangents(ch)
     first = knots.searchsorted(ch.blocks.a)
     t[first] = ch.profile.slopes[ch.blocks.a - 2]
@@ -755,9 +750,12 @@ def sample_member_reference(ch: Characterization, seed: int, pin: str | None = N
 
     ``pin="chord"`` puts every tangent at its outgoing chord slope (the
     chord); ``pin="support"`` also puts each block's first tangent at its
-    incoming chord slope (the support-line envelope).  Otherwise
-    ``draw(rng, knot, lo, hi)`` gives each tangent, clipped to [lo, hi];
-    the default is ``rng.uniform(lo, hi)``.
+    incoming chord slope (the incoming support line until it meets the next
+    knot's tangent, then the chords).  Otherwise ``draw(rng, knot, lo, hi)``
+    gives each tangent, clipped to [lo, hi]; the default is
+    ``rng.uniform(lo, hi)``.  A block knot is a knot of the member exactly
+    where its two pieces have different slopes: the knot's tangent on a
+    crossed gap, the gap's chord slope otherwise.
     """
     rng = np.random.default_rng(int(seed) % 2**64)
     draw = draw or (lambda rng, knot, lo, hi: float(rng.uniform(lo, hi)))
@@ -770,9 +768,9 @@ def sample_member_reference(ch: Characterization, seed: int, pin: str | None = N
 
     knots: list[tuple[float, float]] = []
     crossed: set[int] = set()
+    tangents: dict[int, float] = {}
     for blk in blocks:
         a, b = blk.knot_range
-        tangents: dict[int, float] = {}
         for j in range(a, b + 1):
             lo, hi = sorted((s[j - 2], s[j - 1]))
             if pin == "chord":
@@ -790,8 +788,14 @@ def sample_member_reference(ch: Characterization, seed: int, pin: str | None = N
             if knot is not None:
                 knots.append(knot)
                 crossed.add(j)
-    # data point i lies between gaps i-1 and i; on two crossed gaps it is no kink
-    knots += [p for i, p in enumerate(points_of(d), start=1) if not {i - 1, i} <= crossed]
+
+    def piece_slope(i: int, gap: int) -> float:
+        """The member's slope on ``gap`` next to block knot i."""
+        return tangents[i] if gap in crossed else s[gap - 1]
+
+    # data point i lies between gaps i-1 and i
+    knots += [p for i, p in enumerate(points_of(d), start=1)
+              if i not in tangents or piece_slope(i, i - 1) != piece_slope(i, i)]
     knots.sort()
     return from_knots_reference(knots, s[0], s[-1])
 

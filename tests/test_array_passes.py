@@ -20,7 +20,6 @@ import ridgeless.oracle as oracle
 import ridgeless.plfun as plfun
 from ridgeless.characterize import FREE
 from ridgeless.cli import main, render_svg
-from ridgeless.sample import _member
 from helpers import (
     blocks_of,
     canonical_reference,
@@ -38,7 +37,6 @@ from helpers import (
     sample_member_reference,
     slope_profile_reference,
     support_tangents,
-    tangent_brackets,
     tv_formula_pair,
     verdicts_of,
     verify_localized_bounds_reference,
@@ -88,12 +86,12 @@ def skewed(lo, hi, u):
 
 def skewed_tangents(ch: r.Characterization, seed: int) -> np.ndarray:
     """``skewed`` at every block knot, one uniform per knot in knot order, clipped."""
-    lo, hi = tangent_brackets(ch)
+    lo, hi = r.tangent_brackets(ch)
     u = np.random.default_rng(seed % 2**64).uniform(size=lo.size)
     return np.clip(skewed(lo, hi, u), lo, hi)
 
 
-# tangents for _member, and the reference sampler's matching pin or draw
+# tangents for member_from_tangents, and the reference sampler's matching pin or draw
 TANGENTS = (
     (lambda ch, seed: chord_tangents(ch), {"pin": "chord"}),
     (lambda ch, seed: support_tangents(ch), {"pin": "support"}),
@@ -285,7 +283,7 @@ class TestSample:
         for seed, (_, ch, ref) in enumerate(cases):
             assert same_pl(r.sample_member(ch, seed), sample_member_reference(ref, seed)), seed
             for tangents, mode in TANGENTS:
-                assert same_pl(_member(ch, tangents(ch, seed)),
+                assert same_pl(r.member_from_tangents(ch, tangents(ch, seed)),
                                sample_member_reference(ref, seed, **mode)), (seed, mode)
 
     def test_perturbation_matches_the_block_loop(self, cases):
@@ -474,7 +472,7 @@ class TestNoObjectLayer:
             assert len(f.breakpoints) == f.x.size
 
     def test_one_sampler_and_no_point_tuples(self):
-        # the family's extremes are tangent arrays handed to sample._member,
+        # the family's extremes are tangent arrays handed to member_from_tangents,
         # and a dataset is its two arrays only
         assert not hasattr(r, "SampleKnobs")
         assert list(inspect.signature(r.sample_member).parameters) == ["ch", "seed"]

@@ -15,7 +15,6 @@ from helpers import (
     support_tangents,
 )
 from ridgeless.plfun import canonical, from_knots, lipschitz_norm
-from ridgeless.sample import _member
 
 
 def identity_pl():
@@ -179,7 +178,7 @@ class TestSupError:
             d = r.make_dataset_from(f_star, xs)
             ch = r.characterize(d)
             members = [r.sample_member(ch, int(rng.integers(2**31))) for _ in range(10)]
-            members += [_member(ch, chord_tangents(ch)), _member(ch, support_tangents(ch))]
+            members += [r.member_from_tangents(ch, t(ch)) for t in (chord_tangents, support_tangents)]
             rep = r.verify_sup_error(f_star, d, members)
             assert rep.passed and rep.exact_max <= rep.bound, (design, m)
             assert rep.grid_max <= rep.exact_max + 1e-12

@@ -7,8 +7,8 @@ from helpers import (
     random_dataset,
     sample_member_reference,
     support_tangents,
-    tangent_brackets,
 )
+from ridgeless.characterize import support_envelope
 from ridgeless.plfun import (
     canonical,
     evaluate,
@@ -18,11 +18,10 @@ from ridgeless.plfun import (
     to_json,
     tv_of_derivative,
 )
-from ridgeless.sample import _member
 
 
 def prescribed(ch, values):
-    """Tangents for ``_member``: fixed slopes keyed by knot index."""
+    """Tangents for ``member_from_tangents``: fixed slopes keyed by knot index."""
     return np.array([values[j] for j in ch.blocks.knots.tolist()])
 
 
@@ -41,31 +40,40 @@ class TestSampleMember:
 
     def test_prescribed_tangents_hit_hand_member(self, dataset_a):
         ch = r.characterize(dataset_a)
-        f = _member(ch, prescribed(ch, {2: 0.5, 3: 1.5}))
+        f = r.member_from_tangents(ch, prescribed(ch, {2: 0.5, 3: 1.5}))
         expected = from_knots([(0, 0), (1, 0), (1.5, 0.25), (2, 1), (3, 3)], 0.0, 2.0)
         assert structurally_equal(f, expected)
 
     def test_degenerate_tangents_reproduce_chord(self, dataset_a):
         ch = r.characterize(dataset_a)
-        assert structurally_equal(_member(ch, prescribed(ch, {2: 1.0, 3: 1.0})), ch.f_D)
+        assert structurally_equal(r.member_from_tangents(ch, prescribed(ch, {2: 1.0, 3: 1.0})), ch.f_D)
 
     def test_chord_pin_gives_fd(self):
         for d in small_and_large(np.random.default_rng(31)):
             ch = r.characterize(d)
-            f = _member(ch, chord_tangents(ch))
+            f = r.member_from_tangents(ch, chord_tangents(ch))
             assert structurally_equal(f, ch.f_D), d.m
 
     def test_support_pin_is_support_envelope_on_single_gap_block(self, dataset_a):
         ch = r.characterize(dataset_a)
-        f = _member(ch, support_tangents(ch))
+        f = r.member_from_tangents(ch, support_tangents(ch))
         # max of the two support lines: flat until they cross at 1.5, then slope 2
         expected = canonical((1.0, 0.0), 0.0, [(1.5, 2.0)])
         assert structurally_equal(f, expected)
 
+    def test_support_pin_leaves_the_envelope_on_longer_blocks(self):
+        # one block over knots 2..4: the support pin follows the chord of gap 3,
+        # and the envelope misses the data point (2, 0.5), so it is no member
+        ch = r.characterize(r.make_dataset([(0, 0), (1, 0), (2, 0.5), (3, 2), (4, 4.5), (5, 7)]))
+        assert (ch.blocks.a.tolist(), ch.blocks.b.tolist()) == ([2], [4])
+        f = r.member_from_tangents(ch, support_tangents(ch))
+        assert evaluate(f, 2.5) == 1.25
+        assert support_envelope(ch, np.zeros(2, dtype=int), np.array([2.0, 2.5])).tolist() == [0.0, 0.75]
+
     def test_support_pin_is_member(self):
         for d in small_and_large(np.random.default_rng(13)):
             ch = r.characterize(d)
-            f = _member(ch, support_tangents(ch))
+            f = r.member_from_tangents(ch, support_tangents(ch))
             assert r.check_membership_against(ch, f).is_member, d.m
 
     def test_bracket_end_tangents_give_members(self):
@@ -74,15 +82,43 @@ class TestSampleMember:
         rng = np.random.default_rng(29)
         for d in small_and_large(rng):
             ch = r.characterize(d)
-            lo, hi = tangent_brackets(ch)
+            lo, hi = r.tangent_brackets(ch)
             upper = rng.uniform(size=lo.size) < 0.5
-            f = _member(ch, np.where(upper, hi, lo))
+            f = r.member_from_tangents(ch, np.where(upper, hi, lo))
             rep = r.check_membership_against(ch, f)
             assert rep.direct_pass and rep.tv_pass, (d.m, rep.violations[:3])
             end = dict(zip(ch.blocks.knots.tolist(), upper.tolist()))
             g = sample_member_reference(ch, 0, draw=lambda rng, j, lo, hi: hi if end[j] else lo)
             assert ((f.anchor, f.left_slope, f.x.tolist(), f.c.tolist(), f.y.tolist())
                     == (g.anchor, g.left_slope, g.x.tolist(), g.c.tolist(), g.y.tolist())), d.m
+
+    def test_alternating_tangents_leave_no_sliver_knot(self):
+        # tangents alternating between the incoming and the outgoing chord slope
+        # make every other gap a chord; a crossing landing just short of a block
+        # knot once left a kink there (jumps -3.06e-11 at m = 45, 4.19e-11 at m = 30)
+        rng = np.random.default_rng(11)
+        members = 0
+        for _ in range(300):
+            d = random_dataset(rng, int(rng.integers(3, 60)))
+            ch = r.characterize(d)
+            knots, s, xs = ch.blocks.knots, ch.profile.slopes, d.xs
+            if not knots.size:
+                continue
+            parity = (knots - ch.blocks.a[ch.blocks.knot_block]) % 2
+            for start in (0, 1):
+                t = np.where(parity == start, s[knots - 2], s[knots - 1])
+                f = r.member_from_tangents(ch, t)
+                rep = r.check_membership_against(ch, f)
+                assert rep.direct_pass and rep.tv_pass, (d.m, start, rep.violations[:3])
+                # a gap is crossed where f kinks strictly inside it; next to a
+                # block knot, f then follows the knot's tangent, else the chord
+                inner = f.x.searchsorted(xs[1:], side="left") - f.x.searchsorted(xs[:-1], side="right")
+                left = np.where(inner[knots - 2] > 0, t, s[knots - 2])
+                right = np.where(inner[knots - 1] > 0, t, s[knots - 1])
+                sliver = np.isin(xs[knots - 1], f.x) & (left == right)
+                assert not sliver.any(), (d.m, start, xs[knots - 1][sliver])
+                members += 1
+        assert members == 560
 
     def test_deterministic_in_seed(self):
         rng = np.random.default_rng(17)
