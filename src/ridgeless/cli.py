@@ -43,6 +43,31 @@ def fmt(v: float) -> str:
     return f"{float(v):.17g}"
 
 
+# the "{:.3f}" text of q / 1000 is _INT[q // 1000] + _FRAC[q % 1000]; 999.9996 prints 1000.000
+_INT = np.array([str(k) for k in range(1001)], dtype=object)
+_FRAC = np.array([f".{k:03d}" for k in range(1000)], dtype=object)
+_BITS_1000 = int(np.float64(1000.0).view(np.int64))  # x in [+0.0, 1000] iff bits in [0, this]
+
+
+def _pixel_text(x, y, head: str = "", mid: str = ",", tail: str = "") -> list[str]:
+    """``f"{head}{x:.3f}{mid}{y:.3f}{tail}"`` per point, x and y in [+0.0, 1000] or DatasetError:
+    x * 1000 = n / 2**shift, n < 2**63 by ``frexp``, rounded half to even as ``str.format`` does."""
+    cols = []
+    for v, pre, post in ((x, head, mid), (y, "", tail)):
+        bits = v.view(np.int64)
+        if bits.size and not 0 <= bits.min() <= bits.max() <= _BITS_1000:
+            raise DatasetError("plot: a pixel is not a number in [0, 1000]; the x or y range overflows")
+        mant, exp = np.frexp(v)
+        shift = 53 - exp.astype(np.int64)
+        n = np.where(shift > 63, 0, (mant * 2.0**53).astype(np.int64) * 1000)  # x * 1000 < 1/2 where shift > 63
+        q = n >> np.minimum(shift, 63, out=shift)
+        rest, half = n - (q << shift), np.int64(1) << (shift - 1)
+        whole, frac = np.divmod(q + ((rest > half) | ((rest == half) & (q % 2 == 1))), 1000)
+        cols += [(pre + _INT)[whole].tolist(), (_FRAC + post)[frac].tolist()]
+        del mant, exp, shift, n, q, rest, half, whole, frac  # this row's arrays, before the next's
+    return list(map("".join, zip(*cols)))
+
+
 def _error(code: int, kind: str, message: str) -> int:
     print(f"error code={code} kind={kind} message={json.dumps(message)}", file=sys.stderr)
     return code
@@ -81,9 +106,7 @@ def _as_dict(report) -> dict:
 def _write_or_print(text: str, out: str | Path | None) -> None:
     if out:
         Path(out).write_text(text)
-        print(f"wrote {out}")
-    else:
-        print(text)
+    print(f"wrote {out}" if out else text)
 
 
 def cmd_characterize(args) -> int:
@@ -180,13 +203,13 @@ def cmd_bound(args) -> int:
 
 
 def cmd_plot(args) -> int:
-    d = load_dataset(args.data)
-    ch = characterize(d)
+    ch = characterize(load_dataset(args.data))
     members = [sample_member(ch, seed=args.seed + k) for k in range(args.members)]
     _write_or_print(render_svg(ch, members), args.out)
     return 0
 
 
+@np.errstate(all="ignore")  # _pixel_text rejects the non-finite pixels of an overflowing range
 def render_svg(ch, members) -> str:
     """Static picture of the data, chords, block envelopes and members.
 
@@ -196,8 +219,7 @@ def render_svg(ch, members) -> str:
     reuses its envelope's points, reversed.
     """
     width, height = 800, 500  # pixels
-    d = ch.dataset
-    xs, ys = d.xs, d.ys
+    xs, ys = ch.dataset.xs, ch.dataset.ys
     pad = 0.08 * (xs[-1] - xs[0])
     lo, hi = float(xs[0] - pad), float(xs[-1] + pad)
     curves = []
@@ -223,11 +245,11 @@ def render_svg(ch, members) -> str:
     ymin, ymax = ymin - ypad, ymax + ypad
     margin = 40.0
 
-    def pixels(x, y, template: str = "{:.3f},{:.3f}") -> list[str]:
-        """``template`` formatted with each point mapped to pixel coordinates."""
+    def pixels(x, y, *template: str) -> list[str]:
+        """``_pixel_text`` of each point mapped to pixel coordinates."""
         px = margin + (x - lo) / (hi - lo) * (width - 2 * margin)
         py = height - margin - (y - ymin) / (ymax - ymin) * (height - 2 * margin)
-        return list(map(template.format, px.tolist(), py.tolist()))
+        return _pixel_text(px, py, *template)
 
     def polyline(points: list[str], style: str) -> str:
         return f'<polyline points="{" ".join(points)}" fill="none" {style}/>'
@@ -248,7 +270,7 @@ def render_svg(ch, members) -> str:
     parts += [polyline(sup, 'stroke="#2a7fff" stroke-width="1" stroke-dasharray="5,4"')
               for sup in support]
     parts.append(polyline(pixels(*curves[0]), 'stroke="#d62728" stroke-width="2"'))
-    parts += pixels(xs, ys, '<circle cx="{:.3f}" cy="{:.3f}" r="4" fill="black"/>')
+    parts += pixels(xs, ys, '<circle cx="', '" cy="', '" r="4" fill="black"/>')
     parts.append(
         f'<text x="{margin:.0f}" y="{margin - 12:.0f}" font-family="monospace" '
         f'font-size="14">minimal TV = {fmt(ch.minimal_tv)}</text>'

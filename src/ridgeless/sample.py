@@ -44,17 +44,25 @@ def sample_member(ch: Characterization, seed: int) -> PiecewiseLinear:
     rng = np.random.default_rng(int(seed) % 2**64)
     lo, hi = tangent_brackets(ch)
     t = lo + (hi - lo) * rng.random(lo.size)
-    return member_from_tangents(ch, np.where(hi < t, hi, t))  # lo + (hi - lo) * u >= lo already
+    return _member(ch, np.where(hi < t, hi, t))  # lo + (hi - lo) * u >= lo already
 
 
 def member_from_tangents(ch: Characterization, t) -> PiecewiseLinear:
     """The member whose tangent at knot ``ch.blocks.knots[k]`` has slope ``t[k]``.
 
-    Each tangent must lie in its knot's bracket (``tangent_brackets``).  Every
-    tangent at its outgoing chord slope gives the chord; the same with each
-    block's first tangent at its incoming chord slope follows the incoming
+    ``t`` holds one tangent per block knot, each in its closed bracket (``tangent_brackets``),
+    or ``ValueError`` is raised.  Every tangent at its outgoing chord slope gives the chord;
+    the same with each block's first tangent at its incoming chord slope follows the incoming
     support line until it meets the next knot's tangent, then the chords.
     """
+    t, (lo, hi) = np.asarray(t, dtype=float), tangent_brackets(ch)
+    if t.shape != lo.shape or not ((lo <= t) & (t <= hi)).all():
+        raise ValueError(f"need {lo.size} tangents, each in its knot's bracket (tangent_brackets)")
+    return _member(ch, t)
+
+
+def _member(ch: Characterization, t: np.ndarray) -> PiecewiseLinear:
+    """``member_from_tangents`` without its check of ``t``."""
     d = ch.dataset
     xs, ys = d.xs, d.ys
     s = ch.profile.slopes

@@ -2,17 +2,21 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 import xml.etree.ElementTree as ET
 from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ridgeless as r
 import ridgeless.oracle
 from helpers import count_calls, random_dataset
-from ridgeless.cli import build_parser, main
+from ridgeless.cli import _pixel_text, build_parser, main
+from ridgeless.dataset import DatasetError
 from ridgeless.plfun import from_json, from_knots, structurally_equal, to_json
 
 
@@ -246,6 +250,57 @@ class TestPlotCommand:
             assert root.tag.endswith("svg")
             meta = root.find("{http://www.w3.org/2000/svg}metadata")
             assert json.loads(meta.text)["minimal_tv"] == tv
+
+    def test_overflowing_range_is_a_format_error(self, capsys, tmp_path):
+        # the x span overflows, or f_D's tail and with it the y span: both once wrote nan pixels
+        for rows in ("-1e308,0\n0,1\n1e308,0\n", "0,0\n1e-300,1e8\n1e300,0\n"):
+            data, dest = tmp_path / "data.csv", tmp_path / "plot.svg"
+            data.write_text(rows)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                code, out, err = run(capsys, ["plot", str(data), "--out", str(dest)])
+            assert (code, out, caught) == (2, "", []) and not dest.exists(), rows
+            assert err.startswith("error code=2 kind=format"), err
+
+
+def format_reference(x, y) -> list[str]:
+    return list(map("{:.3f},{:.3f}".format, x.tolist(), y.tolist()))
+
+
+class TestPixelText:
+    """``_pixel_text`` writes ``"{:.3f}"`` of every value in [+0.0, 1000] and rejects the rest."""
+
+    def test_matches_str_format(self):
+        rng = np.random.default_rng(3)
+        ties = np.arange(1, 16000, 2) / 16  # v * 1000 = 62.5 k: half-way between thousandths
+        values = np.concatenate([
+            ties, np.nextafter(ties, 0), np.nextafter(ties, 1000),
+            rng.uniform(0, 1000, 10**6), rng.uniform(0, 0.003, 10**5),
+            [0.0, 5e-324, 1e-310, 2.0**-1022, 2.0**-11, 2.0**-10, 1000.0],
+            np.nextafter(999.9995, [0, 1000]), [999.9995],
+        ])
+        for chunk in np.array_split(values, 10):
+            other = chunk[::-1].copy()
+            assert _pixel_text(chunk, other) == format_reference(chunk, other)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(st.floats(0, 1000), st.floats(0, 1000)), min_size=1, max_size=40))
+    def test_matches_str_format_on_drawn_values(self, points):
+        x, y = np.array(points).T
+        assert _pixel_text(x, y) == format_reference(x, y)
+
+    def test_template_and_carry(self):
+        assert _pixel_text(np.array([999.9996, 0.0]), np.array([40.0, 2.0**-10]),
+                           '<c x="', '" y="', '"/>') == ['<c x="1000.000" y="40.000"/>',
+                                                         '<c x="0.000" y="0.001"/>']
+        assert _pixel_text(np.array([]), np.array([])) == []
+
+    def test_rejects_values_outside_the_range(self):
+        # -0.0 would print "-0.000"; the rest are not finite or out of [0, 1000]
+        for bad in (np.nan, np.inf, -np.inf, -0.0, -1e-300, -1.0, np.nextafter(1000.0, 2000.0), 1e308):
+            for x, y in ((bad, 500.0), (500.0, bad)):
+                with pytest.raises(DatasetError, match="not a number in"):
+                    _pixel_text(np.array([40.0, x]), np.array([40.0, y]))
 
 
 class TestCachedParser:

@@ -48,6 +48,14 @@ class TestSampleMember:
         ch = r.characterize(dataset_a)
         assert structurally_equal(r.member_from_tangents(ch, prescribed(ch, {2: 1.0, 3: 1.0})), ch.f_D)
 
+    def test_tangents_checked_against_their_brackets(self, dataset_a):
+        ch = r.characterize(dataset_a)  # brackets [0, 1] and [1, 2]
+        for t in ([0.5], [5.0, -3.0], [0.5, 1.5, 1.5], [np.nan, 1.5], [0.5, 2.0 + 1e-15]):
+            with pytest.raises(ValueError, match="tangent_brackets"):
+                r.member_from_tangents(ch, t)
+        for t in (*r.tangent_brackets(ch), chord_tangents(ch), support_tangents(ch), [0.5, 1.5]):
+            assert r.check_membership_against(ch, r.member_from_tangents(ch, t)).is_member, t
+
     def test_chord_pin_gives_fd(self):
         for d in small_and_large(np.random.default_rng(31)):
             ch = r.characterize(d)
