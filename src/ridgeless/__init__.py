@@ -52,6 +52,7 @@ from .plfun import (
     structurally_equal,
     tv_of_derivative,
 )
-from .sample import member_from_tangents, perturb_to_nonmember, sample_member, tangent_brackets
+from .sample import (member_from_tangents, perturb_to_nonmember, sample_member, sample_members,
+                     tangent_brackets)
 
 __version__ = "0.1.0"

@@ -27,7 +27,7 @@ from .generalization import (make_dataset_from, verify_lip_domination, verify_lo
                              verify_sup_error)
 from .oracle import DEFAULT_CERTIFY_TOL, DEFAULT_GRID_POINTS_PER_GAP, OracleError, certify
 from .plfun import evaluate, tv_of_derivative
-from .sample import sample_member
+from . import sample
 
 
 class UsageError(Exception):
@@ -153,9 +153,11 @@ def cmd_sample(args) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     to_json = plfun.to_json if args.n < 2 else plfun._json_like(ch.f_D)  # members are f_D off free blocks
-    for k in range(args.n):
-        f = sample_member(ch, seed=args.seed + k)
-        _write_or_print(to_json(f), out_dir / f"member-{k:04d}.json")
+    step = sample._rows_per_pass(d.m)  # members held at once
+    for lo in range(0, args.n, step):
+        seeds = range(args.seed + lo, args.seed + min(lo + step, args.n))
+        for k, f in enumerate(sample.sample_members(ch, seeds), lo):
+            _write_or_print(to_json(f), out_dir / f"member-{k:04d}.json")
     return 0
 
 
@@ -194,7 +196,7 @@ def cmd_bound(args) -> int:
     # --m gives the uniform design; without it the data file supplies the design
     d = make_dataset_from(f_star, args.m if args.m is not None else load_dataset(args.data).xs)
     ch = characterize(d)
-    members = [sample_member(ch, seed=args.seed + k) for k in range(args.members)]
+    members = sample.sample_members(ch, range(args.seed, args.seed + args.members))
     reports = {"lip_domination": verify_lip_domination(ch, members, plfun.lipschitz_norm(f_star)),
                "localized": verify_localized_bounds(ch, members),
                "sup_error": verify_sup_error(f_star, d, members)}
@@ -204,7 +206,7 @@ def cmd_bound(args) -> int:
 
 def cmd_plot(args) -> int:
     ch = characterize(load_dataset(args.data))
-    members = [sample_member(ch, seed=args.seed + k) for k in range(args.members)]
+    members = sample.sample_members(ch, range(args.seed, args.seed + args.members))
     _write_or_print(render_svg(ch, members), args.out)
     return 0
 

@@ -96,19 +96,14 @@ def verify_sup_error(
     The maximum is computed exactly at the union of kinks (the difference
     of two PL functions is PL, so its extrema sit at kinks or interval
     ends) and cross-checked from below on SUP_GRID_POINTS_PER_GAP * m + 1
-    evenly spaced points of [0, 1].
+    evenly spaced points of [0, 1] (see ``_grid_errors``).
     """
     xs = d.xs
     h = max(0.0, float(xs[0]), float(np.max(np.diff(xs))) / 2, 1.0 - float(xs[-1]))
     bound = 2.0 * lipschitz_norm(f_star) * h
     dense = np.linspace(0.0, 1.0, SUP_GRID_POINTS_PER_GAP * d.m + 1)
-    star_dense = np.atleast_1d(evaluate(f_star, dense))
-
-    errors, grid_max = [], 0.0
-    for f in members:
-        errors.append(sup_error(f, f_star, 0.0, 1.0))
-        gerr = float(np.max(np.abs(np.atleast_1d(evaluate(f, dense)) - star_dense)))
-        grid_max = max(grid_max, gerr)
+    errors = [sup_error(f, f_star, 0.0, 1.0) for f in members]
+    grid_max = max([0.0, *_grid_errors(members, dense, np.atleast_1d(evaluate(f_star, dense)))])
     worst = int(np.argmax(errors)) if errors else -1
     exact_max = max(errors) if errors else 0.0
     return SupErrorReport(
@@ -119,6 +114,52 @@ def verify_sup_error(
         worst_member=worst,
         passed=exact_max <= bound + BOUND_TOL,
     )
+
+
+def _grid_errors(members: Sequence[PiecewiseLinear], dense: np.ndarray, star: np.ndarray) -> list[float]:
+    """max |f - f_star| over the points ``dense`` for each member f, where ``star`` is f_star there.
+
+    The first member is evaluated at every point and its maximum kept per
+    piece: the left tail, each [x_i, x_{i+1}) between consecutive kinks, and
+    the right tail from the last kink on.  ``evaluate`` reads a piece only
+    through its bounding kinks (x, y) and, on a tail, its end slope (the
+    other tail terms add a zero, whose sign the absolute error drops).  So
+    a later member is evaluated only on the pieces where those bits differ,
+    and its maximum, a maximum of the same floats, is the same float.
+    """
+    if not members:
+        return []
+    first = members[0]
+    err = np.abs(np.atleast_1d(evaluate(first, dense)) - star)
+    begin = np.concatenate(([0], dense.searchsorted(first.x)))  # each piece's first point
+    size = np.diff(begin, append=dense.size)
+    filled = size > 0
+    piece_max = np.maximum.reduceat(err, begin[filled])
+    errors = [float(err.max())]
+    for f in members[1:]:
+        shared = _shared_pieces(first, f)
+        redo = filled & ~shared
+        n = size[redo]
+        at = np.arange(n.sum()) + np.repeat(begin[redo] - (np.cumsum(n) - n), n)
+        rest = np.abs(np.atleast_1d(evaluate(f, dense[at])) - star[at])
+        errors.append(float(np.concatenate((piece_max[shared[filled]], rest)).max()))
+    return errors
+
+
+def _shared_pieces(g: PiecewiseLinear, f: PiecewiseLinear) -> np.ndarray:
+    """Which pieces of g (as in ``_grid_errors``) f has bit for bit: the bounding kinks,
+    consecutive kinks of f too, and at a tail the end slope."""
+    shared = np.zeros(g.x.size + 1, dtype=bool)
+    if not (g.x.size and f.x.size):
+        return shared
+    at = np.minimum(f.x.searchsorted(g.x), f.x.size - 1)  # f's kink at each of g's, if it has one
+    same = ((f.x[at].view(np.int64) == g.x.view(np.int64))
+            & (f.y[at].view(np.int64) == g.y.view(np.int64)))
+    ends = f.s[[0, -1]].view(np.int64) == g.s[[0, -1]].view(np.int64)
+    shared[0] = same[0] & (at[0] == 0) & ends[0]
+    shared[1:-1] = same[:-1] & same[1:] & (at[1:] - at[:-1] == 1)
+    shared[-1] = same[-1] & (at[-1] == f.x.size - 1) & ends[1]
+    return shared
 
 
 def sup_error(f: PiecewiseLinear, g: PiecewiseLinear, lo: float, hi: float) -> float:
@@ -146,38 +187,31 @@ def verify_localized_bounds(
     member and gap by gap.
     """
     bounds = localized_slope_bounds(ch)
-    limit = allowance(BOUND_TOL, bounds)
+    if not members:
+        return LocalizedBoundReport(tuple(bounds.tolist()), 0.0, 0.0, -1, -1, True)
     fd_norm = lipschitz_norm(ch.f_D)
     xs = ch.dataset.xs
     s = ch.profile.slopes
 
-    max_excess = -math.inf
-    worst_member = worst_gap = -1
-    lip_ratio = 0.0
-    ok = True
-    for k, f in enumerate(members):
-        # the pieces of f on gap i are f.s[first[i]], ..., f.s[first[i] + n[i] - 1]
-        first = f.x.searchsorted(xs[:-1], side="right")
-        n = f.x.searchsorted(xs[1:], side="left") - first + 1
-        start = np.cumsum(n) - n
-        piece = np.arange(n.sum()) + np.repeat(first - start, n)
-        drift = np.maximum.reduceat(np.abs(f.s[piece] - np.repeat(s, n)), start)
-        excess = drift - bounds
-        i = int(np.argmax(excess))
-        if excess[i] > max_excess:
-            max_excess, worst_member, worst_gap = float(excess[i]), k, i + 1
-        if (excess > limit).any():
-            ok = False
-        norm = lipschitz_norm(f)
-        ratio = norm / fd_norm if fd_norm > 0 else 0.0
-        lip_ratio = max(lip_ratio, ratio)
-        if norm > 7.0 * fd_norm + allowance(BOUND_TOL, fd_norm):
-            ok = False
+    # all the members' slopes one after another; member k's pieces on gap i
+    # are slopes first[k, i], ..., first[k, i] + n[k, i] - 1
+    slopes = np.concatenate([f.s for f in members])
+    offset = np.cumsum([0] + [f.s.size for f in members[:-1]])
+    first = np.array([f.x.searchsorted(xs[:-1], side="right") for f in members])
+    n = (np.array([f.x.searchsorted(xs[1:], side="left") for f in members]) - first + 1).ravel()
+    start = np.cumsum(n) - n
+    piece = np.arange(n.sum()) + np.repeat((first + offset[:, None]).ravel() - start, n)
+    drift = np.maximum.reduceat(np.abs(slopes[piece] - np.repeat(np.tile(s, len(members)), n)), start)
+    excess = drift.reshape(len(members), -1) - bounds
+    worst = int(np.argmax(excess))  # the first strict maximum, member by member, then gap by gap
+    norms = np.maximum.reduceat(np.abs(slopes), offset)
+    ok = not ((excess > allowance(BOUND_TOL, bounds)).any()
+              or (norms > 7.0 * fd_norm + allowance(BOUND_TOL, fd_norm)).any())
     return LocalizedBoundReport(
         gap_bounds=tuple(bounds.tolist()),
-        max_excess=max_excess if members else 0.0,
-        lip_ratio=lip_ratio,
-        worst_member=worst_member,
-        worst_gap=worst_gap,
+        max_excess=float(excess.flat[worst]),
+        lip_ratio=max(0.0, *(norms / fd_norm).tolist()) if fd_norm > 0 else 0.0,
+        worst_member=worst // excess.shape[1],
+        worst_gap=worst % excess.shape[1] + 1,
         passed=ok,
     )

@@ -13,6 +13,8 @@ here is an artifact choice, not a derived fact.
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
 
 from .characterize import FREE, Characterization
@@ -20,6 +22,9 @@ from .plfun import PiecewiseLinear, _insert_sorted, allowance, evaluate, from_kn
 
 # relative margin below which a tangent crossing collapses onto the chord
 _CROSSING_MARGIN = 1e-12
+# data points in all the rows of one pass of _members: a pass's largest array,
+# two knot candidates of two coordinates per point, is about 1 MB at any m
+_PASS_POINTS = 2**15
 
 
 def tangent_brackets(ch: Characterization) -> tuple[np.ndarray, np.ndarray]:
@@ -31,20 +36,26 @@ def tangent_brackets(ch: Characterization) -> tuple[np.ndarray, np.ndarray]:
     return np.where(swap, s_out, s_in), np.where(swap, s_in, s_out)
 
 
-def sample_member(ch: Characterization, seed: int) -> PiecewiseLinear:
-    """Draw one member of the family characterized by ``ch``.
+def sample_members(ch: Characterization, seeds: Sequence[int]) -> list[PiecewiseLinear]:
+    """Draw one member of the family characterized by ``ch`` per seed.
 
-    Every tangent of the dataset comes from one ``rng.random`` call, in
-    knot order, as ``lo + (hi - lo) * u``: numpy's own ``rng.uniform(lo, hi)``
-    formula, so the same bits, without its per-call overhead.  ``hi - lo`` is
-    a slope difference, which ``slope_profile`` keeps finite.
+    Each seed's tangents come from one ``rng.random`` call of its own
+    ``default_rng``, in knot order, as ``lo + (hi - lo) * u``: numpy's own
+    ``rng.uniform(lo, hi)`` formula, so the same bits, without its per-call
+    overhead.  ``hi - lo`` is a slope difference, which ``slope_profile``
+    keeps finite.
     """
-    if not ch.blocks.knots.size:
-        return ch.f_D
-    rng = np.random.default_rng(int(seed) % 2**64)
+    if not (ch.blocks.knots.size and len(seeds)):
+        return [ch.f_D] * len(seeds)
     lo, hi = tangent_brackets(ch)
-    t = lo + (hi - lo) * rng.random(lo.size)
-    return _member(ch, np.where(hi < t, hi, t))  # lo + (hi - lo) * u >= lo already
+    u = np.array([np.random.default_rng(int(seed) % 2**64).random(lo.size) for seed in seeds])
+    t = lo + (hi - lo) * u
+    return _members(ch, np.where(hi < t, hi, t))  # lo + (hi - lo) * u >= lo already
+
+
+def sample_member(ch: Characterization, seed: int) -> PiecewiseLinear:
+    """Draw one member of the family characterized by ``ch``: ``sample_members``' one-seed case."""
+    return sample_members(ch, (seed,))[0]
 
 
 def member_from_tangents(ch: Characterization, t) -> PiecewiseLinear:
@@ -58,17 +69,25 @@ def member_from_tangents(ch: Characterization, t) -> PiecewiseLinear:
     t, (lo, hi) = np.asarray(t, dtype=float), tangent_brackets(ch)
     if t.shape != lo.shape or not ((lo <= t) & (t <= hi)).all():
         raise ValueError(f"need {lo.size} tangents, each in its knot's bracket (tangent_brackets)")
-    return _member(ch, t)
+    return _members(ch, t[None])[0]
 
 
-def _member(ch: Characterization, t: np.ndarray) -> PiecewiseLinear:
-    """``member_from_tangents`` without its check of ``t``."""
-    d = ch.dataset
+def _rows_per_pass(m: int) -> int:
+    """Rows of one pass of ``_members`` on m data points: ``_PASS_POINTS`` points, at least one row."""
+    return _PASS_POINTS // m or 1
+
+
+def _members(ch: Characterization, t: np.ndarray) -> list[PiecewiseLinear]:
+    """The member of each row of tangents ``t``, as ``member_from_tangents`` without its check.
+
+    The rows are built in passes of ``_rows_per_pass`` rows, so that the
+    arrays of a pass do not grow with the number of rows.
+    """
+    d, s, knot, gap = ch.dataset, ch.profile.slopes, ch.blocks.knots, ch.gaps.free
+    rows = _rows_per_pass(d.m)
+    if len(t) > rows:
+        return [f for i in range(0, len(t), rows) for f in _members(ch, t[i:i + rows])]
     xs, ys = d.xs, d.ys
-    s = ch.profile.slopes
-    knot = ch.blocks.knots
-    tangent = np.empty(d.m + 1)
-    tangent[knot] = t
 
     # Free gap j runs from knot j to knot j+1.  The two tangents cross inside it
     # unless they are parallel or cross (numerically) at an end, where the
@@ -76,32 +95,38 @@ def _member(ch: Characterization, t: np.ndarray) -> PiecewiseLinear:
     # crosses the other one exactly at a data point: share, the crossing's
     # fraction of the way across the gap, is then exactly 0 or 1, while the
     # rounded xi can land just inside the gap.
-    gap = ch.gaps.free
-    xj, yj, tj = xs[gap - 1], ys[gap - 1], tangent[gap]
-    xk, yk, tk = xs[gap], ys[gap], tangent[gap + 1]
+    j = gap - 1  # 0-based, the index of each free gap's left end and of its chord slope
+    left = knot.searchsorted(gap)  # the left end in knot; the right end is the next
+    rj, rk = j[None], gap[None]  # the gaps' data as rows, so that one-row passes need no broadcasting
+    xj, yj, sj, tj = xs[rj], ys[rj], s[rj], t.take(left, 1)
+    xk, yk, tk = xs[rk], ys[rk], t.take(left + 1, 1)
     with np.errstate(all="ignore"):
         denom = tj - tk
         xi = ((yk - yj) + tj * xj - tk * xk) / denom
-        share = (s[gap - 1] - tk) / denom
+        share = (sj - tk) / denom
         margin = _CROSSING_MARGIN * (xk - xj)
         flat = np.abs(denom) <= allowance(_CROSSING_MARGIN, tj, tk)
         keep = ~(flat | (xi <= xj + margin) | (xi >= xk - margin)
                  | (share <= _CROSSING_MARGIN) | (share >= 1.0 - _CROSSING_MARGIN))
         yi = yj + tj * (xi - xj)
-    # The crossing of gap j goes between data points j and j+1.  A block knot is
+    # Each row's candidate knots are two slots per data point: the point, then
+    # the crossing of the gap it starts, if that gap is free.  A block knot is
     # a knot of the member exactly where its two pieces have different slopes:
     # the knot's tangent on a crossed gap, the chord slope on any other.  Kept
     # where the pieces agree, it would close a piece that can be short enough
     # for its slope, taken from values, to be noise.
-    crossed = gap[keep]
-    on = np.zeros(d.m + 1, dtype=bool)  # on[j]: gap j is crossed
-    on[crossed] = True
-    slope = tangent[knot]
-    data = np.ones(d.m, dtype=bool)  # the data points that stay knots
-    data[knot - 1] = np.where(on[knot - 1], slope, s[knot - 2]) != np.where(on[knot], slope, s[knot - 1])
-    knots = _insert_sorted(np.array((xs, ys)).T[data], data.cumsum()[crossed - 1],
-                           np.array((xi[keep], yi[keep])).T)
-    return from_knots(knots, s[0], s[-1])
+    kept = np.zeros((len(t), d.m, 2), dtype=bool)
+    kept[..., 0] = True
+    kept[:, j, 1] = keep
+    crossed = kept[..., 1]
+    before, after = knot - 2, knot - 1  # the gaps that meet at each block knot, 0-based
+    kept[:, after, 0] = (np.where(crossed.take(before, 1), t, s[before[None]])
+                         != np.where(crossed.take(after, 1), t, s[after[None]]))
+    slots = np.empty((len(t), d.m, 2, 2))
+    slots[..., 0, 0], slots[..., 0, 1] = xs, ys
+    slots[:, j, 1, 0], slots[:, j, 1, 1] = xi, yi
+    return [from_knots(row.compress(k, axis=0), s[0], s[-1])
+            for row, k in zip(slots.reshape(len(t), -1, 2), kept.reshape(len(t), -1))]
 
 
 def perturb_to_nonmember(

@@ -23,7 +23,8 @@ from ridgeless.characterize import (
 )
 from ridgeless.cli import fmt
 from ridgeless.dataset import CURVATURE_RTOL, SlopeProfile
-from ridgeless.generalization import LocalizedBoundReport
+from ridgeless.generalization import (SUP_GRID_POINTS_PER_GAP, LocalizedBoundReport, SupErrorReport,
+                                      sup_error)
 from ridgeless.plfun import (JUMP_MERGE_RTOL, _prefix_sums, allowance, evaluate, one_sided_slopes,
                              tv_of_derivative)
 from ridgeless.sample import _CROSSING_MARGIN
@@ -859,6 +860,31 @@ def perturb_to_nonmember_reference(ch: Characterization, f: r.PiecewiseLinear,
         knots = list(points_of(d)) + [bumped(mid, sigma)]
     knots.sort()
     return from_knots_reference(knots, s[0], s[-1])
+
+
+def sup_error_reference(f_star: r.PiecewiseLinear, d: r.Dataset, members,
+                        tol: float = 1e-9) -> SupErrorReport:
+    """The sup-error check with every member evaluated on the whole dense grid, member by member."""
+    xs = d.xs
+    h = max(0.0, float(xs[0]), float(np.max(np.diff(xs))) / 2, 1.0 - float(xs[-1]))
+    bound = 2.0 * r.lipschitz_norm(f_star) * h
+    dense = np.linspace(0.0, 1.0, SUP_GRID_POINTS_PER_GAP * d.m + 1)
+    star_dense = np.atleast_1d(evaluate(f_star, dense))
+    errors, grid_max = [], 0.0
+    for f in members:
+        errors.append(sup_error(f, f_star, 0.0, 1.0))
+        gerr = float(np.max(np.abs(np.atleast_1d(evaluate(f, dense)) - star_dense)))
+        grid_max = max(grid_max, gerr)
+    worst = int(np.argmax(errors)) if errors else -1
+    exact_max = max(errors) if errors else 0.0
+    return SupErrorReport(
+        bound=bound,
+        exact_max=exact_max,
+        grid_max=grid_max,
+        slack=bound - exact_max,
+        worst_member=worst,
+        passed=exact_max <= bound + tol,
+    )
 
 
 def verify_localized_bounds_reference(ch: Characterization, members,

@@ -10,16 +10,19 @@ import importlib
 import inspect
 import json
 from collections import Counter
+from dataclasses import astuple
 
 import numpy as np
 import pytest
 
 import ridgeless as r
+import ridgeless.generalization as generalization
 import ridgeless.network as network
 import ridgeless.oracle as oracle
 import ridgeless.plfun as plfun
 from ridgeless.characterize import FREE
 from ridgeless.cli import main, render_svg
+from ridgeless.plfun import evaluate
 from helpers import (
     blocks_of,
     canonical_reference,
@@ -36,6 +39,8 @@ from helpers import (
     render_svg_reference,
     sample_member_reference,
     slope_profile_reference,
+    random_unit_lipschitz_pl,
+    sup_error_reference,
     support_tangents,
     tv_formula_pair,
     verdicts_of,
@@ -368,6 +373,79 @@ class TestLocalizedBounds:
         ch = r.characterize(dataset_collinear)
         rep = r.verify_localized_bounds(ch, [ch.f_D, ch.f_D])
         assert (rep.worst_member, rep.worst_gap, rep.max_excess) == (0, 1, 0.0)
+
+
+def report_bits(report) -> list:
+    """A report's fields, each float as its bits (so 0.0 is not -0.0 and nan is nan)."""
+    def bits(v):
+        if isinstance(v, tuple):
+            return tuple(map(bits, v))
+        return (float, np.float64(v).view(np.int64).item()) if isinstance(v, float) else (type(v), v)
+    return [bits(v) for v in astuple(report)]
+
+
+def bound_cases(rng: np.random.Generator):
+    """(f_star, data, members) on uniform and random designs, with member lists that mix
+    members, their perturbations, f_star, f_D and functions that differ from the first
+    member only at its first kink or in one tail."""
+    for k in range(90):
+        f_star = random_unit_lipschitz_pl(rng)
+        m = int(rng.integers(2, 120))
+        design = m if k % 2 else np.unique(rng.uniform(-0.3, 1.3, size=m))
+        d = r.make_dataset_from(f_star, design)
+        ch = r.characterize(d)
+        members = r.sample_members(ch, range(k, k + int(rng.integers(1, 6))))
+        g = members[0]
+        mix = (
+            [*members, r.perturb_to_nonmember(ch, members[-1], k)],
+            [f_star, *members],
+            [ch.f_D, *members, ch.f_D],
+            [g, r.canonical(g.anchor, g.left_slope, [(g.x[0] - 0.25, 0.5), *g.breakpoints])]
+            if g.x.size else [g],
+            [g, r.from_knots(np.column_stack((g.x, g.y)), g.s[0], g.s[-1] + 0.5)] if g.x.size else [g],
+            [g, r.from_knots(np.column_stack((g.x, g.y)), g.s[0] - 0.5, g.s[-1])] if g.x.size else [g],
+            [g, r.from_knots(np.column_stack((g.x, g.y + (np.arange(g.x.size) == 0))), g.s[0], g.s[-1])]
+            if g.x.size else [g],
+            [r.from_knots([(0.5, float(evaluate(f_star, 0.5)))], 0.25, 0.25), *members],
+            members[:1],
+            [],
+        )
+        yield f_star, d, ch, mix[k % len(mix)]
+
+
+class TestSupError:
+    def test_matches_the_member_loop(self):
+        seen = Counter()
+        for f_star, d, ch, members in bound_cases(np.random.default_rng(30)):
+            assert report_bits(r.verify_sup_error(f_star, d, members)) == \
+                report_bits(sup_error_reference(f_star, d, members)), (d.m, len(members))
+            assert report_bits(r.verify_localized_bounds(ch, members)) == \
+                report_bits(verify_localized_bounds_reference(ch, members)), (d.m, len(members))
+            seen[len(members) > 1] += 1
+            seen["affine first"] += bool(members) and not members[0].x.size
+        assert min(seen.values()) >= 8, seen
+
+    def test_shared_pieces_are_not_evaluated_again(self, monkeypatch):
+        # members that share every piece of the first are evaluated at no grid point
+        f_star = random_unit_lipschitz_pl(np.random.default_rng(4))
+        d = r.make_dataset_from(f_star, 300)
+        ch = r.characterize(d)
+        members = [ch.f_D] + r.sample_members(ch, range(5)) + [ch.f_D]
+        expected = report_bits(sup_error_reference(f_star, d, members))
+        sizes = []
+
+        def counted(f, x):
+            sizes.append(np.size(x))
+            return evaluate(f, x)
+
+        monkeypatch.setattr(generalization, "evaluate", counted)
+        assert report_bits(r.verify_sup_error(f_star, d, members)) == expected
+        dense = generalization.SUP_GRID_POINTS_PER_GAP * d.m + 1
+        assert sizes.count(dense) == 2  # f_star and the first member
+        # the sampled members differ from f_D near f_star's kinks only, and the last not at all
+        grid = sizes[2 * len(members) + 2:]  # after sup_error's two calls per member
+        assert len(grid) == len(members) - 1 and grid[-1] == 0
+        assert 0 < max(grid) < dense // 10, grid
 
 
 class TestRenderSvg:

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 import xml.etree.ElementTree as ET
 from collections import Counter
@@ -151,6 +152,25 @@ class TestSampleText:
             [json.dumps(f.to_dict()) for f in members] == list(map(to_json, members))
         if not len(ch.blocks):
             assert all(f is ch.f_D for f in members)
+
+    def test_memory_does_not_grow_with_n(self, capsys, tmp_path):
+        # members are built and written a pass at a time, so 400 take no more memory than 20;
+        # m = 10^4 points, random for 2000 and then on a line, so each member has 2510 kinks
+        d = random_dataset(np.random.default_rng(1), 2000)
+        line = np.arange(1.0, 8001.0)
+        data = tmp_path / "m10000.csv"
+        r.save_dataset(r.Dataset(np.append(d.xs, d.xs[-1] + line), np.append(d.ys, d.ys[-1] + 0.5 * line)), data)
+        peaks = {}
+        for n in (20, 400):
+            out_dir = tmp_path / f"members-{n}"
+            tracemalloc.start()
+            try:
+                code = run(capsys, ["sample", str(data), "--n", str(n), "--out-dir", str(out_dir)])[0]
+                peaks[n] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert code == 0 and len(list(out_dir.iterdir())) == n
+        assert peaks[400] <= 1.5 * peaks[20], peaks
 
     @pytest.mark.parametrize("n", [1, 20])
     def test_formats_each_fd_number_once(self, capsys, data, tmp_path, monkeypatch, n):

@@ -5,9 +5,11 @@ import ridgeless as r
 from helpers import (
     chord_tangents,
     random_dataset,
+    random_unit_lipschitz_pl,
     sample_member_reference,
     support_tangents,
 )
+from ridgeless import sample
 from ridgeless.characterize import support_envelope
 from ridgeless.plfun import (
     canonical,
@@ -182,6 +184,50 @@ class TestSampleMember:
                 f = r.sample_member(ch, seed)
                 values = (r.cost(r.pl_to_network(f)), tv_of_derivative(f), ch.minimal_tv)
                 assert max(values) - min(values) <= 1e-12 * max(values)
+
+
+def bits(f: r.PiecewiseLinear) -> tuple:
+    return (f.anchor, *(a.view(np.int64).tolist() for a in (f.x, f.c, f.y, f.s)))
+
+
+class TestSampleMembers:
+    """``sample_members(ch, seeds)`` is ``sample_member`` seed by seed, bit for bit."""
+
+    @staticmethod
+    def assert_one_by_one(ch, seeds):
+        batch = r.sample_members(ch, seeds)
+        assert [bits(f) for f in batch] == [bits(r.sample_member(ch, s)) for s in seeds]
+        return batch
+
+    def test_random_datasets(self):
+        rng = np.random.default_rng(2)
+        for k in range(60):
+            m = int(rng.integers(3, 201)) if k % 2 else None  # else 4..12
+            ch = r.characterize(random_dataset(rng, m))
+            n = (0, 1, 2, 100)[k % 4]
+            self.assert_one_by_one(ch, [int(s) for s in rng.integers(-2**40, 2**40, size=n)])
+
+    def test_uniform_design_at_m_1000_in_several_passes(self):
+        # f* sampled on x_i = i/m: collinear but for a few blocks near f*'s kinks
+        ch = r.characterize(r.make_dataset_from(random_unit_lipschitz_pl(np.random.default_rng(4)), 1000))
+        assert len(ch.blocks) and 100 > sample._rows_per_pass(1000) > 1
+        members = self.assert_one_by_one(ch, range(7, 107))
+        assert len({tuple(bits(f)[1]) for f in members}) > 1
+
+    def test_no_blocks_and_two_points(self, dataset_zigzag, dataset_collinear):
+        for d in (dataset_zigzag, dataset_collinear, r.make_dataset([(0, 0), (1, 1)])):
+            ch = r.characterize(d)
+            for n in (0, 1, 2, 100):
+                members = self.assert_one_by_one(ch, range(n))
+                assert len(members) == n and all(f is ch.f_D for f in members)
+
+    def test_negative_and_large_seeds(self):
+        ch = r.characterize(random_dataset(np.random.default_rng(12), 40))
+        seeds = [-1, -12, -2**63, 2**63, 2**63 + 5, 2**64 - 1, 2**64 + 3, np.uint64(2**63 + 7), np.int64(-3)]
+        members = self.assert_one_by_one(ch, seeds)
+        # a seed is taken modulo 2**64
+        assert bits(members[0]) == bits(members[5]) and bits(members[6]) == bits(r.sample_member(ch, 3))
+        assert bits(members[8]) == bits(r.sample_member(ch, 2**64 - 3))
 
 
 class TestLargeM:
