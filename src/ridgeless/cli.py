@@ -192,8 +192,10 @@ def cmd_certify(args) -> int:
 
 
 def cmd_bound(args) -> int:
-    f_star = _load(args.fstar)
     # --m gives the uniform design; without it the data file supplies the design
+    if args.m is None and args.data is None:
+        raise UsageError("bound: give a data file or --m")
+    f_star = _load(args.fstar)
     d = make_dataset_from(f_star, args.m if args.m is not None else load_dataset(args.data).xs)
     ch = characterize(d)
     members = sample.sample_members(ch, range(args.seed, args.seed + args.members))
@@ -330,7 +332,7 @@ def build_parser() -> _Parser:
     sp.set_defaults(func=cmd_certify)
 
     sp = sub.add_parser("bound", help="generalization bound reports")
-    sp.add_argument("data")
+    sp.add_argument("data", nargs="?", help="the design's abscissae; not read with --m")
     sp.add_argument("--fstar", required=True)
     sp.add_argument("--m", type=_at_least(int, 2))
     sp.add_argument("--members", type=_at_least(int, 0), default=100)

@@ -95,8 +95,8 @@ def verify_sup_error(
 
     The maximum is computed exactly at the union of kinks (the difference
     of two PL functions is PL, so its extrema sit at kinks or interval
-    ends) and cross-checked from below on SUP_GRID_POINTS_PER_GAP * m + 1
-    evenly spaced points of [0, 1] (see ``_grid_errors``).
+    ends) and cross-checked on SUP_GRID_POINTS_PER_GAP * m + 1 evenly spaced
+    points of [0, 1] (see ``_grid_errors``), where rounding may read above it.
     """
     xs = d.xs
     h = max(0.0, float(xs[0]), float(np.max(np.diff(xs))) / 2, 1.0 - float(xs[-1]))

@@ -38,27 +38,25 @@ HiGHS is called through scipy's bundled bindings, not ``linprog``, whose
 wrapper loops in Python over every column to fill bound marginals that
 are never read here and cost more than the solve itself.  The model goes
 in as numpy arrays in one ``passModel`` call, the matrix built column by
-column, since ``HighsLp``'s attribute setters convert one float at a time.
+column, since ``HighsLp``'s attribute setters convert one float at a time
+(the tests fill one that way and require the same bits).
 
 Only the bindings' extension module is loaded, by ``_highs_core``: it finds
 ``_core`` in scipy's ``optimize/_highspy`` directory, runs it, and registers it in
 ``sys.modules`` as ``scipy.optimize._highspy._core``, without running
-``scipy.optimize``'s ``__init__`` (about 320 scipy modules and 35 MB).
-grid_certify's peak RSS went from about 91 to 56 MB, and a cold
-``python -m ridgeless certify`` on 50 points from 0.64 to 0.23 s.  A later
+``scipy.optimize``'s ``__init__`` (about 320 scipy modules and 35 MB).  A later
 ``import scipy.optimize`` reuses the registered module, ``linprog`` included, but
 leaves the package attribute ``scipy.optimize._highspy._core`` unset;
 ``sys.modules`` and ``from scipy.optimize._highspy import _core`` still find it.
-The smaller heap costs minor page faults: about 10 per grid_certify task, against
-3 to 9, as glibc now trims HiGHS's per-solve allocations from the heap top and
-they fault back in (a raised ``MALLOC_TRIM_THRESHOLD_`` brings 3 back).
 
-Each thread keeps one HiGHS instance, made with its fixed options and made
-again whenever ``_core._Highs`` is no longer its class; limits are set on each
-call and the model is cleared after each solve.  A new instance per solve cost
-about 185 minor page faults and 0.7 ms of system CPU at m = 20..60 and 64 points
-per gap, against a few faults and 0.1 ms kept, for the same bits; the kept
-instance holds its workspace, about 2 MB at m = 60, between solves.
+Each thread keeps one HiGHS instance, made again whenever ``_core._Highs`` is
+no longer its class, with fixed options: no presolve, no scaling, no output,
+dual simplex.  Scaling has nothing to equilibrate: every matrix entry is a
+dimensionless hat weight in [1/g, 1], every row's largest is exactly 1, and the
+data's units enter only through the right-hand side.  Limits are set on each
+call and the model is cleared after each solve, which spares a new instance's
+page faults, for the same bits, and keeps HiGHS's workspace (2 MB at m = 60).
+A right-hand side at or beyond HiGHS's infinite bound (1e20) is refused first.
 """
 
 from __future__ import annotations
@@ -146,6 +144,11 @@ def grid_tv_minimize(d: Dataset,
     cost[0], lower[0] = 0.0, -_core.kHighsInf
 
     highs = _thread_highs()
+    # HiGHS reads a row bound at or beyond its infinite bound as no bound at all (row 0's is s_0)
+    big, limit = np.abs(b_eq).max(), highs.getOptionValue("infinite_bound")[1]
+    if not big < limit:
+        raise OracleError(f"largest slope difference |s_i - s_(i-1)| {big:.3e} is at or beyond "
+                          f"HiGHS's infinite bound {limit:.0e}; rescale the data")
     error = _core.HighsStatus.kError
     limits = {"simplex_iteration_limit": DEFAULT_MAX_ITERS,
               "ipm_iteration_limit": DEFAULT_MAX_ITERS,
@@ -206,6 +209,7 @@ def _thread_highs():
         options.presolve = "off"
         options.output_flag = options.log_to_console = False
         options.simplex_strategy = _core.simplex_constants.SimplexStrategy.kSimplexStrategyDual
+        options.simplex_scale_strategy = 0  # off: the matrix is equilibrated already
         highs = _core._Highs()
         if highs.passOptions(options) == _core.HighsStatus.kError:
             raise OracleError("HiGHS refused the grid LP's options")

@@ -1006,18 +1006,62 @@ def kink_lp_matrix_reference(d: r.Dataset, grid_points_per_gap: int):
     return nodes, a_eq
 
 
+def kink_lp_highslp_reference(d: r.Dataset, grid_points_per_gap: int, tol: float = 1e-6,
+                              max_iters: int = 200_000) -> tuple[float, r.PiecewiseLinear, int]:
+    """The kink-form grid LP of ``oracle.grid_tv_minimize`` filled into a ``HighsLp`` through
+    its attribute setters from ``kink_lp_matrix_reference``, and solved on a new ``_Highs``
+    with the package's options, each set by name; returns (min_tv, minimizer, iterations).
+
+    ``linprog`` cannot be this reference: its wrapper drops options it does not know,
+    ``simplex_scale_strategy`` among them.
+    """
+    from ridgeless.oracle import _highs_core
+
+    core = _highs_core()
+    s = np.diff(d.ys) / np.diff(d.xs)
+    b_eq = np.concatenate([s[:1], np.diff(s)])
+    nodes, a_eq = kink_lp_matrix_reference(d, grid_points_per_gap)
+    n_rows, n_vars = a_eq.shape
+    lp = core.HighsLp()
+    lp.num_col_ = lp.a_matrix_.num_col_ = n_vars
+    lp.num_row_ = lp.a_matrix_.num_row_ = n_rows
+    lp.a_matrix_.format_ = core.MatrixFormat.kColwise
+    lp.a_matrix_.start_, lp.a_matrix_.index_ = a_eq.indptr, a_eq.indices
+    lp.a_matrix_.value_ = a_eq.data
+    lp.col_cost_ = np.concatenate([[0.0], np.ones(n_vars - 1)])
+    lp.col_lower_ = np.concatenate([[-np.inf], np.zeros(n_vars - 1)])
+    lp.col_upper_ = np.full(n_vars, np.inf)
+    lp.row_lower_ = lp.row_upper_ = b_eq
+    highs = core._Highs()
+    options = {"presolve": "off", "output_flag": False, "log_to_console": False,
+               "simplex_strategy": 1,  # dual
+               "simplex_scale_strategy": 0,  # off
+               "simplex_iteration_limit": int(max_iters), "ipm_iteration_limit": int(max_iters),
+               "primal_feasibility_tolerance": tol, "dual_feasibility_tolerance": tol}
+    for name, value in options.items():
+        assert highs.setOptionValue(name, value) == core.HighsStatus.kOk, name
+    assert highs.passModel(lp) == core.HighsStatus.kOk
+    highs.run()
+    status = highs.getModelStatus()
+    if status != core.HighsModelStatus.kOptimal:
+        raise r.OracleError(f"grid TV minimization did not converge "
+                            f"({highs.modelStatusToString(status)})")
+    info = highs.getInfo()
+    minimizer = _kink_minimizer(d, nodes, np.array(highs.getSolution().col_value))
+    return float(info.objective_function_value), minimizer, int(info.simplex_iteration_count)
+
+
 def kink_lp_linprog_reference(d: r.Dataset, grid_points_per_gap: int, tol: float = 1e-6,
                               max_iters: int = 200_000) -> tuple[float, r.PiecewiseLinear, int]:
-    """The kink-form grid LP of ``oracle.grid_tv_minimize`` solved through ``linprog``:
-    the same model and HiGHS options; returns (min_tv, minimizer, iterations).
+    """The kink-form grid LP of ``oracle.grid_tv_minimize`` solved through ``linprog``,
+    with HiGHS's scaling left on: the package's other options; returns (min_tv, minimizer,
+    iterations).
     """
     from scipy.optimize import linprog
 
-    ys = d.ys
-    s = np.diff(ys) / np.diff(d.xs)
+    s = np.diff(d.ys) / np.diff(d.xs)
     nodes, a_eq = kink_lp_matrix_reference(d, grid_points_per_gap)
-    n, n_vars = nodes.size, a_eq.shape[1]
-    h = np.diff(nodes)
+    n_vars = a_eq.shape[1]
     cost = np.ones(n_vars)
     cost[0] = 0.0
     bounds = np.tile([0.0, np.inf], (n_vars, 1))
@@ -1041,12 +1085,17 @@ def kink_lp_linprog_reference(d: r.Dataset, grid_points_per_gap: int, tol: float
             f"grid TV minimization did not converge (status {res.status}: {res.message}); "
             f"objective so far {getattr(res, 'fun', None)!r}"
         )
-    jumps = res.x[1 : n - 1] - res.x[n - 1 :]
-    slopes = res.x[0] + np.concatenate([[0.0], np.cumsum(jumps)])
-    u = ys[0] + np.concatenate([[0.0], np.cumsum(slopes * h)])
+    return float(res.fun), _kink_minimizer(d, nodes, res.x), int(res.nit)
+
+
+def _kink_minimizer(d: r.Dataset, nodes: np.ndarray, x: np.ndarray) -> r.PiecewiseLinear:
+    """The grid function of a kink-form solution x: sigma_0, then the p and then the q parts."""
+    n, h = nodes.size, np.diff(nodes)
+    jumps = x[1 : n - 1] - x[n - 1 :]
+    slopes = x[0] + np.concatenate([[0.0], np.cumsum(jumps)])
+    u = d.ys[0] + np.concatenate([[0.0], np.cumsum(slopes * h)])
     left, right = (u[1] - u[0]) / h[0], (u[-1] - u[-2]) / h[-1]
-    minimizer = r.from_knots(np.column_stack([nodes, u]), left, right)
-    return float(res.fun), minimizer, int(res.nit)
+    return r.from_knots(np.column_stack([nodes, u]), left, right)
 
 
 def _curve_points_reference(f: r.PiecewiseLinear, lo: float, hi: float):

@@ -217,6 +217,15 @@ class TestCertifyCommand:
         assert code == 4 and out == "" and err.count("\n") == 1
         assert err.startswith("error code=4 kind=certification") and "Iteration limit reached" in err
 
+    def test_slope_difference_at_the_infinite_bound_exit_4(self, capsys, tmp_path):
+        d = random_dataset(np.random.default_rng(5), 30)
+        path = tmp_path / "steep.csv"
+        steep = zip(d.xs.tolist(), (d.ys * 2.0**64).tolist())
+        path.write_text("".join(f"{x!r},{y!r}\n" for x, y in steep))
+        code, out, err = run(capsys, ["certify", str(path)])
+        assert code == 4 and out == "" and err.count("\n") == 1
+        assert err.startswith("error code=4 kind=certification") and "infinite bound 1e+20" in err
+
 
 class TestBoundCommand:
     def test_uniform_design_reports(self, capsys, data_a, tmp_path):
@@ -241,6 +250,18 @@ class TestBoundCommand:
         assert list(blob) == ["lip_domination", "localized", "sup_error"]
         # the design 0, 1, 2, 3 covers [0, 1] with its first gap: B = L w = 1
         assert blob["sup_error"]["bound"] == 1.0 and blob["sup_error"]["passed"] is True
+
+    def test_data_is_optional_with_m(self, capsys, data_a, tmp_path):
+        path = tmp_path / "fstar.json"
+        path.write_text(to_json(from_knots([(0, 0), (0.5, 1), (1, 0)], 2.0, -2.0)))
+        argv = ["--fstar", str(path), "--m", "10", "--members", "3"]
+        with_data = run(capsys, ["bound", data_a, *argv])
+        assert run(capsys, ["bound", *argv]) == with_data
+        assert run(capsys, ["bound", str(tmp_path / "missing.csv"), *argv]) == with_data
+        assert with_data[0] == 0
+        code, out, err = run(capsys, ["bound", "--fstar", str(path)])
+        assert code == 1 and out == "" and err.count("\n") == 1
+        assert err.startswith("error code=1 kind=usage") and "data file or --m" in err
 
     def test_derives_the_slope_profile_once(self, capsys, data_a, tmp_path, monkeypatch):
         # every package module that holds either name is wrapped

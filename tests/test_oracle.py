@@ -16,8 +16,8 @@ import pytest
 
 import ridgeless as r
 import ridgeless.oracle
-from helpers import (count_calls, grid_tv_minimize_reference, kink_lp_linprog_reference,
-                     kink_lp_matrix_reference, random_dataset)
+from helpers import (count_calls, grid_tv_minimize_reference, kink_lp_highslp_reference,
+                     kink_lp_linprog_reference, kink_lp_matrix_reference, random_dataset)
 from ridgeless.characterize import check_membership_against
 from ridgeless.oracle import OracleError, certify, grid_tv_minimize
 from ridgeless.plfun import evaluate, tv_of_derivative
@@ -128,6 +128,28 @@ class TestCertify:
         with pytest.raises(OracleError, match="Iteration limit reached"):
             certify(dataset_a, ch, tol=1e-3, grid_points_per_gap=64)
 
+    def test_certifies_rescaled_data(self):
+        # x * 2**a and y * 2**b move the slopes over 2**-60..2**60 (slope differences stay
+        # below HiGHS's infinite bound) while the matrix, and so the unscaled pivots, stay put
+        rng = np.random.default_rng(110)
+        for i in range(300):
+            d = random_dataset(rng, 2 + i % 39)
+            a = int(rng.integers(-40, 41))
+            b = a + int(rng.integers(-60, 61))
+            d = r.make_dataset(zip((d.xs * 2.0**a).tolist(), (d.ys * 2.0**b).tolist()))
+            rep = certify(d, r.characterize(d), grid_points_per_gap=(1, 4, 16, 64)[i % 4])
+            assert rep.passed, (i, a, b, rep)
+
+    def test_a_slope_difference_at_the_infinite_bound_raises(self, monkeypatch):
+        d = random_dataset(np.random.default_rng(5), 30)
+        steep = r.make_dataset(zip(d.xs.tolist(), (d.ys * 2.0**64).tolist()))
+        passed = count_calls(monkeypatch, _HIGHS, "passModel")
+        with pytest.raises(OracleError, match=r"slope difference .* 1\.017e\+20 .*"
+                                              r"infinite bound 1e\+20"):
+            certify(steep, r.characterize(steep))
+        assert passed == []  # refused before the model reaches HiGHS
+        assert certify(d, r.characterize(d)).passed and len(passed) == 1
+
     def test_solution_off_its_rows_raises(self, dataset_a, monkeypatch):
         class Shifted(_core._Highs):
             def getSolution(self):
@@ -201,14 +223,33 @@ class TestKinkForm:
             assert rep.minimizer_is_member == ref_rep.is_member
             assert rep.advisory_violations == len(ref_rep.violations)
 
-    def test_same_bits_as_linprog(self):
+    def test_same_bits_as_a_highslp_model(self):
         cases = self.cases() + [(random_dataset(np.random.default_rng(2), 200), 64)]
         for d, g in cases:
             achieved, minimizer, iters = grid_tv_minimize(d, g)
-            ref, ref_minimizer, ref_iters = kink_lp_linprog_reference(d, g)
+            ref, ref_minimizer, ref_iters = kink_lp_highslp_reference(d, g)
             assert achieved.hex() == ref.hex() and iters == ref_iters
             for name in ("x", "y", "c"):
                 assert np.array_equal(getattr(minimizer, name), getattr(ref_minimizer, name))
+            # linprog scales, so it takes other pivots to the same optimum
+            scaled, _, _ = kink_lp_linprog_reference(d, g)
+            assert abs(achieved - scaled) <= 1e-12 * max(1.0, r.characterize(d).minimal_tv)
+
+    @pytest.mark.parametrize("g", [1, 2, 16, 64])
+    def test_matrix_needs_no_scaling(self, monkeypatch, g):
+        # why the solve runs unscaled: each row's largest entry is 1 and each column's
+        # lies in [1/g, 1], whatever the data's units.  A last-gap column's weight can round
+        # below 1/g with its node, by eps * |x| / w relative: up to about 1e-9 on wide ranges
+        rng = np.random.default_rng(100 + g)
+        cases = [random_dataset(rng, 2 + i % 29) for i in range(20)]
+        for d in cases + [wide_range_dataset(rng, 2 + i % 29) for i in range(10)]:
+            (model,) = recorded_models(monkeypatch, d, g)
+            start, value = model["a_start"], np.abs(model["a_value"])
+            col_max = np.maximum.reduceat(value, start[:-1])
+            row_max = np.zeros(model["num_row"])
+            np.maximum.at(row_max, model["a_index"], value)
+            assert np.diff(start).min() >= 1 and (row_max == 1.0).all()
+            assert (col_max * g >= 1 - 1e-6).all() and (col_max <= 1.0).all()
 
     @pytest.mark.parametrize("m", [10, 40])
     def test_one_equality_row_per_gap(self, monkeypatch, m):
