@@ -228,7 +228,7 @@ def render_svg(ch, members) -> str:
     lo, hi = float(xs[0] - pad), float(xs[-1] + pad)
     curves = []
     for f in (ch.f_D, *members):
-        x = np.unique(np.concatenate(([lo, hi], f.x[plfun._window(f, lo, hi)])))
+        x = np.concatenate(([lo], f.x[plfun._window(f, lo, hi)], [hi]))
         curves.append((x, evaluate(f, x)))
 
     a, b = ch.blocks.a, ch.blocks.b

@@ -93,19 +93,24 @@ def verify_sup_error(
     h = max(0, x_1, max_i (x_{i+1} - x_i) / 2, 1 - x_m), so B = 2L h; on
     x_i = i/m, B is 2L x_1, the paper's 2L/m.
 
-    The maximum is computed exactly at the union of kinks (the difference
-    of two PL functions is PL, so its extrema sit at kinks or interval
-    ends) and cross-checked on SUP_GRID_POINTS_PER_GAP * m + 1 evenly spaced
-    points of [0, 1] (see ``_grid_errors``), where rounding may read above it.
+    The maximum is exact (a difference of PL functions peaks at a kink or an
+    end): at 0, 1 and f_star's kinks in (0, 1), where f_star is evaluated once
+    per call, and at each member's kinks in (0, 1), where its stored values
+    ``y`` are read.  It is cross-checked on SUP_GRID_POINTS_PER_GAP * m + 1
+    evenly spaced points of [0, 1] (see ``_grid_errors``), where rounding may
+    read above it.
     """
-    xs = d.xs
-    h = max(0.0, float(xs[0]), float(np.max(np.diff(xs))) / 2, 1.0 - float(xs[-1]))
+    h = max(0.0, float(d.xs[0]), float(np.max(np.diff(d.xs))) / 2, 1.0 - float(d.xs[-1]))
     bound = 2.0 * lipschitz_norm(f_star) * h
+    ends = np.concatenate(([0.0], f_star.x[_window(f_star, 0.0, 1.0)], [1.0]))
+    star, errors = evaluate(f_star, ends), []
+    for f in members:
+        w = _window(f, 0.0, 1.0)
+        own = np.abs(f.y[w] - evaluate(f_star, f.x[w])).max(initial=0.0)
+        errors.append(float(max(np.abs(evaluate(f, ends) - star).max(), own)))
     dense = np.linspace(0.0, 1.0, SUP_GRID_POINTS_PER_GAP * d.m + 1)
-    errors = [sup_error(f, f_star, 0.0, 1.0) for f in members]
     grid_max = max([0.0, *_grid_errors(members, dense, np.atleast_1d(evaluate(f_star, dense)))])
-    worst = int(np.argmax(errors)) if errors else -1
-    exact_max = max(errors) if errors else 0.0
+    worst, exact_max = (int(np.argmax(errors)), max(errors)) if errors else (-1, 0.0)
     return SupErrorReport(
         bound=bound,
         exact_max=exact_max,
@@ -160,12 +165,6 @@ def _shared_pieces(g: PiecewiseLinear, f: PiecewiseLinear) -> np.ndarray:
     shared[1:-1] = same[:-1] & same[1:] & (at[1:] - at[:-1] == 1)
     shared[-1] = same[-1] & (at[-1] == f.x.size - 1) & ends[1]
     return shared
-
-
-def sup_error(f: PiecewiseLinear, g: PiecewiseLinear, lo: float, hi: float) -> float:
-    """Exact max of |f - g| on [lo, hi], taken at the union of kinks and the ends."""
-    pts = np.unique(np.concatenate(([lo, hi], f.x[_window(f, lo, hi)], g.x[_window(g, lo, hi)])))
-    return float(np.max(np.abs(evaluate(f, pts) - evaluate(g, pts))))
 
 
 @dataclass(frozen=True)

@@ -229,16 +229,6 @@ def _knot_jumps(x: np.ndarray, y: np.ndarray, left_slope: float,
         return s, s[1:] - s[:-1]
 
 
-def _insert_sorted(a: np.ndarray, at: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``np.insert(a, at, b)`` for nondecreasing ``at``, without a sort."""
-    pos = at + np.arange(len(b))
-    out = np.empty((len(a) + len(b),) + a.shape[1:])
-    rest = np.ones(len(out), dtype=bool)
-    rest[pos] = False
-    out[pos], out[rest] = b, a
-    return out
-
-
 def from_knots(
     knots: Sequence[tuple[float, float]] | np.ndarray,
     left_slope: float,

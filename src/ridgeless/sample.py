@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .characterize import FREE, Characterization
-from .plfun import PiecewiseLinear, _insert_sorted, allowance, evaluate, from_knots
+from .plfun import PiecewiseLinear, allowance, evaluate, from_knots
 
 # relative margin below which a tangent crossing collapses onto the chord
 _CROSSING_MARGIN = 1e-12
@@ -136,9 +136,10 @@ def perturb_to_nonmember(
 
     Preferred move: displace one of ``f``'s interior block kinks to just
     outside the envelope (above the chord on convex blocks, below on
-    concave ones).  Members without usable kinks get a fresh kink at a
-    gap midpoint; two-point datasets get a kink beyond the data range,
-    which breaks the required affine tails.
+    concave ones).  Members without usable kinks get a fresh kink at the
+    midpoint of a gap with a float strictly inside it, a block's if one has
+    such a gap; two-point datasets get a kink beyond the data range, which
+    breaks the required affine tails.  ValueError if no gap has a float inside.
     """
     rng = np.random.default_rng(int(seed) % 2**64)
     d = ch.dataset
@@ -161,18 +162,19 @@ def perturb_to_nonmember(
         return cv + sigma * delta
 
     if inner.size:
-        k = int(rng.integers(inner.size))
-        at, ex, ey = j[inner] + 1, f.x[inner], f.y[inner]
+        k, ex, ey = int(rng.integers(inner.size)), f.x[inner], f.y[inner]
         ey[k] = bumped(ex[k], int(sign[ch.gaps.block[j[inner[k]]]]))
     else:
-        if a.size:
-            blk = int(rng.integers(a.size))
-            g = int(rng.integers(int(a[blk]), int(b[blk])))
-            sigma = int(sign[blk])
+        wide = (np.nextafter(xs[:-1], np.inf) < xs[1:]).nonzero()[0] + 1  # gaps with a float inside, from 1
+        lo, hi = wide.searchsorted(a), wide.searchsorted(b)  # block k's are wide[lo[k]:hi[k]]
+        usable = (lo < hi).nonzero()[0]
+        if usable.size:
+            blk = int(usable[rng.integers(usable.size)])
+            g, sigma = int(wide[lo[blk] + rng.integers(hi[blk] - lo[blk])]), int(sign[blk])
         else:
-            g = int(rng.integers(1, d.m))
+            g = int(wide[rng.integers(wide.size)])
             sigma = 1 if rng.uniform() < 0.5 else -1
         mid = 0.5 * (float(xs[g - 1]) + float(xs[g]))
-        at, ex, ey = np.array([g]), [mid], [bumped(mid, sigma)]
-    knots = _insert_sorted(np.array((xs, d.ys)).T, at, np.array((ex, ey)).T)
-    return from_knots(knots, s[0], s[-1])
+        ex, ey = [mid], [bumped(mid, sigma)]
+    knots = np.concatenate((np.column_stack((xs, d.ys)), np.column_stack((ex, ey))))
+    return from_knots(knots[knots[:, 0].argsort(kind="stable")], s[0], s[-1])

@@ -23,8 +23,7 @@ from ridgeless.characterize import (
 )
 from ridgeless.cli import fmt
 from ridgeless.dataset import CURVATURE_RTOL, SlopeProfile
-from ridgeless.generalization import (SUP_GRID_POINTS_PER_GAP, LocalizedBoundReport, SupErrorReport,
-                                      sup_error)
+from ridgeless.generalization import SUP_GRID_POINTS_PER_GAP, LocalizedBoundReport, SupErrorReport
 from ridgeless.plfun import (JUMP_MERGE_RTOL, _prefix_sums, allowance, evaluate, one_sided_slopes,
                              tv_of_derivative)
 from ridgeless.sample import _CROSSING_MARGIN
@@ -864,7 +863,8 @@ def perturb_to_nonmember_reference(ch: Characterization, f: r.PiecewiseLinear,
 
 def sup_error_reference(f_star: r.PiecewiseLinear, d: r.Dataset, members,
                         tol: float = 1e-9) -> SupErrorReport:
-    """The sup-error check with every member evaluated on the whole dense grid, member by member."""
+    """The sup-error check member by member: the exact error at the union of the member's
+    and f_star's kinks in (0, 1) and the ends, and the member on the whole dense grid."""
     xs = d.xs
     h = max(0.0, float(xs[0]), float(np.max(np.diff(xs))) / 2, 1.0 - float(xs[-1]))
     bound = 2.0 * r.lipschitz_norm(f_star) * h
@@ -872,7 +872,9 @@ def sup_error_reference(f_star: r.PiecewiseLinear, d: r.Dataset, members,
     star_dense = np.atleast_1d(evaluate(f_star, dense))
     errors, grid_max = [], 0.0
     for f in members:
-        errors.append(sup_error(f, f_star, 0.0, 1.0))
+        pts = np.unique(np.concatenate(([0.0, 1.0], f.x[(0.0 < f.x) & (f.x < 1.0)],
+                                        f_star.x[(0.0 < f_star.x) & (f_star.x < 1.0)])))
+        errors.append(float(np.max(np.abs(evaluate(f, pts) - evaluate(f_star, pts)))))
         gerr = float(np.max(np.abs(np.atleast_1d(evaluate(f, dense)) - star_dense)))
         grid_max = max(grid_max, gerr)
     worst = int(np.argmax(errors)) if errors else -1

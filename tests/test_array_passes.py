@@ -425,6 +425,44 @@ class TestSupError:
             seen["affine first"] += bool(members) and not members[0].x.size
         assert min(seen.values()) >= 8, seen
 
+    def test_stored_kink_values_match_the_union_of_kinks(self):
+        # each member is read at its own kinks from y; f_star's kinks and the ends are evaluated
+        rng = np.random.default_rng(32)
+        stars = [random_unit_lipschitz_pl(rng) for _ in range(40)] + [
+            r.from_knots([(0.5, 0.25)], 0.5, 0.5),  # affine
+            r.from_knots([(0.0, 0.0), (1.0, 0.5)], -1.0, 1.0),  # kinks at 0 and 1 only
+            r.from_knots([(-1.0, 0.0), (2.0, 3.0)], 0.5, -0.5),  # kinks outside [0, 1] only
+            r.from_knots([(0.5, 0.0)], -1.0, 1.0)]  # zero at its kink
+        seen = Counter()
+        for f_star in stars:
+            d = r.make_dataset_from(f_star, int(rng.integers(3, 30)))
+            inner = f_star.x[(0.0 < f_star.x) & (f_star.x < 1.0)]
+
+            def member(x):
+                x = np.unique(np.asarray(x, dtype=float))
+                y = evaluate(f_star, x) + rng.uniform(-0.5, 0.5, x.size) * (rng.uniform(size=x.size) < 0.7)
+                return r.from_knots(np.column_stack((x, y)), *rng.uniform(-2.0, 2.0, 2))
+
+            members = [member([0.0, *rng.uniform(0, 1, 2)]), member([*rng.uniform(0, 1, 2), 1.0]),
+                       member([0.0, 1.0]), member([*inner, *rng.uniform(-0.2, 1.2, 3)]),
+                       member(rng.uniform(-0.2, 1.2, 4)), member([0.5]),
+                       r.from_knots([(0.25, 0.5)], 0.75, 0.75),  # affine
+                       r.from_knots([(0.25, 0.5), (0.5, -0.0)], -2.0, 2.0)]  # -0.0 at a kink
+            for f in members:
+                rep = r.verify_sup_error(f_star, d, [f])
+                assert report_bits(rep) == report_bits(sup_error_reference(f_star, d, [f])), (f_star, f)
+                w = (0.0 < f.x) & (f.x < 1.0)
+                own = np.abs(f.y[w] - evaluate(f_star, f.x[w]))
+                seen["max at a member's own kink"] += bool(own.size and own.max() == rep.exact_max)
+                seen["kink at 0"] += 0.0 in f.x
+                seen["kink at 1"] += 1.0 in f.x
+                seen["kink on f_star's"] += bool(np.isin(f.x, inner).any())
+                seen["affine member"] += not f.x.size
+                seen["f_star without a kink in (0, 1)"] += not inner.size
+            assert report_bits(r.verify_sup_error(f_star, d, members)) == \
+                report_bits(sup_error_reference(f_star, d, members))
+        assert len(seen) == 6 and min(seen.values()) >= 20, seen
+
     def test_shared_pieces_are_not_evaluated_again(self, monkeypatch):
         # members that share every piece of the first are evaluated at no grid point
         f_star = random_unit_lipschitz_pl(np.random.default_rng(4))
@@ -443,7 +481,7 @@ class TestSupError:
         dense = generalization.SUP_GRID_POINTS_PER_GAP * d.m + 1
         assert sizes.count(dense) == 2  # f_star and the first member
         # the sampled members differ from f_D near f_star's kinks only, and the last not at all
-        grid = sizes[2 * len(members) + 2:]  # after sup_error's two calls per member
+        grid = sizes[2 * len(members) + 3:]  # after f_star at its kinks, then two calls per member
         assert len(grid) == len(members) - 1 and grid[-1] == 0
         assert 0 < max(grid) < dense // 10, grid
 

@@ -1,6 +1,7 @@
 import io
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,7 +13,7 @@ from ridgeless.dataset import (
     NonFiniteValueError,
     TooFewPointsError,
 )
-from helpers import loads_dataset, points_of
+from helpers import loads_dataset, points_of, random_dataset
 
 
 class TestCsvLoading:
@@ -189,6 +190,52 @@ class TestCurvatureInvariance:
         flipped = r.make_dataset([(x, -y) for x, y in pts])
         expected = [-e for e in r.slope_profile(d).curvatures.tolist()]
         assert r.slope_profile(flipped).curvatures.tolist() == expected
+
+
+def mirrored(f: r.PiecewiseLinear) -> r.PiecewiseLinear:
+    """x -> f(-x): the kinks and values in reverse order at negated locations, and the tails swapped."""
+    knots = np.column_stack((-f.x[::-1], f.y[::-1])) if f.x.size else [(-f.anchor[0], f.anchor[1])]
+    return r.from_knots(knots, -f.s[-1], -f.s[0])
+
+
+def negated(f: r.PiecewiseLinear) -> r.PiecewiseLinear:
+    """x -> -f(x)."""
+    knots = np.column_stack((f.x, -f.y)) if f.x.size else [(f.anchor[0], -f.anchor[1])]
+    return r.from_knots(knots, -f.s[0], -f.s[-1])
+
+
+class TestExactSymmetries:
+    """The family depends on the data only through the signs of its curvatures, so
+    reflecting x and negating y map it onto the family of the mapped data, exactly."""
+
+    @pytest.fixture(scope="class")
+    def datasets(self):
+        rng = np.random.default_rng(5)
+        return [random_dataset(rng) for _ in range(300)]
+
+    @staticmethod
+    def mapped(d: r.Dataset, kind: str) -> r.Dataset:
+        return r.Dataset(-d.xs[::-1], d.ys[::-1]) if kind == "x" else r.Dataset(d.xs, -d.ys)
+
+    @pytest.mark.parametrize("kind", ["x", "y"])
+    def test_curvature_signs_and_minimal_tv(self, datasets, kind):
+        for k, d in enumerate(datasets):
+            e = r.slope_profile(d).curvatures
+            expected = e[::-1] if kind == "x" else -e
+            image = self.mapped(d, kind)
+            assert r.slope_profile(image).curvatures.tolist() == expected.tolist(), k
+            assert r.characterize(image).minimal_tv.hex() == r.characterize(d).minimal_tv.hex(), k
+
+    @pytest.mark.parametrize("kind", ["x", "y"])
+    def test_members_and_nonmembers_map_across(self, datasets, kind):
+        transform = mirrored if kind == "x" else negated
+        for k, d in enumerate(datasets):
+            ch, image = r.characterize(d), r.characterize(self.mapped(d, kind))
+            f = r.sample_member(ch, k)
+            rep = r.check_membership_against(image, transform(f))
+            assert rep.direct_pass and rep.tv_pass, (k, rep.violations[:3])
+            rep = r.check_membership_against(image, transform(r.perturb_to_nonmember(ch, f, k)))
+            assert not rep.direct_pass and not rep.tv_pass, k
 
 
 class TestValidation:

@@ -288,6 +288,26 @@ class TestPerturbToNonmember:
         rep = r.check_membership_against(ch, g)
         assert not rep.direct_pass and not rep.tv_pass
 
+    def test_gap_with_no_float_inside(self):
+        # the midpoint of a one-ulp gap rounds onto one of its ends, so it is never drawn
+        u = 2.0**-52
+        for pts, blocks in (([(0, 0), (1, 1), (1 + u, 1 + u), (3, 0)], []),
+                            ([(0, 0), (1, 1), (1 + u, 1 + 2 * u), (2, 4), (3, 9), (4, 16)], [(2, 5)]),
+                            ([(0, 0), (1, 1), (1 + u, 1 + 2 * u), (3, 10), (4, 0)], [(2, 3)])):
+            ch = r.characterize(r.make_dataset(pts))
+            assert list(zip(ch.blocks.a.tolist(), ch.blocks.b.tolist())) == blocks
+            for seed in range(100):
+                g = r.perturb_to_nonmember(ch, ch.f_D, seed)
+                rep = r.check_membership_against(ch, g)
+                assert not rep.direct_pass and not rep.tv_pass, (pts, seed)
+
+    def test_no_gap_with_a_float_inside_raises(self):
+        u = 2.0**-52
+        ch = r.characterize(r.make_dataset([(1, 0), (1 + u, u), (1 + 2 * u, 3 * u), (1 + 3 * u, 6 * u)]))
+        assert len(ch.blocks) == 1
+        with pytest.raises(ValueError):
+            r.perturb_to_nonmember(ch, ch.f_D, seed=0)
+
     def test_interpolation_is_preserved(self):
         rng = np.random.default_rng(8)
         for _ in range(20):
