@@ -13,7 +13,7 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Iterable, Union
+from typing import Iterable
 
 import numpy as np
 
@@ -21,8 +21,6 @@ from .plfun import allowance, check_json_numbers, float_rows
 
 # eps_i is declared zero when |s_i - s_{i-1}| <= allowance(CURVATURE_RTOL, s_i, s_{i-1}).
 CURVATURE_RTOL = 1e-12
-
-Source = Union[str, Path, IO]
 
 
 class DatasetError(ValueError):
@@ -117,25 +115,18 @@ def slope_profile(d: Dataset) -> SlopeProfile:
     return SlopeProfile(slopes=s, curvatures=eps)
 
 
-def load_dataset(source: Source, format: str | None = None) -> Dataset:
-    """Read a dataset from a path or stream in csv or json format.
+def _is_json(path: str | Path) -> bool:
+    """The suffix rule of dataset files: ".json", in any case, means json; any other, csv."""
+    return Path(path).suffix.lower() == ".json"
 
-    When ``format`` is omitted and the source is a path, the file suffix
-    decides (".json" means json, anything else csv).
-    """
-    if isinstance(source, (str, Path)):
-        path = Path(source)
-        fmt = format or ("json" if path.suffix.lower() == ".json" else "csv")
-        text = path.read_text()
-    else:
-        raw = source.read()
-        text = raw.decode() if isinstance(raw, bytes) else raw
-        fmt = format or "csv"
-    if fmt == "csv":
-        return _parse_csv(text)
-    if fmt == "json":
-        return _parse_json(text)
-    raise ValueError(f"unknown dataset format {fmt!r}")
+
+def load_dataset(path: str | Path) -> Dataset:
+    """Read a csv or json dataset file, as its suffix says, in UTF-8 with or without a BOM."""
+    try:
+        text = Path(path).read_bytes().decode("utf-8-sig")
+    except UnicodeDecodeError as e:
+        raise MalformedRecordError(f"not UTF-8: byte {e.object[e.start]:#04x} at offset {e.start}") from None
+    return _parse_json(text) if _is_json(path) else _parse_csv(text)
 
 
 def _parse_csv(text: str) -> Dataset:
@@ -181,15 +172,10 @@ def _parse_json(text: str) -> Dataset:
         raise NonFiniteValueError("non-finite value: an integer beyond the float range") from None
 
 
-def save_dataset(d: Dataset, target: Source, format: str = "csv") -> None:
-    """Write csv or json that reloads bit-exactly (repr round-trips floats)."""
-    if format == "csv":
-        text = "".join(f"{x!r},{y!r}\n" for x, y in zip(d.xs.tolist(), d.ys.tolist()))
-    elif format == "json":
+def save_dataset(d: Dataset, path: str | Path) -> None:
+    """Write a csv or json file, as its suffix says, that reloads bit-exactly (repr round-trips floats)."""
+    if _is_json(path):
         text = json.dumps({"points": np.column_stack((d.xs, d.ys)).tolist()})
     else:
-        raise ValueError(f"unknown dataset format {format!r}")
-    if isinstance(target, (str, Path)):
-        Path(target).write_text(text)
-    else:
-        target.write(text)
+        text = "".join(f"{x!r},{y!r}\n" for x, y in zip(d.xs.tolist(), d.ys.tolist()))
+    Path(path).write_text(text)

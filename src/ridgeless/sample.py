@@ -166,6 +166,8 @@ def perturb_to_nonmember(
         ey[k] = bumped(ex[k], int(sign[ch.gaps.block[j[inner[k]]]]))
     else:
         wide = (np.nextafter(xs[:-1], np.inf) < xs[1:]).nonzero()[0] + 1  # gaps with a float inside, from 1
+        if not wide.size:
+            raise ValueError("no gap of the data has a float strictly inside it for a new kink")
         lo, hi = wide.searchsorted(a), wide.searchsorted(b)  # block k's are wide[lo[k]:hi[k]]
         usable = (lo < hi).nonzero()[0]
         if usable.size:

@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
-import io
 import json
 import math
+import tempfile
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter
+from pathlib import Path
 
 import numpy as np
 
@@ -54,8 +55,11 @@ def random_pl(rng: np.random.Generator, max_breaks: int = 8) -> r.PiecewiseLinea
 
 
 def loads_dataset(text: str, format: str = "csv") -> r.Dataset:
-    """A dataset parsed from ``text``, as ``load_dataset`` reads a stream."""
-    return r.load_dataset(io.StringIO(text), format=format)
+    """A dataset parsed from ``text``, as ``load_dataset`` reads it from a ``data.<format>`` file."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / f"data.{format}"
+        path.write_text(text, encoding="utf-8")
+        return r.load_dataset(path)
 
 
 def points_of(d: r.Dataset) -> tuple[tuple[float, float], ...]:

@@ -436,6 +436,31 @@ class TestErrorsAndDeterminism:
             assert code == 2 and err.startswith("error code=2 kind=format"), (cmd, err)
             assert detail in err and out == "" and err.count("\n") == 1, (cmd, err)
 
+    def test_undecodable_dataset_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_bytes(b"0,0\n1,\xff\n")
+        for cmd in ("characterize", "fd", "certify"):
+            code, out, err = run(capsys, [cmd, str(path)])
+            assert code == 2 and err.startswith("error code=2 kind=format"), (cmd, err)
+            assert "byte 0xff" in err and out == "" and err.count("\n") == 1, (cmd, err)
+
+    def test_byte_order_mark_loads_the_same_points(self, capsys, tmp_path):
+        for name, text in (("data.csv", "0,0\n1,0\n2,1\n3,3\n"),
+                           ("data.json", '{"points": [[0, 0], [1, 0], [2, 1], [3, 3]]}')):
+            plain, marked = tmp_path / name, tmp_path / f"bom-{name}"
+            plain.write_text(text)
+            marked.write_bytes(b"\xef\xbb\xbf" + text.encode())
+            outs = [run(capsys, ["fd", str(p)]) for p in (plain, marked)]  # each interior point is a kink of f_D
+            assert outs[0][0] == 0 and outs[0] == outs[1], name
+
+    def test_json_copy_prints_what_the_csv_prints(self, capsys, tmp_path):
+        csv = Path(__file__).parent / "data" / "m50.csv"
+        copy = tmp_path / "m50.json"
+        r.save_dataset(r.load_dataset(csv), copy)
+        assert copy.read_text().startswith("{")
+        first, second = (run(capsys, ["characterize", str(p)]) for p in (csv, copy))
+        assert first[0] == 0 and first == second
+
     def test_stdout_byte_identical_across_runs(self, capsys, data_a, tmp_path):
         out_dir = tmp_path / "m"
         argv = ["sample", data_a, "--n", "2", "--seed", "5", "--out-dir", str(out_dir)]

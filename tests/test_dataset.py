@@ -1,4 +1,3 @@
-import io
 import math
 
 import numpy as np
@@ -95,28 +94,26 @@ class TestRoundTrip:
     def test_bit_exact(self, fmt, tmp_path):
         d = r.make_dataset(self.gnarly)
         path = tmp_path / f"data.{fmt}"
-        r.save_dataset(d, path, format=fmt)
-        back = r.load_dataset(path, format=fmt)
+        r.save_dataset(d, path)
+        back = r.load_dataset(path)
         assert points_of(back) == points_of(d)
 
-    def test_stream_round_trip(self):
+    @pytest.mark.parametrize("name", ["data.csv", "data.json", "DATA.JSON", "data.txt", "data"])
+    def test_suffix_picks_the_format_both_ways(self, name, tmp_path):
         d = r.make_dataset(self.gnarly)
-        buf = io.StringIO()
-        r.save_dataset(d, buf, format="csv")
-        back = r.load_dataset(io.StringIO(buf.getvalue()), format="csv")
-        assert points_of(back) == points_of(d)
+        path = tmp_path / name
+        r.save_dataset(d, str(path))
+        assert path.read_text().startswith("{") == name.lower().endswith(".json")
+        assert points_of(r.load_dataset(str(path))) == points_of(d)
 
-    def test_byte_stream(self):
-        d = r.load_dataset(io.BytesIO(b"0,0\n1,1\n"), format="csv")
-        assert points_of(d) == ((0.0, 0.0), (1.0, 1.0))
-        d = r.load_dataset(io.BytesIO(b'{"points": [[0, 0], [1, 1]]}'), format="json")
-        assert points_of(d) == ((0.0, 0.0), (1.0, 1.0))
 
-    def test_unknown_format_rejected(self):
-        with pytest.raises(ValueError, match="unknown dataset format 'xml'"):
-            r.load_dataset(io.StringIO("0,0\n1,1\n"), format="xml")
-        with pytest.raises(ValueError, match="unknown dataset format 'xml'"):
-            r.save_dataset(r.make_dataset([(0, 0), (1, 1)]), io.StringIO(), format="xml")
+class TestEncoding:
+    def test_undecodable_byte_is_a_malformed_record(self, tmp_path):
+        for name in ("data.csv", "data.json"):
+            path = tmp_path / name
+            path.write_bytes(b"0,0\n1,\xff\n")
+            with pytest.raises(MalformedRecordError, match="byte 0xff at offset 6"):
+                r.load_dataset(path)
 
 
 class TestSlopeProfile:

@@ -305,7 +305,7 @@ class TestPerturbToNonmember:
         u = 2.0**-52
         ch = r.characterize(r.make_dataset([(1, 0), (1 + u, u), (1 + 2 * u, 3 * u), (1 + 3 * u, 6 * u)]))
         assert len(ch.blocks) == 1
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="no gap of the data has a float strictly inside it"):
             r.perturb_to_nonmember(ch, ch.f_D, seed=0)
 
     def test_interpolation_is_preserved(self):
