@@ -22,7 +22,7 @@ from . import network as net_mod
 from . import plfun
 from .characterize import (DEFAULT_MEMBERSHIP_RTOL, FREE, REASONS, characterize,
                            check_membership_against, connect_the_dots, support_envelope)
-from .dataset import DatasetError, load_dataset
+from .dataset import DatasetError, load_dataset, read_text
 from .generalization import (make_dataset_from, verify_lip_domination, verify_localized_bounds,
                              verify_sup_error)
 from .oracle import DEFAULT_CERTIFY_TOL, DEFAULT_GRID_POINTS_PER_GAP, OracleError, certify
@@ -87,9 +87,9 @@ def _at_least(convert, least):
 
 
 def _load(path: str, parse=plfun.from_json, noun: str = "piecewise-linear"):
-    """Parse a JSON file; any structural or numeric fault becomes a format error."""
+    """Parse a JSON file; any encoding, structural or numeric fault becomes a format error."""
     try:
-        return parse(Path(path).read_text())
+        return parse(read_text(path))
     except (KeyError, TypeError, IndexError, ValueError, OverflowError, RecursionError) as e:
         raise DatasetError(f"bad {noun} file {path}: {e}") from None
 

@@ -120,12 +120,17 @@ def _is_json(path: str | Path) -> bool:
     return Path(path).suffix.lower() == ".json"
 
 
-def load_dataset(path: str | Path) -> Dataset:
-    """Read a csv or json dataset file, as its suffix says, in UTF-8 with or without a BOM."""
+def read_text(path: str | Path) -> str:
+    """The text of any input file: UTF-8 with or without a BOM, else MalformedRecordError."""
     try:
-        text = Path(path).read_bytes().decode("utf-8-sig")
+        return Path(path).read_bytes().decode("utf-8-sig")
     except UnicodeDecodeError as e:
         raise MalformedRecordError(f"not UTF-8: byte {e.object[e.start]:#04x} at offset {e.start}") from None
+
+
+def load_dataset(path: str | Path) -> Dataset:
+    """Read a csv or json dataset file, as its suffix says."""
+    text = read_text(path)
     return _parse_json(text) if _is_json(path) else _parse_csv(text)
 
 

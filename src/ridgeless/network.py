@@ -35,14 +35,6 @@ class ReluNetwork:
         if not (math.isfinite(self.a) and math.isfinite(self.b) and np.isfinite(units).all()):
             raise ValueError("network parameters must be finite")
 
-    def to_dict(self) -> dict:
-        return {"a": self.a, "b": self.b, "units": self.units.tolist()}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ReluNetwork":
-        check_json_numbers((d["a"], d["b"]), *d["units"])
-        return cls(a=float(d["a"]), b=float(d["b"]), units=d["units"])
-
 
 def cost(net: ReluNetwork) -> float:
     """Half the sum of squared neuron weights (biases and linear unit free)."""
@@ -92,8 +84,10 @@ def network_to_pl(net: ReluNetwork) -> PiecewiseLinear:
 
 
 def to_json(net: ReluNetwork) -> str:
-    return json.dumps(net.to_dict())
+    return json.dumps({"a": net.a, "b": net.b, "units": net.units.tolist()})
 
 
 def from_json(text: str) -> ReluNetwork:
-    return ReluNetwork.from_dict(json.loads(text))
+    d = json.loads(text)
+    check_json_numbers((d["a"], d["b"]), *d["units"])
+    return ReluNetwork(a=float(d["a"]), b=float(d["b"]), units=d["units"])

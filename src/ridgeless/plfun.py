@@ -16,9 +16,11 @@ jumps from value differences, :func:`canonical` keeps jumps and takes the
 slopes by compensated prefix sums and the values by prefix sums from the
 anchor.  :func:`from_knots` drops a knot whose jump is negligible together
 with its value and takes the slopes and jumps of the knots kept again, so
-no later slope absorbs a dropped jump.  :func:`to_json` writes the bytes of
-``json.dumps(f.to_dict())`` from the text of each number, and ``sample``
-formats f_D's numbers once and reuses their text in each member.
+no later slope absorbs a dropped jump.  :func:`to_json` is the one writer
+of the JSON form, ``{"anchor": [x0, v0], "left_slope": s_0, "breakpoints":
+[[x_1, c_1], ...]}`` with each float as its repr, the bytes ``json.dumps``
+gives; :func:`from_json` is its one reader.  ``sample`` formats f_D's
+numbers once and reuses their text in each member.
 """
 
 from __future__ import annotations
@@ -84,19 +86,6 @@ class PiecewiseLinear:
     def breakpoints(self) -> tuple[tuple[float, float], ...]:
         """The (location, jump) pairs, built on first access."""
         return tuple(zip(self.x.tolist(), self.c.tolist()))
-
-    def to_dict(self) -> dict:
-        return {
-            "anchor": [self.anchor[0], self.anchor[1]],
-            "left_slope": self.left_slope,
-            "breakpoints": np.column_stack((self.x, self.c)).tolist(),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "PiecewiseLinear":
-        check_json_numbers(d["anchor"], (d["left_slope"],), *d["breakpoints"])
-        anchor = (float(d["anchor"][0]), float(d["anchor"][1]))
-        return canonical(anchor, float(d["left_slope"]), d["breakpoints"])
 
 
 def check_json_numbers(*rows) -> None:
@@ -293,7 +282,7 @@ def _text(a: np.ndarray) -> list[str]:
 
 
 def _json(f: PiecewiseLinear, text: list[str]) -> str:
-    """The bytes of ``json.dumps(f.to_dict())`` from ``text``, each kink's location and jump."""
+    """f's JSON form, as ``json.dumps`` writes it, with ``text`` for each kink's location and jump."""
     head = json.dumps({"anchor": [f.anchor[0], f.anchor[1]], "left_slope": f.left_slope})[:-1]
     pairs = "], [".join(map(", ".join, zip(text[0::2], text[1::2])))
     return head + (f', "breakpoints": [[{pairs}]]}}' if text else ', "breakpoints": []}')
@@ -315,4 +304,7 @@ def _json_like(g: PiecewiseLinear) -> Callable[[PiecewiseLinear], str]:
 
 
 def from_json(text: str) -> PiecewiseLinear:
-    return PiecewiseLinear.from_dict(json.loads(text))
+    d = json.loads(text)
+    (x0, v0), left_slope, rows = d["anchor"], d["left_slope"], d["breakpoints"]
+    check_json_numbers((x0, v0, left_slope), *rows)
+    return canonical((float(x0), float(v0)), float(left_slope), rows)

@@ -54,6 +54,15 @@ def random_pl(rng: np.random.Generator, max_breaks: int = 8) -> r.PiecewiseLinea
     return r.canonical(anchor, float(rng.uniform(-3, 3)), np.column_stack((locs, jumps)))
 
 
+def pl_to_dict(f: r.PiecewiseLinear) -> dict:
+    """f's JSON form as a dict: ``plfun.to_json`` must write the bytes ``json.dumps`` gives for it."""
+    return {
+        "anchor": [f.anchor[0], f.anchor[1]],
+        "left_slope": f.left_slope,
+        "breakpoints": np.column_stack((f.x, f.c)).tolist(),
+    }
+
+
 def loads_dataset(text: str, format: str = "csv") -> r.Dataset:
     """A dataset parsed from ``text``, as ``load_dataset`` reads it from a ``data.<format>`` file."""
     with tempfile.TemporaryDirectory() as tmp:

@@ -247,7 +247,7 @@ class TestCanonical:
                 r.canonical((0.0, 0.0), 0.0, rows)
         for rows in ([[1.0, 2.0, 3.0]], [[1.0, 2.0, 3.0, 4.0]]):
             with pytest.raises(ValueError, match="breakpoints must be"):
-                r.PiecewiseLinear.from_dict({"anchor": [0, 0], "left_slope": 0, "breakpoints": rows})
+                plfun.from_json(json.dumps({"anchor": [0, 0], "left_slope": 0, "breakpoints": rows}))
 
     def test_network_to_pl_matches_the_dict_merge(self, monkeypatch):
         seen = canonical_calls(monkeypatch, network)

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 import ridgeless as r
 import ridgeless.oracle
-from helpers import count_calls, random_dataset
+from helpers import count_calls, pl_to_dict, random_dataset
 from ridgeless.cli import _pixel_text, build_parser, main
 from ridgeless.dataset import DatasetError
 from ridgeless.plfun import from_json, from_knots, structurally_equal, to_json
@@ -149,7 +149,7 @@ class TestSampleText:
         ch = r.characterize(r.load_dataset(data))
         members = [r.sample_member(ch, seed=5 + k) for k in range(n)]
         assert [p.read_text() for p in sorted(out_dir.iterdir())] == \
-            [json.dumps(f.to_dict()) for f in members] == list(map(to_json, members))
+            [json.dumps(pl_to_dict(f)) for f in members] == list(map(to_json, members))
         if not len(ch.blocks):
             assert all(f is ch.f_D for f in members)
 
@@ -415,6 +415,10 @@ class TestErrorsAndDeterminism:
              "bad piecewise-linear file", "tv"),
             ("four.json", '{"anchor": [0, 0], "left_slope": 0, "breakpoints": [[1.0, 2.0, 3.0, 4.0]]}',
              "bad piecewise-linear file", "tv"),
+            ("anchor3.json", '{"anchor": [0, 0, 99], "left_slope": 1, "breakpoints": []}',
+             "bad piecewise-linear file", "tv"),
+            ("anchor1.json", '{"anchor": [0], "left_slope": 1, "breakpoints": []}',
+             "bad piecewise-linear file", "tv"),
             ("big.json", pl, "bad piecewise-linear file", "bound", "x.csv", "--m", "4", "--fstar"),
             ("big.json", '{"a": %s, "b": 0, "units": []}' % big, "bad network file",
              "from-network"),
@@ -452,6 +456,26 @@ class TestErrorsAndDeterminism:
             marked.write_bytes(b"\xef\xbb\xbf" + text.encode())
             outs = [run(capsys, ["fd", str(p)]) for p in (plain, marked)]  # each interior point is a kink of f_D
             assert outs[0][0] == 0 and outs[0] == outs[1], name
+
+    def test_undecodable_function_file_exit_2(self, capsys, tmp_path, data_a):
+        path = tmp_path / "f.json"
+        path.write_bytes(b'{"anchor": [0, 0], "left_slope": 0, "breakpoints": []}\n\xff')
+        for cmd in (["tv"], ["check", data_a], ["to-network"], ["bound", data_a, "--fstar"],
+                    ["from-network"]):
+            code, out, err = run(capsys, [*cmd, str(path)])
+            assert code == 2 and err.startswith("error code=2 kind=format"), (cmd, err)
+            assert "not UTF-8: byte 0xff at offset 55" in err, (cmd, err)
+            assert out == "" and err.count("\n") == 1, (cmd, err)
+
+    def test_byte_order_mark_loads_the_same_function(self, capsys, tmp_path, data_a, fd_file):
+        net = tmp_path / "net.json"
+        assert run(capsys, ["to-network", fd_file, "--out", str(net)])[0] == 0
+        for path, *cmd in ((fd_file, "tv"), (fd_file, "check", data_a), (fd_file, "to-network"),
+                           (fd_file, "bound", data_a, "--members", "3", "--fstar"), (net, "from-network")):
+            marked = tmp_path / f"bom-{Path(path).name}"
+            marked.write_bytes(b"\xef\xbb\xbf" + Path(path).read_bytes())
+            outs = [run(capsys, [*cmd, str(p)]) for p in (path, marked)]
+            assert outs[0][0] == 0 and outs[0] == outs[1], cmd
 
     def test_json_copy_prints_what_the_csv_prints(self, capsys, tmp_path):
         csv = Path(__file__).parent / "data" / "m50.csv"
