@@ -17,7 +17,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .plfun import allowance, check_json_numbers, float_rows
+from .plfun import allowance, float_rows, json_numbers
 
 # eps_i is declared zero when |s_i - s_{i-1}| <= allowance(CURVATURE_RTOL, s_i, s_{i-1}).
 CURVATURE_RTOL = 1e-12
@@ -167,10 +167,8 @@ def _parse_json(text: str) -> Dataset:
     for rec in obj["points"]:
         if not isinstance(rec, list) or len(rec) != 2:
             raise MalformedRecordError(f"expected [x, y], got {rec!r}")
-        try:
-            check_json_numbers(rec)
-        except TypeError:
-            raise MalformedRecordError(f"non-numeric coordinate in record {rec!r}") from None
+        if not json_numbers(rec):
+            raise MalformedRecordError(f"non-numeric coordinate in record {rec!r}")
     try:
         return make_dataset(obj["points"])
     except OverflowError:  # an integer literal beyond the float range

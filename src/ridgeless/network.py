@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .plfun import PiecewiseLinear, canonical, check_json_numbers, evaluate, float_rows
+from .plfun import PiecewiseLinear, canonical, evaluate, float_rows, json_fields
 
 
 @dataclass(frozen=True, eq=False)
@@ -88,6 +88,5 @@ def to_json(net: ReluNetwork) -> str:
 
 
 def from_json(text: str) -> ReluNetwork:
-    d = json.loads(text)
-    check_json_numbers((d["a"], d["b"]), *d["units"])
-    return ReluNetwork(a=float(d["a"]), b=float(d["b"]), units=d["units"])
+    a, b, units = json_fields(text, a=0, b=0, units=2)
+    return ReluNetwork(a=float(a), b=float(b), units=units)

@@ -56,7 +56,13 @@ dimensionless hat weight in [1/g, 1], every row's largest is exactly 1, and the
 data's units enter only through the right-hand side.  Limits are set on each
 call and the model is cleared after each solve, which spares a new instance's
 page faults, for the same bits, and keeps HiGHS's workspace (2 MB at m = 60).
-A right-hand side at or beyond HiGHS's infinite bound (1e20) is refused first.
+A right-hand side at or beyond HiGHS's infinite bound (1e20) is refused first,
+and so are grid nodes that do not strictly increase.
+
+The solution comes back as the m - 1 basic variables and their values, solved
+against the right-hand side: every nonbasic column is at 0, so that is all of
+``col_value``, with its bits, without 2n - 3 Python floats.  The check of the
+solution then reads only the basic columns' matrix entries.
 """
 
 from __future__ import annotations
@@ -120,25 +126,28 @@ def grid_tv_minimize(d: Dataset,
     nodes = np.append(np.arange(g) * (w / g)[:, None] + xs[:-1, None], xs[-1])
     n = nodes.size
     h = np.diff(nodes)
+    if not (h > 0.0).all():  # nodes that round onto each other (or a width that overflows)
+        i = int(np.argmin(h > 0.0))
+        raise OracleError(f"grid nodes {i} and {i + 1} of data gap {i // g} ({nodes[i].item()!r}, "
+                          f"{nodes[i + 1].item()!r}) do not increase at {g} points per gap; "
+                          f"use fewer points per gap (--grid)")
 
-    # Unknowns: sigma_0, then p and q at the interior nodes 1..n-2.  Node k lies in
-    # gap j = k // g; it enters row j with the falling side of the hat at x_j (for
-    # j = 0, its weight in gap 0's mean slope) and row j + 1 with the rising side of
-    # the hat at x_{j+1}, which is 0 at a data node and has no row on the last gap.
-    # The matrix is built column by column: sigma_0 in row 0, then the kept entries
-    # of each node, row j before row j + 1, as column k (p) and negated as column
-    # k + n - 2 (q).
-    k = np.arange(1, n - 1)
-    j, t = k // g, nodes[1:-1]
-    row = np.column_stack([j, j + 1])
-    coef = np.column_stack([(xs[j + 1] - t) / w[j], (t - xs[j]) / w[j]])
-    keep = (row < d.m - 1) & (coef != 0.0)
-    row, col, coef = row[keep], np.nonzero(keep)[0] + 1, coef[keep]
-    n_vars = 2 * n - 3
-    index = np.concatenate([[0], row, row]).astype(np.int32)
-    col = np.concatenate([[0], col, col + n - 2])
-    start = np.concatenate([[0], np.cumsum(np.bincount(col, minlength=n_vars))]).astype(np.int32)
-    value = np.concatenate([[1.0], coef, -coef])
+    # Unknowns: sigma_0, then p and q at the interior nodes 1..n-2.  Node k lies in gap
+    # j = k // g; it enters row j with the falling side of the hat at x_j (for j = 0, its
+    # weight in gap 0's mean slope) and row j + 1 with the rising side of the hat at x_{j+1},
+    # which is 0 at a data node and has no row on the last gap (as the nodes increase, no
+    # other weight is 0).  Column by column, gap by gap (T[j] holds gap j's nodes, x_j first):
+    # sigma_0 in row 0, then each node's entries, row j first, as column k (p) and negated as k + n - 2 (q).
+    T = nodes[:-1].reshape(-1, g)
+    fall, rise = (xs[1:, None] - T) / w[:, None], (T - xs[:-1, None]) / w[:, None]
+    coef = np.delete(np.stack([fall, rise], 2).reshape(d.m - 1, -1), 1, 1)  # x_j's rising 0
+    row = np.delete(np.arange(d.m - 1)[:, None] + np.arange(2 * g) % 2, 1, 1)
+    coef = np.concatenate([coef[:-1].ravel(), fall[-1]])[1:]  # node 0 is sigma_0's
+    row = np.concatenate([row[:-1].ravel(), np.full(g, d.m - 2)])[1:]
+    per_node = np.full(n - 2, 2, np.int32)
+    per_node[g - 1 :: g] = per_node[n - g - 1 :] = 1  # at a data node and on the last gap
+    n_vars, start = 2 * n - 3, np.concatenate([[0, 1], per_node, per_node]).cumsum(dtype=np.int32)
+    index, value = np.concatenate([[0], row, row]).astype(np.int32), np.concatenate([[1.0], coef, -coef])
     b_eq = np.concatenate([s[:1], np.diff(s)])
     cost, lower, upper = np.ones(n_vars), np.zeros(n_vars), np.full(n_vars, _core.kHighsInf)
     cost[0], lower[0] = 0.0, -_core.kHighsInf
@@ -162,11 +171,19 @@ def grid_tv_minimize(d: Dataset,
                 or highs.passModel(*lp) == error or highs.run() == error
                 or highs.getModelStatus() != _core.HighsModelStatus.kOptimal):
             raise OracleError(f"grid TV minimization did not converge ({_status(highs)})")
-        x = np.array(highs.getSolution().col_value)
-        # linprog's check of what HiGHS returns (every upper bound is infinite); bincount
-        # adds each row's products in column order, as scipy's csc_matvec does
-        if not (np.isfinite(x).all() and (x >= lower - _CHECK_TOL).all()
-                and (np.abs(b_eq - np.bincount(index, value * x[col], d.m - 1)) <= _CHECK_TOL).all()):
+        # every nonbasic column is at 0 (p and q at their lower bound, sigma_0 free), so the m - 1
+        # basic values, solved against b_eq, give col_value's bits without a Python float per column
+        (found, basic), (solved, xb) = highs.getBasicVariables(), highs.getBasisSolve(b_eq)
+        if error in (found, solved):
+            raise OracleError(f"HiGHS returned no basic solution ({_status(highs)})")
+        col, x = basic[basic >= 0], np.zeros(n_vars)  # negative entries are row slacks
+        x[col] = xb[basic >= 0]
+        # linprog's check of what HiGHS returns (every upper bound is infinite), over the basic
+        # columns' one or two entries each, added in column order as scipy's csc_matvec does
+        at = np.sort(np.concatenate([start[col], (start[col] + 1)[start[col + 1] - start[col] > 1]]))
+        products = value[at] * x[start.searchsorted(at, "right") - 1]
+        if not (np.isfinite(x[col]).all() and (x[col] >= lower[col] - _CHECK_TOL).all()
+                and (np.abs(b_eq - np.bincount(index[at], products, d.m - 1)) <= _CHECK_TOL).all()):
             raise OracleError(f"grid LP solution misses its bounds or rows by more than "
                               f"{_CHECK_TOL:.2e} ({_status(highs)})")
         info = highs.getInfo()

@@ -88,10 +88,24 @@ class PiecewiseLinear:
         return tuple(zip(self.x.tolist(), self.c.tolist()))
 
 
-def check_json_numbers(*rows) -> None:
-    """Raise TypeError unless each value in the rows is a JSON number (int or float, not bool)."""
-    if not {int, float}.issuperset(map(type, chain.from_iterable(rows))):
-        raise TypeError("expected only JSON numbers (ints or floats) as values")
+def json_numbers(*rows) -> bool:
+    """Whether each value in the rows is a JSON number (int or float, not bool)."""
+    return {int, float}.issuperset(map(type, chain.from_iterable(rows)))
+
+
+def json_fields(text: str, **depths: int) -> list:
+    """The fields of the JSON object ``text``, in the order given: a field of depth 0 is a JSON
+    number, of depth 1 a list of numbers and of depth 2 a list of such lists.  ValueError names
+    the first field that is missing or of another form."""
+    d = json.loads(text)
+    if type(d) is not dict:
+        raise ValueError(f"expected a JSON object with the fields {', '.join(depths)}")
+    for name, depth in depths.items():
+        rows = [[d.get(name)]] if depth == 0 else [d.get(name)] if depth == 1 else d.get(name)
+        if not (type(rows) is list and set(map(type, rows)) <= {list} and json_numbers(*rows)):
+            form = ("a number", "a list of numbers", "a list of lists of numbers")[depth]
+            raise ValueError(f"{'bad' if name in d else 'missing'} field {name!r}: it must be {form}")
+    return [d[name] for name in depths]
 
 
 def float_rows(rows, width: int, message: str) -> np.ndarray:
@@ -304,7 +318,7 @@ def _json_like(g: PiecewiseLinear) -> Callable[[PiecewiseLinear], str]:
 
 
 def from_json(text: str) -> PiecewiseLinear:
-    d = json.loads(text)
-    (x0, v0), left_slope, rows = d["anchor"], d["left_slope"], d["breakpoints"]
-    check_json_numbers((x0, v0, left_slope), *rows)
-    return canonical((float(x0), float(v0)), float(left_slope), rows)
+    anchor, left_slope, rows = json_fields(text, anchor=1, left_slope=0, breakpoints=2)
+    if len(anchor) != 2:
+        raise ValueError(f"bad field 'anchor': it must be [x0, v0], two numbers, not {len(anchor)}")
+    return canonical((float(anchor[0]), float(anchor[1])), float(left_slope), rows)

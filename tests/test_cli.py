@@ -226,6 +226,18 @@ class TestCertifyCommand:
         assert code == 4 and out == "" and err.count("\n") == 1
         assert err.startswith("error code=4 kind=certification") and "infinite bound 1e+20" in err
 
+    def test_grid_nodes_that_round_onto_each_other_exit_4(self, capsys, tmp_path):
+        # at 2**52 the floats are the integers: gaps of 2, 2 and 4 hold at most 2 distinct nodes
+        path = tmp_path / "narrow.csv"
+        path.write_text("".join(f"{2**52 + dx},{y}\n" for dx, y in ((0, 0), (2, 1), (4, 0), (8, 3))))
+        for grid in ([], ["--grid", "4"]):
+            code, out, err = run(capsys, ["certify", str(path), *grid])
+            assert code == 4 and out == "" and err.count("\n") == 1, (grid, err)
+            assert err.startswith("error code=4 kind=certification") and "grid nodes 0 and 1" in err
+            assert "use fewer points per gap (--grid)" in err
+        code, out, _ = run(capsys, ["certify", str(path), "--grid", "2"])
+        assert code == 0 and json.loads(out.splitlines()[0])["achieved"] == 2.25
+
 
 class TestBoundCommand:
     def test_uniform_design_reports(self, capsys, data_a, tmp_path):
@@ -433,6 +445,19 @@ class TestErrorsAndDeterminism:
              "bad piecewise-linear file", "tv"),
             ("over.json", '{"a": 1e308, "b": 1e308, "units": [[1, 0, 1e308], [1, -1, 1e308]]}',
              "bad network file", "from-network"),
+            # a missing or malformed field is named, with what it must be
+            ("anchor1.json", '{"anchor": [0], "left_slope": 1, "breakpoints": []}',
+             "bad field 'anchor': it must be [x0, v0]", "tv"),
+            ("anchor5.json", '{"anchor": 5, "left_slope": 1, "breakpoints": []}',
+             "bad field 'anchor': it must be a list of numbers", "tv"),
+            ("no-anchor.json", '{"left_slope": 1, "breakpoints": []}', "missing field 'anchor'", "tv"),
+            ("list.json", '[{"anchor": [0, 0], "left_slope": 1, "breakpoints": []}]',
+             "expected a JSON object with the fields anchor, left_slope, breakpoints", "tv"),
+            ("rows.json", '{"anchor": [0, 0], "left_slope": 1, "breakpoints": [1, 2]}',
+             "bad field 'breakpoints'", "tv"),
+            ("no-a.json", '{"b": 0, "units": []}', "missing field 'a': it must be a number",
+             "from-network"),
+            ("units.json", '{"a": 0, "b": 0, "units": 5}', "bad field 'units'", "from-network"),
         ):
             path = tmp_path / name
             path.write_text(text)

@@ -151,15 +151,39 @@ class TestCertify:
         assert certify(d, r.characterize(d)).passed and len(passed) == 1
 
     def test_solution_off_its_rows_raises(self, dataset_a, monkeypatch):
+        # the solution is read as the basic values, so every one of them is shifted
         class Shifted(_core._Highs):
-            def getSolution(self):
-                solution = super().getSolution()
-                solution.col_value = np.array(solution.col_value) + 1e-3
-                return solution
+            def getBasisSolve(self, rhs):
+                status, values = super().getBasisSolve(rhs)
+                return status, values + 1e-3
 
         monkeypatch.setattr(_core, "_Highs", Shifted)
         with pytest.raises(OracleError, match="misses its bounds or rows.*model status Optimal"):
             grid_tv_minimize(dataset_a, 8)
+
+    def test_a_failed_basis_solve_raises(self, dataset_a, monkeypatch):
+        class Failing(_core._Highs):
+            def getBasisSolve(self, rhs):
+                return _core.HighsStatus.kError, super().getBasisSolve(rhs)[1]
+
+        monkeypatch.setattr(_core, "_Highs", Failing)
+        with pytest.raises(OracleError, match="no basic solution.*model status Optimal"):
+            grid_tv_minimize(dataset_a, 8)
+
+    def test_nodes_that_round_onto_each_other_are_refused_before_the_solve(self, monkeypatch):
+        # at 2**52 the floats are the integers: gaps of 2, 2 and 4 hold at most 2 distinct nodes
+        points = [(2**52, 0), (2**52 + 2, 1), (2**52 + 4, 0), (2**52 + 8, 3)]
+        d = r.make_dataset(points)
+        passed = count_calls(monkeypatch, _HIGHS, "passModel")
+        for g in (64, 4):
+            with pytest.raises(OracleError, match=rf"grid nodes 0 and 1 of data gap 0 .* at {g} "
+                                                  r"points per gap; use fewer points per gap"):
+                certify(d, r.characterize(d), grid_points_per_gap=g)
+        assert passed == []  # refused before the model reaches HiGHS
+        for g in (1, 2):
+            rep = certify(d, r.characterize(d), grid_points_per_gap=g)
+            assert rep.passed and rep.achieved == rep.target == 2.25
+        assert len(passed) == 2
 
 
 MODEL_FIELDS = ("num_col", "num_row", "num_nz", "a_format", "sense", "offset", "col_cost",
@@ -274,21 +298,75 @@ class TestKinkForm:
 
     @pytest.mark.parametrize("shift, raises", [(1e-3, True), (1e-5, False)])
     def test_row_check_follows_columns(self, dataset_a, monkeypatch, shift, raises):
-        # sigma_0, column 0, enters row 0 alone, with coefficient 1
-        class ShiftedSigma0(_core._Highs):
-            def getSolution(self):
-                solution = super().getSolution()
-                col_value = np.array(solution.col_value)
-                col_value[0] += shift
-                solution.col_value = col_value
-                return solution
+        # only basic values are read, and sigma_0 is nonbasic here: the basic variables are
+        # row 0's slack and columns 8 and 16.  Column 8, p at the data node x_1, enters row 1
+        # alone, with coefficient 1
+        class ShiftedColumn8(_core._Highs):
+            def getBasisSolve(self, rhs):
+                status, values = super().getBasisSolve(rhs)
+                basic = self.getBasicVariables()[1]
+                assert sorted(basic) == [-1, 8, 16]
+                values[basic == 8] += shift
+                return status, values
 
-        monkeypatch.setattr(_core, "_Highs", ShiftedSigma0)
+        monkeypatch.setattr(_core, "_Highs", ShiftedColumn8)
         if raises:
             with pytest.raises(OracleError, match="misses its bounds or rows"):
                 grid_tv_minimize(dataset_a, 8)
         else:
             grid_tv_minimize(dataset_a, 8)
+
+    @pytest.mark.parametrize("shift, raises", [(0.0, False), (1e-5, False), (1e-3, True)])
+    def test_row_check_reads_both_entries_of_a_column(self, dataset_a, monkeypatch, shift, raises):
+        # HiGHS's optimum bends at data nodes, whose columns have one entry each.  Another
+        # optimum: p = 1 at nodes 9 and 15 (x = 1.125 and 1.875), weighted 7/8 and 1/8 in row 1
+        # and 1/8 and 7/8 in row 2, meets both rows (1 each).  Shifting node 15's value moves
+        # row 1 by shift / 8, inside the check's tolerance, and row 2 by 7 * shift / 8
+        class OtherOptimum(_core._Highs):
+            def getBasicVariables(self):
+                return super().getBasicVariables()[0], np.array([-1, 9, 15], np.int32)
+
+            def getBasisSolve(self, rhs):
+                return super().getBasisSolve(rhs)[0], np.array([0.0, 1.0, 1.0 + shift])
+
+        monkeypatch.setattr(_core, "_Highs", OtherOptimum)
+        if raises:
+            with pytest.raises(OracleError, match="misses its bounds or rows"):
+                grid_tv_minimize(dataset_a, 8)
+        else:
+            _, minimizer, _ = grid_tv_minimize(dataset_a, 8)
+            assert minimizer.x.tolist() == [1.125, 1.875]
+            assert np.allclose(evaluate(minimizer, dataset_a.xs), dataset_a.ys, atol=1e-4)
+
+    def test_reads_the_bits_of_col_value(self, monkeypatch):
+        # the package reads the basic variables and their values; every other column is 0
+        seen = []
+
+        class Recording(_HIGHS):
+            def getSolution(self):
+                raise AssertionError("the package reads no full solution")
+
+            def getBasisSolve(self, rhs):
+                status, values = super().getBasisSolve(rhs)
+                col_value = np.array(super().getSolution().col_value)
+                seen.append((self.getBasicVariables()[1], values, col_value))
+                return status, values
+
+        monkeypatch.setattr(_core, "_Highs", Recording)
+        cases = self.cases() + [(random_dataset(np.random.default_rng(2), 200), 64)]
+        for d, g in cases:
+            grid_tv_minimize(d, g)
+            basic, values, col_value = seen.pop()
+            assert basic.size == d.m - 1
+            x = np.zeros(col_value.size)
+            x[basic[basic >= 0]] = values[basic >= 0]
+            assert x.tobytes() == col_value.tobytes()
+
+    def test_certify_does_not_read_the_full_solution(self, dataset_a, monkeypatch):
+        calls = count_calls(monkeypatch, _HIGHS, "getSolution")
+        reads = count_calls(monkeypatch, _HIGHS, "getBasisSolve")
+        rep = certify(dataset_a, r.characterize(dataset_a), grid_points_per_gap=64)
+        assert rep.passed and calls == [] and len(reads) == 1
 
     def test_certifies_m_200(self):
         d = random_dataset(np.random.default_rng(2), 200)
